@@ -12,16 +12,14 @@ from .fields import (GridSpec, SpatialField, SpectralField, forward_transform,
                      inverse_transform, l2_norm, load_field, lp_norm,
                      random_band_limited, save_field, sup_norm)
 from .multiplier import (MultiplierEval, check_derivative, check_large_arg,
-                         check_small_arg, h_eval, m_eval, m_prime, m_sup,
-                         m_values)
+                         check_small_arg, m_eval, m_prime, m_values)
 from .operators import (Kernel, MultiplierSymbol, TruncationGrid, apply_symbol,
                         directional_hilbert_trunc, maximal_over,
                         poisson_projection, poisson_projection_sum,
                         riesz_radial_profile, rotation_reconstruct,
                         sphere_moment, square_function, truncated_riesz_spatial,
                         vector_maximal, vector_truncated_riesz)
-from .specfun import (BoundCheck, QuadratureConfig, bessel_envelope, bessel_j,
-                      gautschi_bounds, log_gamma, sine_integral,
+from .specfun import (BoundCheck, bessel_envelope, bessel_j, gautschi_bounds,
                       stirling_bounds)
 
 __version__ = "0.1.0"

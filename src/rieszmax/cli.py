@@ -272,7 +272,8 @@ def _cmd_report(args) -> int:
 # argument wiring
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
+    """The parser and its subcommand parsers by name."""
     parser = argparse.ArgumentParser(
         prog="rieszmax",
         description="Truncated Riesz transform experiments and bound checks.")
@@ -346,7 +347,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("report", help="merge prior CSV reports")
     p.add_argument("inputs", nargs="+")
     p.add_argument("--output-file", default=None)
-    return parser
+    return parser, sub.choices
 
 
 _DISPATCH = {
@@ -362,41 +363,38 @@ _DISPATCH = {
 }
 
 
-def _apply_config(args: argparse.Namespace, argv: list[str]) -> None:
-    """Fill flags from the JSON config; flags given on the command line win."""
+def _parse_args(parser: argparse.ArgumentParser, commands: dict,
+                tokens: list[str]) -> argparse.Namespace:
+    """Parse tokens.  With --config, the JSON file's values become the
+    subcommand's defaults and the tokens are parsed again, so every flag on
+    the command line, abbreviated or not, beats the file."""
+    args = parser.parse_args(tokens)
     if getattr(args, "config", None) is None:
-        return
+        return args
     try:
         loaded = json.loads(Path(args.config).read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise DomainError(f"cannot read config {args.config}: {exc}")
     if not isinstance(loaded, dict):
         raise DomainError("config file must hold a JSON object")
-    explicit = {token.split("=", 1)[0] for token in argv
-                if token.startswith("--")}
+    defaults = {}
     for key, value in loaded.items():
         attr = key.replace("-", "_")
-        if not hasattr(args, attr):
+        if attr == "command" or not hasattr(args, attr):
             raise DomainError(f"unknown config key {key!r}")
-        if f"--{attr.replace('_', '-')}" in explicit:
-            continue
-        if attr == "t_grid":
-            value = _parse_t_grid(value)
-        elif attr == "output":
-            value = Path(value)
-        setattr(args, attr, value)
+        defaults[attr] = value
+    commands[args.command].set_defaults(**defaults)
+    return parser.parse_args(tokens)
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    parser, commands = _build_parser()
     tokens = list(sys.argv[1:] if argv is None else argv)
     try:
-        args = parser.parse_args(tokens)
+        args = _parse_args(parser, commands, tokens)
+        return _DISPATCH[args.command](args)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_PASS
-    try:
-        _apply_config(args, tokens)
-        return _DISPATCH[args.command](args)
     except IntegrityError as exc:
         print(f"integrity error: {exc}", file=sys.stderr)
         return EXIT_BOUND_FAIL

@@ -30,7 +30,7 @@ from .operators import (MultiplierSymbol, TruncationGrid, apply_symbol,
                         poisson_projection_sum, radial_bundle,
                         rotation_reconstruct, sphere_moment, square_function,
                         truncated_riesz_spatial, vector_maximal)
-from .specfun import QuadratureConfig, bessel_envelope, bessel_j
+from .specfun import bessel_envelope, bessel_j
 
 __all__ = [
     "ExperimentReport",
@@ -189,7 +189,6 @@ def decomposition_diagnostics(d: int, n: int, grid: TruncationGrid, band: float,
     """
     spec = GridSpec(d, n)
     band = _capped_band(band, spec)
-    q = QuadratureConfig()
     report = ExperimentReport(
         "decomposition", seed,
         {"d": d, "N": n, "grid": [grid.n_min, grid.n_max, grid.depth],
@@ -201,7 +200,7 @@ def decomposition_diagnostics(d: int, n: int, grid: TruncationGrid, band: float,
         bundle = radial_bundle(f)
         radii = bundle.radii
 
-        prof_dyadic = op._profile_matrix(d, radii, dyadic, "factor_m", q)
+        prof_dyadic = op._profile_matrix(d, radii, dyadic, "factor_m")
         a_sup = bundle.sup_abs(prof_dyadic)
         a = math.sqrt(np.sum(a_sup ** 2) * spec.cell_volume) / norm_f
 
@@ -210,8 +209,8 @@ def decomposition_diagnostics(d: int, n: int, grid: TruncationGrid, band: float,
         for idx, t_dyad in enumerate(dyadic[:-1] if len(dyadic) > 1 else dyadic):
             n_exp = grid.n_min + idx
             ts = grid.octave_values(n_exp)
-            prof = op._profile_matrix(d, radii, ts, "factor_m", q) \
-                - op._profile_matrix(d, radii, np.array([t_dyad]), "factor_m", q)
+            prof = op._profile_matrix(d, radii, ts, "factor_m") \
+                - op._profile_matrix(d, radii, np.array([t_dyad]), "factor_m")
             sq_acc += bundle.sup_abs_sq(prof)
         b_field = np.sqrt(sq_acc)
         b = math.sqrt(np.sum(b_field ** 2) * spec.cell_volume) / norm_f
@@ -221,7 +220,7 @@ def decomposition_diagnostics(d: int, n: int, grid: TruncationGrid, band: float,
         c = math.sqrt(np.sum(c_sup ** 2) * spec.cell_volume) / norm_f
         for t_dyad in dyadic:
             diff_prof = (op._profile_matrix(d, radii, np.array([t_dyad]),
-                                            "factor_m", q)[:, 0]
+                                            "factor_m")[:, 0]
                          - np.exp(-radii * t_dyad / math.sqrt(d)))
             diff_field = bundle.combine(diff_prof)
             sum_mp_sq += np.sum(np.abs(diff_field) ** 2) * spec.cell_volume

@@ -1,16 +1,21 @@
 """The radial factorization multiplier m and its quantitative bound checks.
 
-For dimension d >= 4,
+For dimension d >= 4, with nu = d/2,
 
-    m(x) = (2^(d/2) Gamma((d+1)/2) / sqrt(pi))
-           * int_{2 pi x}^{infinity} r^(-d/2) J_{d/2}(r) dr.
+    m(x) = pref * int_{2 pi x}^infinity r^(-nu) J_nu(r) dr,
+    pref = 2^nu Gamma((d+1)/2) / sqrt(pi).
 
-The infinite tail is cut at R chosen from the crude estimate |J| <= 1:
-prefactor * 2 R^(1 - d/2) / (d - 2) <= tail_tol.  The finite part is
-integrated by 10-point Gauss panels of width <= pi (one panel per Bessel
-half-oscillation); per dimension the panel integrals are computed once,
-cached cumulatively, and shared by every later evaluation, which is what
-makes dense x-grids and operator sweeps affordable.
+The whole integral is known in closed form (DLMF 10.22.43):
+int_0^infinity r^(-nu) J_nu(r) dr = 2^(-nu) sqrt(pi) / Gamma(nu + 1/2) =
+1 / pref.  Hence, exactly,
+
+    m(x) = 1 - pref * int_0^{2 pi x} r^(-nu) J_nu(r) dr,
+
+and m(0) = 1 by construction.  The finite head integral is taken by
+10-point Gauss panels of width pi (one panel per Bessel half-oscillation)
+plus one partial panel; per dimension the panel integrals are summed once
+into a cumulative table that grows lazily to the largest argument asked
+for, and is shared by every later evaluation.
 
 Three closed analytic bounds on m are exposed as checkers:
 |m(x) - 1| <= 20 x / sqrt(d) for x <= sqrt(d), |m(x)| <= 6e4 sqrt(d)/x for
@@ -25,24 +30,25 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln, jv
 
-from .errors import DomainError
-from .specfun import BoundCheck, QuadratureConfig
+from .errors import DomainError, ResourceError
+from .specfun import BoundCheck
 
 __all__ = [
     "MultiplierEval",
     "m_eval",
     "m_values",
     "m_prime",
-    "h_eval",
     "check_small_arg",
     "check_large_arg",
     "check_derivative",
-    "m_sup",
 ]
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(10)
 
 _PANEL = math.pi  # panel width: one half-period of the Bessel oscillation
+_CHUNK = 65_536   # panels integrated per vectorized block
+# Longest head integral, in panels: x up to about 1.7e5, an 8 MB table.
+_MAX_PANELS = 1 << 20
 
 
 def _log_prefactor(d: int) -> float:
@@ -55,103 +61,67 @@ def _require_dimension(d: int) -> None:
         raise DomainError(f"the multiplier m is only defined for d >= 4, got d={d}")
 
 
-class _TailTable:
-    """Cumulative panel integrals of r^(-d/2) J_{d/2}(r) on [0, R].
-
-    Extended lazily when an evaluation needs a larger cutoff.
-    """
-
-    _CHUNK = 65_536  # panels integrated per vectorized block
-
-    def __init__(self, d: int, tail_tol: float):
-        self.d = d
-        self.tail_tol = tail_tol
-        self.mu = d / 2.0
-        self.nu = d / 2.0
-        pref = math.exp(_log_prefactor(d))
-        # prefactor * 2 R^(1 - d/2) / (d - 2) <= tail_tol
-        self.r_cut = (2.0 * pref / ((d - 2) * tail_tol)) ** (2.0 / (d - 2))
-        self.cumulative = np.zeros(1)
-        self._extend_to(self.r_cut)
-
-    def _integrand(self, r):
-        return r ** (-self.mu) * jv(self.nu, r)
-
-    def _extend_to(self, r_max: float) -> None:
-        need = int(math.ceil(r_max / _PANEL)) + 1
-        have = len(self.cumulative) - 1
-        while have < need:
-            count = min(self._CHUNK, need - have)
-            edges = (have + np.arange(count + 1)) * _PANEL
-            mid = 0.5 * (edges[:-1] + edges[1:])[:, None]
-            half = 0.5 * _PANEL
-            pts = mid + half * _GL_NODES[None, :]
-            vals = half * (self._integrand(pts) @ _GL_WEIGHTS)
-            base = self.cumulative[-1]
-            self.cumulative = np.concatenate(
-                [self.cumulative, base + np.cumsum(vals)])
-            have += count
-
-    def tail_from(self, a: np.ndarray) -> np.ndarray:
-        """int_a^R of the integrand, vectorized over lower limits a >= 0."""
-        a = np.asarray(a, dtype=float)
-        r_top = max(self.r_cut, float(np.max(a, initial=0.0)) + _PANEL)
-        self._extend_to(r_top)
-        n_top = int(math.ceil(r_top / _PANEL))
-        total = self.cumulative[n_top]
-
-        idx = np.minimum((a / _PANEL).astype(int), n_top - 1)
-        lo = idx * _PANEL
-        # partial panel [lo, a]; node radii clamped away from 0, where the
-        # integrand has a finite limit but r**(-mu) alone overflows
-        mid = 0.5 * (lo + a)
-        half = 0.5 * (a - lo)
-        pts = np.maximum(mid[..., None] + half[..., None] * _GL_NODES, 1e-8)
-        partial = np.where(half > 0, half * (self._integrand(pts) @ _GL_WEIGHTS), 0.0)
-        return total - self.cumulative[idx] - partial
+def _integrand(d: int, r):
+    return r ** (-d / 2.0) * jv(d / 2.0, r)
 
 
-_TABLES: dict[tuple[int, float], _TailTable] = {}
+# per dimension, int_0^{k pi} of the integrand for k = 0, 1, ...
+_CUMULATIVE: dict[int, np.ndarray] = {}
 
 
-def _table(d: int, q: QuadratureConfig) -> _TailTable:
-    key = (d, q.tail_tol)
-    if key not in _TABLES:
-        _TABLES[key] = _TailTable(d, q.tail_tol)
-    return _TABLES[key]
+def _cumulative(d: int, panels: int) -> np.ndarray:
+    """The dimension's cumulative panel table, grown to >= panels + 1 entries."""
+    table = _CUMULATIVE.get(d, np.zeros(1))
+    while len(table) <= panels:
+        count = min(_CHUNK, panels + 1 - len(table))
+        edges = (len(table) - 1 + np.arange(count + 1)) * _PANEL
+        mid = 0.5 * (edges[:-1] + edges[1:])[:, None]
+        half = 0.5 * _PANEL
+        vals = half * (_integrand(d, mid + half * _GL_NODES[None, :]) @ _GL_WEIGHTS)
+        table = np.concatenate([table, table[-1] + np.cumsum(vals)])
+    _CUMULATIVE[d] = table
+    return table
 
 
 @dataclass(frozen=True)
 class MultiplierEval:
-    """One evaluation of m, with the dimension and error budget attached."""
+    """One evaluation of m, with its dimension and argument attached."""
 
     dimension: int
     argument: float
     value: float
-    est_error: float
 
 
-def m_values(d: int, xs, q: QuadratureConfig | None = None) -> np.ndarray:
+def m_values(d: int, xs) -> np.ndarray:
     """Vectorized m(x) over an array of nonnegative arguments."""
-    q = q or QuadratureConfig()
     _require_dimension(d)
     xs = np.asarray(xs, dtype=float)
-    if np.any(xs < 0):
+    if not np.all(xs >= 0):
         raise DomainError("m is defined on x >= 0")
-    table = _table(d, q)
-    pref = math.exp(_log_prefactor(d))
-    return pref * table.tail_from(2.0 * math.pi * xs)
+    a = 2.0 * math.pi * xs
+    if float(np.max(a, initial=0.0)) / _PANEL > _MAX_PANELS:
+        raise ResourceError(
+            f"m at x = {float(np.max(xs)):g} needs more than {_MAX_PANELS} "
+            f"quadrature panels")
+    idx = (a / _PANEL).astype(np.int64)
+    table = _cumulative(d, int(np.max(idx, initial=0)))
+    # partial panel [idx pi, a]; node radii clamped away from 0, where the
+    # integrand has a finite limit but r**(-nu) alone overflows
+    lo = idx * _PANEL
+    mid = 0.5 * (lo + a)
+    half = 0.5 * (a - lo)
+    pts = np.maximum(mid[..., None] + half[..., None] * _GL_NODES, 1e-8)
+    partial = half * (_integrand(d, pts) @ _GL_WEIGHTS)
+    return 1.0 - math.exp(_log_prefactor(d)) * (table[idx] + partial)
 
 
-def m_eval(d: int, x: float, q: QuadratureConfig | None = None) -> MultiplierEval:
-    """m(x) for a single argument, with the error budget recorded."""
-    q = q or QuadratureConfig()
-    value = float(m_values(d, np.array([x]), q)[0])
-    return MultiplierEval(dimension=d, argument=float(x), value=value,
-                          est_error=q.abs_tol + q.tail_tol)
+def m_eval(d: int, x: float) -> MultiplierEval:
+    """m(x) for a single argument."""
+    value = float(m_values(d, np.array([x]))[0])
+    return MultiplierEval(dimension=d, argument=float(x), value=value)
 
 
-def m_prime(d: int, x: float, q: QuadratureConfig | None = None) -> float:
+def m_prime(d: int, x: float) -> float:
     """Closed-form derivative
 
         m'(x) = -(2 sqrt(pi) Gamma((d+1)/2) / (pi x)^(d/2)) J_{d/2}(2 pi x).
@@ -167,95 +137,28 @@ def m_prime(d: int, x: float, q: QuadratureConfig | None = None) -> float:
     return -math.copysign(math.exp(log_pref + math.log(abs(bes))), bes)
 
 
-def h_eval(d: int, x: float, q: QuadratureConfig | None = None) -> float:
-    """Radial profile of the Fourier transform of the truncated kernel shell,
-
-        h(x) = 2 pi c_d x^(1 - d/2) int_1^infinity r^(-d/2 - 1)
-               J_{d/2 - 1}(2 pi r x) dr,
-
-    computed after substituting u = 2 pi r x as
-    c_d (2 pi)^(d/2 + 1) x * int_{2 pi x}^infinity u^(-d/2 - 1) J_{d/2-1}(u) du.
-    """
-    q = q or QuadratureConfig()
-    _require_dimension(d)
-    if x <= 0:
-        raise DomainError("h_eval requires x > 0")
-    mu = d / 2.0 + 1.0
-    nu = d / 2.0 - 1.0
-    log_c = float(gammaln((d + 1) / 2)) - 0.5 * (d + 1) * math.log(math.pi)
-    log_pref = log_c + (d / 2.0 + 1.0) * math.log(2.0 * math.pi) + math.log(x)
-    pref = math.exp(log_pref)
-
-    a = 2.0 * math.pi * x
-    # cutoff from |J| <= 1: pref * R^(-d/2) * 2/d <= tail_tol
-    r_cut = max(a * 2.0, (2.0 * pref / (d * q.tail_tol)) ** (2.0 / d))
-
-    def integrand(u):
-        return u ** (-mu) * jv(nu, u)
-
-    total = 0.0
-    # geometric panels over the steep head [a, pi], then pi-wide panels
-    b0 = min(r_cut, _PANEL)
-    if a < b0:
-        edges = np.geomspace(a, b0, 64)
-        total += _edges_quad(integrand, edges)
-        a = b0
-    if a < r_cut:
-        n = int(math.ceil((r_cut - a) / _PANEL))
-        edges = np.linspace(a, r_cut, n + 1)
-        total += _edges_quad(integrand, edges)
-    return pref * total
-
-
-def _edges_quad(func, edges: np.ndarray) -> float:
-    mid = 0.5 * (edges[:-1] + edges[1:])[:, None]
-    half = 0.5 * np.diff(edges)[:, None]
-    pts = mid + half * _GL_NODES[None, :]
-    return float(np.sum(half[:, 0] * (func(pts) @ _GL_WEIGHTS)))
-
-
-def check_small_arg(d: int, x: float,
-                    q: QuadratureConfig | None = None) -> BoundCheck:
+def check_small_arg(d: int, x: float) -> BoundCheck:
     """|m(x) - 1| <= 20 x / sqrt(d) on 0 <= x <= sqrt(d)."""
     _require_dimension(d)
     if not 0.0 <= x <= math.sqrt(d):
         raise DomainError(f"check_small_arg requires 0 <= x <= sqrt(d), got {x}")
-    value = m_eval(d, x, q).value - 1.0
+    value = m_eval(d, x).value - 1.0
     return BoundCheck.compare(x, value, 20.0 * x / math.sqrt(d))
 
 
-def check_large_arg(d: int, x: float,
-                    q: QuadratureConfig | None = None) -> BoundCheck:
+def check_large_arg(d: int, x: float) -> BoundCheck:
     """|m(x)| <= 6e4 sqrt(d) / x on x >= sqrt(d)."""
     _require_dimension(d)
     if x < math.sqrt(d):
         raise DomainError(f"check_large_arg requires x >= sqrt(d), got {x}")
-    value = m_eval(d, x, q).value
+    value = m_eval(d, x).value
     return BoundCheck.compare(x, value, 6.0e4 * math.sqrt(d) / x)
 
 
-def check_derivative(d: int, x: float,
-                     q: QuadratureConfig | None = None) -> BoundCheck:
+def check_derivative(d: int, x: float) -> BoundCheck:
     """|x m'(x)| <= 1e4 on x > 0."""
     _require_dimension(d)
     if x <= 0:
         raise DomainError(f"check_derivative requires x > 0, got {x}")
-    value = x * m_prime(d, x, q)
+    value = x * m_prime(d, x)
     return BoundCheck.compare(x, value, 1.0e4)
-
-
-def m_sup(d: int, q: QuadratureConfig | None = None,
-          grid_step: float | None = None) -> float:
-    """Estimate of sup_{x >= 0} |m(x)|.
-
-    Dense grid on [0, d] with step <= 0.01 sqrt(d); beyond x = d the proof
-    of the large-argument lemma gives |m(x)| <= sqrt(d)/x <= 1/sqrt(d),
-    which never exceeds m(0) = 1, so the grid maximum decides.
-    """
-    q = q or QuadratureConfig()
-    _require_dimension(d)
-    step = grid_step if grid_step is not None else 0.01 * math.sqrt(d)
-    xs = np.arange(0.0, d + step, step)
-    grid_max = float(np.max(np.abs(m_values(d, xs, q))))
-    tail_bound = 1.0 / math.sqrt(d)  # never beats m(0) = 1 but kept explicit
-    return max(grid_max, tail_bound)

@@ -28,7 +28,6 @@ from . import multiplier
 from .errors import DomainError, UnsupportedDimensionError
 from .fields import (GridSpec, SpatialField, SpectralField, forward_transform,
                      inverse_transform)
-from .specfun import QuadratureConfig
 
 __all__ = [
     "MultiplierSymbol",
@@ -95,18 +94,16 @@ class TruncationGrid:
 # the radial factorization profile, all supported dimensions
 
 
-def riesz_radial_profile(d: int, xs, q: QuadratureConfig | None = None) -> np.ndarray:
+def riesz_radial_profile(d: int, xs) -> np.ndarray:
     """The radial factor of the truncated-Riesz symbol at argument x = t |xi|.
 
-    For d >= 4 this is the multiplier m from the tail quadrature.  For
-    d in {2, 3} the same tail integral collapses to closed forms in J_0,
-    J_1 and the sine integral, used here because the quadrature's crude
-    tail cutoff is not affordable below d = 4.
+    For d >= 4 this is the multiplier m of the multiplier module.  For
+    d in {2, 3} the same Bessel integral has closed forms in J_0, J_1 and
+    the sine integral.
     """
-    q = q or QuadratureConfig()
     xs = np.asarray(xs, dtype=float)
     if d >= 4:
-        return multiplier.m_values(d, xs, q)
+        return multiplier.m_values(d, xs)
     if d == 3:
         a = 2.0 * math.pi * xs
         small = a < 1e-3
@@ -127,14 +124,13 @@ def riesz_radial_profile(d: int, xs, q: QuadratureConfig | None = None) -> np.nd
         f"the radial profile is available for d >= 2, got d={d}")
 
 
-def _profile_matrix(d: int, radii: np.ndarray, ts: np.ndarray, family: str,
-                    q: QuadratureConfig | None) -> np.ndarray:
-    """profile(t * r) as an (n_radii, n_t) matrix."""
+def _profile_matrix(d: int, radii: np.ndarray, ts: np.ndarray,
+                    family: str) -> np.ndarray:
+    """profile(t * r) as an (n_radii, n_t) matrix (radii are flattened)."""
     args = np.outer(radii, ts)
     if family in ("factor_m", "truncated_riesz"):
-        flat = np.asarray(args).ravel()
-        uniq, inv = np.unique(np.round(flat, 10), return_inverse=True)
-        return riesz_radial_profile(d, uniq, q)[inv].reshape(args.shape)
+        uniq, inv = np.unique(args, return_inverse=True)
+        return riesz_radial_profile(d, uniq)[inv].reshape(args.shape)
     if family in ("poisson", "conjugate_poisson"):
         return np.exp(-args / math.sqrt(d))
     raise DomainError(f"unknown maximal family {family!r}; "
@@ -158,7 +154,7 @@ class MultiplierSymbol:
     """Tagged radial-times-angular Fourier symbol.
 
     kind is one of riesz, truncated_riesz, factor_m, poisson,
-    conjugate_poisson, poisson_projection, heat1d, directional_hilbert.
+    conjugate_poisson, poisson_projection, directional_hilbert.
     """
 
     kind: str
@@ -200,11 +196,6 @@ class MultiplierSymbol:
         return cls(kind="poisson_projection", n=n)
 
     @classmethod
-    def heat1d(cls, j: int, t: float) -> "MultiplierSymbol":
-        cls._positive(t, "t")
-        return cls(kind="heat1d", j=j, t=t)
-
-    @classmethod
     def directional_hilbert(cls, theta, eps: float) -> "MultiplierSymbol":
         cls._positive(eps, "eps")
         theta = tuple(float(c) for c in theta)
@@ -220,8 +211,7 @@ class MultiplierSymbol:
 
     # evaluation ------------------------------------------------------------
 
-    def values(self, spec: GridSpec,
-               q: QuadratureConfig | None = None) -> np.ndarray:
+    def values(self, spec: GridSpec) -> np.ndarray:
         """Symbol values over the frequency lattice (FFT layout).
 
         Odd symbols take the value 0 at xi = 0, keeping outputs mean-zero.
@@ -230,9 +220,9 @@ class MultiplierSymbol:
         if self.kind == "riesz":
             return _riesz_angular(spec, self.j)
         if self.kind == "truncated_riesz":
-            return _riesz_angular(spec, self.j) * self._radial(spec, q)
+            return _riesz_angular(spec, self.j) * self._radial(spec)
         if self.kind == "factor_m":
-            return self._radial(spec, q).astype(complex)
+            return self._radial(spec).astype(complex)
         if self.kind == "poisson":
             return np.exp(-self.t * spec.freq_radius() / math.sqrt(d)).astype(complex)
         if self.kind == "conjugate_poisson":
@@ -242,19 +232,13 @@ class MultiplierSymbol:
             radius = spec.freq_radius() / math.sqrt(d)
             return (np.exp(-2.0 ** (self.n - 1) * radius)
                     - np.exp(-2.0 ** self.n * radius)).astype(complex)
-        if self.kind == "heat1d":
-            comp = spec.freq_component(self.j)
-            return np.exp(-4.0 * math.pi ** 2 * self.t * comp ** 2).astype(complex)
         if self.kind == "directional_hilbert":
             return _directional_hilbert_symbol(spec, self.theta, self.eps)
         raise DomainError(f"unknown symbol kind {self.kind!r}")
 
-    def _radial(self, spec: GridSpec, q: QuadratureConfig | None) -> np.ndarray:
-        radius = self.t * spec.freq_radius()
-        flat = radius.ravel()
-        uniq, inv = np.unique(np.round(flat, 10), return_inverse=True)
-        vals = riesz_radial_profile(spec.dimension, uniq, q)
-        return vals[inv].reshape(radius.shape)
+    def _radial(self, spec: GridSpec) -> np.ndarray:
+        return _profile_matrix(spec.dimension, spec.freq_radius(),
+                               np.array([self.t]), "factor_m").reshape(spec.shape)
 
 
 def _directional_hilbert_symbol(spec: GridSpec, theta, eps: float) -> np.ndarray:
@@ -269,10 +253,9 @@ def _directional_hilbert_symbol(spec: GridSpec, theta, eps: float) -> np.ndarray
     return -1j * np.sign(dot) * (2.0 / math.pi) * (math.pi / 2.0 - si)
 
 
-def apply_symbol(f: SpatialField, s: MultiplierSymbol,
-                 q: QuadratureConfig | None = None) -> SpatialField:
+def apply_symbol(f: SpatialField, s: MultiplierSymbol) -> SpatialField:
     """Pointwise multiplication of the Fourier coefficients by the symbol."""
-    coeff = forward_transform(f).coefficients * s.values(f.spec, q)
+    coeff = forward_transform(f).coefficients * s.values(f.spec)
     return inverse_transform(SpectralField(f.spec, coeff))
 
 
@@ -544,8 +527,7 @@ def _family_axis(family: str, j: int) -> int | None:
 
 
 def maximal_over(f: SpatialField | HalfSpectrum, family: str,
-                 grid: TruncationGrid, j: int = 1,
-                 q: QuadratureConfig | None = None) -> SpatialField:
+                 grid: TruncationGrid, j: int = 1) -> SpatialField:
     """Pointwise sup over the grid's truncation values of |op_t f|.
 
     f is a field or its half_spectrum; a half_spectrum reuses the bundle
@@ -562,46 +544,41 @@ def maximal_over(f: SpatialField | HalfSpectrum, family: str,
     spec = spectrum.spec
     bundle = spectrum.bundle(_family_axis(family, j))
     if _too_many_radii(len(bundle.radii), len(ts)):
-        return _maximal_per_t(spectrum.field, family, ts, j, q)
-    profiles = _profile_matrix(spec.dimension, bundle.radii, ts, family, q)
+        return _maximal_per_t(spectrum.field, family, ts, j)
+    profiles = _profile_matrix(spec.dimension, bundle.radii, ts, family)
     sup = bundle.sup_abs(profiles)
     return SpatialField(spec, sup.reshape(spec.shape).astype(complex))
 
 
-def _maximal_per_t(f: SpatialField, family: str, ts: np.ndarray, j: int,
-                   q: QuadratureConfig | None) -> SpatialField:
+def _maximal_per_t(f: SpatialField, family: str, ts: np.ndarray,
+                   j: int) -> SpatialField:
     spec = f.spec
     coeff = forward_transform(f).coefficients
     axis = _family_axis(family, j)
     angular = 1.0 if axis is None else _riesz_angular(spec, axis)
-    radius = spec.freq_radius()
     scale = spec.n_samples / spec.period ** (spec.dimension / 2.0)
-    flat_r = radius.ravel()
-    _, first, inv = np.unique(np.round(flat_r, 10), return_index=True,
-                              return_inverse=True)
-    uniq = flat_r[first]
+    uniq, inv = np.unique(spec.freq_radius(), return_inverse=True)
     sup = np.zeros(spec.shape)
     for t in ts:
-        prof = _profile_matrix(spec.dimension, uniq, np.array([t]), family, q)[:, 0]
+        prof = _profile_matrix(spec.dimension, uniq, np.array([t]), family)[:, 0]
         sym = prof[inv].reshape(spec.shape) * angular
         vals = np.abs(np.fft.ifftn(coeff * sym) * scale)
         np.maximum(sup, vals, out=sup)
     return SpatialField(spec, sup.astype(complex))
 
 
-def vector_truncated_riesz(f: SpatialField, t: float,
-                           q: QuadratureConfig | None = None) -> SpatialField:
+def vector_truncated_riesz(f: SpatialField, t: float) -> SpatialField:
     """(sum_j |R_j^t f|^2)^(1/2) via the spectral route."""
     spec = f.spec
     acc = np.zeros(spec.shape)
     for j in range(1, spec.dimension + 1):
-        comp = apply_symbol(f, MultiplierSymbol.truncated_riesz(j, t), q)
+        comp = apply_symbol(f, MultiplierSymbol.truncated_riesz(j, t))
         acc += np.abs(comp.samples) ** 2
     return SpatialField(spec, np.sqrt(acc).astype(complex))
 
 
-def vector_maximal(f: SpatialField | HalfSpectrum, grid: TruncationGrid,
-                   q: QuadratureConfig | None = None) -> SpatialField:
+def vector_maximal(f: SpatialField | HalfSpectrum,
+                   grid: TruncationGrid) -> SpatialField:
     """sup_t (sum_j |R_j^t f|^2)^(1/2) over the grid.
 
     With P_t the m-profile column of the radius classes and u_j(x) the
@@ -625,11 +602,11 @@ def vector_maximal(f: SpatialField | HalfSpectrum, grid: TruncationGrid,
     if _too_many_radii(n_r, len(ts)):
         sup = np.zeros(spec.shape)
         for t in ts:
-            vals = np.abs(vector_truncated_riesz(spectrum.field, float(t), q).samples)
+            vals = np.abs(vector_truncated_riesz(spectrum.field, float(t)).samples)
             np.maximum(sup, vals, out=sup)
         return SpatialField(spec, sup.astype(complex))
 
-    profiles = _profile_matrix(spec.dimension, radii, ts, "truncated_riesz", q)
+    profiles = _profile_matrix(spec.dimension, radii, ts, "truncated_riesz")
     by_t = np.ascontiguousarray(profiles.T)
     # Gram entries (a, b), a <= b, row by row: row a holds pairs[a]:pairs[a+1]
     pairs = np.concatenate([[0], np.cumsum(np.arange(n_r, 0, -1))])
@@ -664,8 +641,7 @@ def vector_maximal(f: SpatialField | HalfSpectrum, grid: TruncationGrid,
     return SpatialField(spec, sup.reshape(spec.shape).astype(complex))
 
 
-def square_function(f: SpatialField, t_nodes: np.ndarray,
-                    q: QuadratureConfig | None = None) -> SpatialField:
+def square_function(f: SpatialField, t_nodes: np.ndarray) -> SpatialField:
     """Vertical square function of the Poisson semigroup, discretized on
     increasing positive nodes by the trapezoid rule:
 
@@ -716,10 +692,9 @@ def poisson_projection_sum(f: SpatialField, n_min: int, n_max: int) -> SpatialFi
 # method of rotations
 
 
-def directional_hilbert_trunc(f: SpatialField, theta, eps: float,
-                              q: QuadratureConfig | None = None) -> SpatialField:
+def directional_hilbert_trunc(f: SpatialField, theta, eps: float) -> SpatialField:
     """Truncated Hilbert transform along the unit direction theta."""
-    return apply_symbol(f, MultiplierSymbol.directional_hilbert(theta, eps), q)
+    return apply_symbol(f, MultiplierSymbol.directional_hilbert(theta, eps))
 
 
 def rotation_reconstruct(f: SpatialField, j: int, t: float,
@@ -772,8 +747,7 @@ def _rotation_symbol_3d(spec: GridSpec, j: int, t: float, n_angles: int,
 
     radius = spec.freq_radius()
     comp = spec.freq_component(j)
-    flat_r = radius.ravel()
-    uniq, inv = np.unique(np.round(flat_r, 10), return_inverse=True)
+    uniq, inv = np.unique(radius, return_inverse=True)
     si, _ = sici(2.0 * math.pi * t * np.outer(uniq, u))
     polar = 2.0 * ((math.pi / 2.0 - si) * u) @ w
     polar_full = polar[inv].reshape(radius.shape)

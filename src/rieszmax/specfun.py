@@ -17,42 +17,17 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln, sici
+from scipy.special import gammaln
 
 from .errors import AccuracyError, DomainError
 
 __all__ = [
-    "QuadratureConfig",
     "BoundCheck",
     "bessel_j",
     "bessel_envelope",
-    "log_gamma",
     "stirling_bounds",
     "gautschi_bounds",
-    "sine_integral",
 ]
-
-
-@dataclass(frozen=True)
-class QuadratureConfig:
-    """Tolerances and subdivision limits for oscillatory integrals.
-
-    abs_tol    -- absolute error target for the quadrature itself
-    max_panels -- hard cap on the number of panels before giving up
-    tail_tol   -- allowed bound on truncated infinite tails
-    """
-
-    abs_tol: float = 1e-8
-    max_panels: int = 2_097_152
-    tail_tol: float = 1e-6
-
-    def __post_init__(self):
-        if not self.abs_tol > 0:
-            raise DomainError(f"abs_tol must be positive, got {self.abs_tol}")
-        if not self.tail_tol > 0:
-            raise DomainError(f"tail_tol must be positive, got {self.tail_tol}")
-        if self.max_panels < 8:
-            raise DomainError(f"max_panels must be >= 8, got {self.max_panels}")
 
 
 @dataclass(frozen=True)
@@ -75,6 +50,9 @@ class BoundCheck:
 # Gauss-Legendre nodes/weights reused by every panel quadrature.
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(10)
 
+_ABS_TOL = 1e-8              # absolute error target of bessel_j's quadrature
+_MAX_PANELS = 2_097_152      # bessel_j gives up beyond this many panels
+
 
 def _panel_quad(func, a: float, b: float, n_panels: int) -> float:
     """Composite 10-point Gauss-Legendre over n_panels equal panels of [a, b]."""
@@ -85,13 +63,12 @@ def _panel_quad(func, a: float, b: float, n_panels: int) -> float:
     return half * float(np.sum(func(pts) @ _GL_WEIGHTS))
 
 
-def bessel_j(nu: float, t: float, q: QuadratureConfig | None = None) -> float:
+def bessel_j(nu: float, t: float) -> float:
     """J_nu(t) for nu >= 0, t >= 0, from the integral definition.
 
     Panel width tracks the oscillation scale: the initial panel count is
-    max(8, ceil(t)) and doubles until two refinements agree to abs_tol.
+    max(8, ceil(t)) and doubles until two refinements agree to _ABS_TOL.
     """
-    q = q or QuadratureConfig()
     if nu < 0:
         raise DomainError(f"bessel_j requires nu >= 0, got {nu}")
     if t < 0:
@@ -111,13 +88,13 @@ def bessel_j(nu: float, t: float, q: QuadratureConfig | None = None) -> float:
     est = _panel_quad(integrand, -math.pi / 2, math.pi / 2, n)
     while True:
         n *= 2
-        if n > q.max_panels:
+        if n > _MAX_PANELS:
             raise AccuracyError(
-                f"bessel_j({nu}, {t}) did not converge within {q.max_panels} panels",
+                f"bessel_j({nu}, {t}) did not converge within {_MAX_PANELS} panels",
                 best_estimate=_from_log(log_pref, est),
             )
         refined = _panel_quad(integrand, -math.pi / 2, math.pi / 2, n)
-        if abs(refined - est) <= 0.5 * q.abs_tol:
+        if abs(refined - est) <= 0.5 * _ABS_TOL:
             return _from_log(log_pref, refined)
         est = refined
 
@@ -148,13 +125,6 @@ def bessel_envelope(nu: float, t: float) -> float:
     return float(np.exp(log_pref + decay))
 
 
-def log_gamma(x: float) -> float:
-    """ln Gamma(x) for x > 0."""
-    if x <= 0:
-        raise DomainError(f"log_gamma requires x > 0, got {x}")
-    return float(gammaln(x))
-
-
 def stirling_bounds(x: float) -> tuple[float, float]:
     """Two-sided Stirling bracket:
 
@@ -176,18 +146,3 @@ def gautschi_bounds(x: float, s: float) -> tuple[float, float]:
     if not 0.0 < s < 1.0:
         raise DomainError(f"gautschi_bounds requires s in (0, 1), got {s}")
     return x ** (1.0 - s), (x + 1.0) ** (1.0 - s)
-
-
-def sine_integral(u, q: QuadratureConfig | None = None):
-    """Si(u) = int_0^u sin(s)/s ds for u >= 0.  Accepts scalars or arrays.
-
-    Delegates to scipy's sici; q is accepted for interface uniformity with
-    the other quadrature-backed operations and is not consulted.
-    """
-    arr = np.asarray(u, dtype=float)
-    if np.any(arr < 0):
-        raise DomainError("sine_integral requires u >= 0")
-    si, _ = sici(arr)
-    if np.isscalar(u) or arr.ndim == 0:
-        return float(si)
-    return si

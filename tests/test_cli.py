@@ -100,6 +100,13 @@ def test_unknown_config_key_rejected(tmp_path):
                  "--output", str(tmp_path)]) == EXIT_USAGE
 
 
+def test_config_cannot_set_the_subcommand(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"command": "bogus"}))
+    assert main(["ineq", "--config", str(cfg),
+                 "--output", str(tmp_path)]) == EXIT_USAGE
+
+
 def test_resource_error_exit_code(tmp_path):
     # 16^8 samples blows the grid budget
     assert main(["factorization", "--dim", "8", "--grid-n", "16",
@@ -132,3 +139,27 @@ def test_report_conflict_is_integrity_failure(tmp_path, capsys):
 def test_rotation_small(tmp_path):
     assert main(["rotation", "--grid-n", "32", "--n-angles", "64",
                  "--band", "10.0", "--output", str(tmp_path)]) == EXIT_PASS
+
+
+def test_abbreviated_flag_beats_config(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"levels": 3}))
+    assert main(["ineq", "--config", str(cfg), "--lev", "7",
+                 "--output", str(tmp_path)]) == EXIT_PASS
+    doc = json.loads((tmp_path / "identity" / "ineq.json").read_text())
+    assert doc["parameters"]["l_max"] == 7
+
+
+def test_config_values_are_parsed_like_flags(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"dims": "4", "grid_n": 8, "trials": 1,
+                               "t_grid": "-4:2:1", "band": 2.0,
+                               "output": str(tmp_path / "out")}))
+    assert main(["norm-sweep", "--config", str(cfg)]) == EXIT_PASS
+    doc = json.loads((tmp_path / "out" / "norm_sweep.json").read_text())
+    assert doc["parameters"]["grid"] == [-4, 2, 1]
+
+
+def test_huge_multiplier_argument_is_resource_error(tmp_path):
+    assert main(["verify-multiplier", "--x-grid", "lin:0:1e12:2",
+                 "--output", str(tmp_path)]) == EXIT_RESOURCE

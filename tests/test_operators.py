@@ -9,7 +9,7 @@ import pytest
 from rieszmax.errors import DomainError, UnsupportedDimensionError
 from rieszmax.fields import (GridSpec, SpatialField, forward_transform,
                              inverse_transform, l2_norm, random_band_limited)
-from rieszmax.multiplier import m_eval, m_sup
+from rieszmax.multiplier import m_eval, m_values
 from rieszmax.operators import (Kernel, MultiplierSymbol, TruncationGrid,
                                 _maximal_per_t, apply_symbol,
                                 directional_hilbert_trunc, half_spectrum,
@@ -119,11 +119,12 @@ class TestSymbols:
             * MultiplierSymbol.riesz(1).values(spec)
         assert np.max(np.abs(combined - product)) < 1e-12
 
-    def test_heat1d_symbol(self):
-        spec = GridSpec(2, 8)
-        sym = MultiplierSymbol.heat1d(1, 0.1).values(spec)
-        xi1 = spec.freq_component(1)
-        assert np.allclose(sym, np.exp(-4.0 * math.pi ** 2 * 0.1 * xi1 ** 2))
+    def test_factor_m_symbol_at_exact_arguments(self):
+        spec = GridSpec(4, 8)
+        t = 0.123456789012345
+        sym = MultiplierSymbol.factor_m(t).values(spec)
+        want = m_values(4, t * spec.freq_radius())
+        assert np.max(np.abs(sym - want)) <= 1e-14
 
     def test_riesz_squared_laplacian_identity(self):
         # (R_j)^2 (Delta f) = -d_j^2 f: on symbols,
@@ -147,11 +148,14 @@ class TestSymbols:
         spec = GridSpec(4, 8)
         f = random_band_limited(spec, 3.0, seed=6)
         norm_f = l2_norm(f)
+        # sup |m| on a dense grid of [0, 4]; |m(x)| <= 1/2 beyond (the
+        # large-argument lemma's sqrt(d)/x), below m(0) = 1
+        m_ceiling = float(np.max(np.abs(m_values(4, np.arange(0.0, 4.02, 0.02)))))
         for sym, ceiling in [
             (MultiplierSymbol.riesz(1), 1.0),
             (MultiplierSymbol.poisson(0.5), 1.0),
             (MultiplierSymbol.conjugate_poisson(1, 0.5), 1.0),
-            (MultiplierSymbol.factor_m(0.3), m_sup(4)),
+            (MultiplierSymbol.factor_m(0.3), m_ceiling),
         ]:
             assert l2_norm(apply_symbol(f, sym)) <= ceiling * norm_f + 1e-10
 
@@ -403,7 +407,7 @@ class TestReductionsAgainstPerT:
         f = random_band_limited(spec, 3.0, seed=12)
         grid = TruncationGrid(-8, 4, depth=4)
         out = maximal_over(f, family, grid, j=2).samples
-        direct = _maximal_per_t(f, family, grid.values(), 2, None).samples
+        direct = _maximal_per_t(f, family, grid.values(), 2).samples
         assert np.max(np.abs(out - direct)) <= 1e-12 * np.max(np.abs(direct))
 
 

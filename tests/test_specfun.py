@@ -8,33 +8,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rieszmax.errors import DomainError
-from rieszmax.specfun import (BoundCheck, QuadratureConfig, bessel_envelope,
-                              bessel_j, gautschi_bounds, log_gamma,
-                              sine_integral, stirling_bounds)
+from rieszmax.specfun import (BoundCheck, bessel_envelope, bessel_j,
+                              gautschi_bounds, stirling_bounds)
 
 # Oracle values, frozen.  J_{1/2}(1) from the closed form sqrt(2/(pi t)) sin t;
-# the others from an independent Bessel implementation; Si(pi) from
-# high-precision quadrature of sin(s)/s.
+# the others from an independent Bessel implementation.
 J_HALF_AT_1 = 0.6713967071418031
 J_2_AT_5 = 0.04656511627775229
 J_5_AT_10 = -0.2340615281867936
 J_3_AT_7_5 = -0.2580609131934603
-SI_AT_PI = 1.8519370519824658
 GAMMA_5_OVER_4_5 = 2.0633219055460805
-
-
-class TestQuadratureConfig:
-    def test_defaults_valid(self):
-        q = QuadratureConfig()
-        assert q.abs_tol > 0 and q.tail_tol > 0 and q.max_panels >= 8
-
-    @pytest.mark.parametrize("kwargs", [
-        {"abs_tol": 0.0}, {"abs_tol": -1e-9}, {"tail_tol": 0.0},
-        {"max_panels": 7},
-    ])
-    def test_invalid_rejected(self, kwargs):
-        with pytest.raises(DomainError):
-            QuadratureConfig(**kwargs)
 
 
 class TestBoundCheck:
@@ -117,23 +100,6 @@ class TestBesselEnvelope:
         assert math.isfinite(bessel_envelope(64.0, 1e4))
 
 
-class TestLogGamma:
-    def test_at_one(self):
-        assert log_gamma(1.0) == pytest.approx(0.0, abs=1e-14)
-
-    def test_at_half(self):
-        assert log_gamma(0.5) == pytest.approx(math.log(math.sqrt(math.pi)),
-                                               rel=1e-12)
-
-    def test_half_integer_recursion(self):
-        assert log_gamma(2.5) == pytest.approx(
-            math.log(3.0 * math.sqrt(math.pi) / 4.0), rel=1e-12)
-
-    def test_nonpositive_rejected(self):
-        with pytest.raises(DomainError):
-            log_gamma(0.0)
-
-
 class TestStirlingBounds:
     @pytest.mark.parametrize("x, gamma_x", [
         (1.0, 1.0),
@@ -182,26 +148,6 @@ class TestGautschiBounds:
     @given(x=st.floats(0.01, 50.0), s=st.floats(0.01, 0.99))
     def test_brackets_gamma_ratio(self, x, s):
         lower, upper = gautschi_bounds(x, s)
-        ratio = math.exp(log_gamma(x + 1.0) - log_gamma(x + s))
+        ratio = math.exp(math.lgamma(x + 1.0) - math.lgamma(x + s))
         assert lower <= ratio * (1 + 1e-12)
         assert ratio <= upper * (1 + 1e-12)
-
-
-class TestSineIntegral:
-    def test_at_zero(self):
-        assert sine_integral(0.0) == 0.0
-
-    def test_asymptote(self):
-        assert abs(sine_integral(100.0) - math.pi / 2.0) <= 0.011
-
-    def test_at_pi(self):
-        assert sine_integral(math.pi) == pytest.approx(SI_AT_PI, rel=1e-10)
-
-    def test_vectorized(self):
-        out = sine_integral(np.array([0.0, math.pi]))
-        assert out.shape == (2,)
-        assert out[1] == pytest.approx(SI_AT_PI, rel=1e-10)
-
-    def test_negative_rejected(self):
-        with pytest.raises(DomainError):
-            sine_integral(-1.0)
