@@ -26,10 +26,10 @@ from .errors import DomainError, IntegrityError
 from .fields import GridSpec, SpatialField, l2_norm, random_band_limited
 from .multiplier import check_derivative, check_large_arg, check_small_arg
 from .operators import (MultiplierSymbol, TruncationGrid, apply_symbol,
-                        maximal_over, poisson_projection,
-                        poisson_projection_sum, radial_bundle,
+                        kernel_convolve, kernel_transform, maximal_over,
+                        poisson_projection_sum, projection_square_function,
                         rotation_reconstruct, sphere_moment, square_function,
-                        truncated_riesz_spatial, vector_maximal)
+                        vector_maximal)
 from .specfun import bessel_envelope, bessel_j
 
 __all__ = [
@@ -112,18 +112,23 @@ def _capped_band(band: float, spec: GridSpec) -> float:
 def factorization_residual(d: int, n: int, t_list, band: float, trials: int,
                            seed: int, image_radius: int = 1) -> ExperimentReport:
     """Relative L2 residual between the spatial (periodized kernel) and
-    spectral (factorized symbol) truncated Riesz transform, axis 1."""
+    spectral (factorized symbol) truncated Riesz transform, axis 1.
+
+    The kernel does not depend on the field, so it is sampled and
+    transformed once per t and shared by every trial.
+    """
     spec = GridSpec(d, n)
     band = _capped_band(band, spec)
     report = ExperimentReport(
         "factorization", seed,
         {"d": d, "N": n, "t_list": list(map(float, t_list)), "band": band,
          "trials": trials, "image_radius": image_radius})
+    k_hats = [kernel_transform(spec, 1, float(t), image_radius) for t in t_list]
     for trial in range(trials):
         f = _trial_field(spec, band, seed, trial)
         norm_f = l2_norm(f)
-        for t in t_list:
-            spatial = truncated_riesz_spatial(f, 1, float(t), image_radius)
+        for t, k_hat in zip(t_list, k_hats):
+            spatial = kernel_convolve(f, k_hat)
             spectral = apply_symbol(f, MultiplierSymbol.truncated_riesz(1, float(t)))
             diff = SpatialField(spec, spatial.samples - spectral.samples)
             report.add(d, n, trial, f"residual_t={float(t):g}",
@@ -186,6 +191,7 @@ def decomposition_diagnostics(d: int, n: int, grid: TruncationGrid, band: float,
         c = ||sup_n |M^(2^n) f - P_(2^n) f|||_2 / ||f||_2
 
     together with r1 over the full grid and the triangle check r1 <= a + b.
+    Every quantity of a trial comes from one identity bundle.
     """
     spec = GridSpec(d, n)
     band = _capped_band(band, spec)
@@ -193,54 +199,67 @@ def decomposition_diagnostics(d: int, n: int, grid: TruncationGrid, band: float,
         "decomposition", seed,
         {"d": d, "N": n, "grid": [grid.n_min, grid.n_max, grid.depth],
          "band": band, "trials": trials})
-    dyadic = grid.dyadic_values()
     for trial in range(trials):
-        f = _trial_field(spec, band, seed, trial)
-        norm_f = l2_norm(f)
-        bundle = radial_bundle(f)
-        radii = bundle.radii
-
-        prof_dyadic = op._profile_matrix(d, radii, dyadic, "factor_m")
-        a_sup = bundle.sup_abs(prof_dyadic)
-        a = math.sqrt(np.sum(a_sup ** 2) * spec.cell_volume) / norm_f
-
-        sq_acc = np.zeros(spec.n_samples)
-        sum_mp_sq = 0.0
-        for idx, t_dyad in enumerate(dyadic[:-1] if len(dyadic) > 1 else dyadic):
-            n_exp = grid.n_min + idx
-            ts = grid.octave_values(n_exp)
-            prof = op._profile_matrix(d, radii, ts, "factor_m") \
-                - op._profile_matrix(d, radii, np.array([t_dyad]), "factor_m")
-            sq_acc += bundle.sup_abs_sq(prof)
-        b_field = np.sqrt(sq_acc)
-        b = math.sqrt(np.sum(b_field ** 2) * spec.cell_volume) / norm_f
-
-        poisson_prof = np.exp(-np.outer(radii, dyadic) / math.sqrt(d))
-        c_sup = bundle.sup_abs(prof_dyadic - poisson_prof)
-        c = math.sqrt(np.sum(c_sup ** 2) * spec.cell_volume) / norm_f
-        for t_dyad in dyadic:
-            diff_prof = (op._profile_matrix(d, radii, np.array([t_dyad]),
-                                            "factor_m")[:, 0]
-                         - np.exp(-radii * t_dyad / math.sqrt(d)))
-            diff_field = bundle.combine(diff_prof)
-            sum_mp_sq += np.sum(np.abs(diff_field) ** 2) * spec.cell_volume
-
-        r1 = l2_norm(maximal_over(f, "factor_m", grid)) / norm_f
-        report.add(d, n, trial, "a", a)
-        report.add(d, n, trial, "b", b)
-        report.add(d, n, trial, "c", c)
-        report.add(d, n, trial, "r1", r1)
-        report.add(d, n, trial, "sum_dyadic_poisson_gap_sq",
-                   sum_mp_sq / norm_f ** 2)
-        report.add(d, n, trial, "triangle_slack", a + b - r1)
+        # a trial's field, spectrum and bundle are released with its call,
+        # before the next trial builds its own
+        values = _decomposition_trial(_trial_field(spec, band, seed, trial),
+                                      grid)
+        for quantity, value in values.items():
+            report.add(d, n, trial, quantity, value)
     report.sort_rows()
     return report
+
+
+def _decomposition_trial(f: SpatialField, grid: TruncationGrid) -> dict:
+    spec = f.spec
+    d = spec.dimension
+    dyadic = grid.dyadic_values()
+    norm_f = l2_norm(f)
+    spectrum = op.half_spectrum(f)
+    bundle = spectrum.bundle(None)
+    radii = bundle.radii
+
+    prof_dyadic = op._profile_matrix(d, radii, dyadic, "factor_m")
+    a_sup = bundle.sup_abs(prof_dyadic)
+    a = math.sqrt(np.sum(a_sup ** 2) * spec.cell_volume) / norm_f
+
+    sq_acc = np.zeros(spec.n_samples)
+    sum_mp_sq = 0.0
+    for idx, t_dyad in enumerate(dyadic[:-1] if len(dyadic) > 1 else dyadic):
+        n_exp = grid.n_min + idx
+        ts = grid.octave_values(n_exp)
+        prof = op._profile_matrix(d, radii, ts, "factor_m") \
+            - op._profile_matrix(d, radii, np.array([t_dyad]), "factor_m")
+        sq_acc += bundle.sup_abs_sq(prof)
+    b_field = np.sqrt(sq_acc)
+    b = math.sqrt(np.sum(b_field ** 2) * spec.cell_volume) / norm_f
+
+    poisson_prof = np.exp(-np.outer(radii, dyadic) / math.sqrt(d))
+    c_sup = bundle.sup_abs(prof_dyadic - poisson_prof)
+    c = math.sqrt(np.sum(c_sup ** 2) * spec.cell_volume) / norm_f
+    for t_dyad in dyadic:
+        diff_prof = (op._profile_matrix(d, radii, np.array([t_dyad]),
+                                        "factor_m")[:, 0]
+                     - np.exp(-radii * t_dyad / math.sqrt(d)))
+        diff_field = bundle.combine(diff_prof)
+        sum_mp_sq += np.sum(np.abs(diff_field) ** 2) * spec.cell_volume
+
+    r1 = l2_norm(maximal_over(spectrum, "factor_m", grid)) / norm_f
+    return {"a": a, "b": b, "c": c, "r1": r1,
+            "sum_dyadic_poisson_gap_sq": sum_mp_sq / norm_f ** 2,
+            "triangle_slack": a + b - r1}
 
 
 def poisson_suite(d: int, n: int, band: float, trials: int, seed: int,
                   t_nodes=None, n_range=(-20, 20)) -> ExperimentReport:
     """Poisson maximal function, discretized square function, projection
-    square function, and the telescoping reconstruction residual."""
+    square function, and the telescoping reconstruction residual.
+
+    Each trial transforms its field once: the maximal function, the square
+    function g and the S_n square function share its identity bundle.  The
+    telescoping check keeps its own full-spectrum route, independent of the
+    bundle.
+    """
     spec = GridSpec(d, n)
     band = _capped_band(band, spec)
     if t_nodes is None:
@@ -251,24 +270,33 @@ def poisson_suite(d: int, n: int, band: float, trials: int, seed: int,
         {"d": d, "N": n, "band": band, "trials": trials,
          "t_nodes": [float(t_nodes[0]), float(t_nodes[-1]), len(t_nodes)],
          "n_range": list(n_range)})
-    n_min, n_max = n_range
     for trial in range(trials):
-        f = _trial_field(spec, band, seed, trial)
-        norm_f = l2_norm(f)
-        report.add(d, n, trial, "poisson_max_ratio",
-                   l2_norm(maximal_over(f, "poisson", grid)) / norm_f)
-        report.add(d, n, trial, "g_ratio",
-                   l2_norm(square_function(f, t_nodes)) / norm_f)
-        acc = np.zeros(spec.shape)
-        for proj_n in range(n_min, n_max + 1):
-            acc += np.abs(poisson_projection(f, proj_n).samples) ** 2
-        sn_field = SpatialField(spec, np.sqrt(acc).astype(complex))
-        report.add(d, n, trial, "sn_square_ratio", l2_norm(sn_field) / norm_f)
-        rec = poisson_projection_sum(f, n_min, n_max)
-        diff = SpatialField(spec, f.samples - rec.samples)
-        report.add(d, n, trial, "telescope_residual", l2_norm(diff) / norm_f)
+        # a trial's field, spectrum and bundle are released with its call,
+        # before the next trial builds its own
+        values = _poisson_trial(_trial_field(spec, band, seed, trial), grid,
+                                t_nodes, n_range)
+        for quantity, value in values.items():
+            report.add(d, n, trial, quantity, value)
     report.sort_rows()
     return report
+
+
+def _poisson_trial(f: SpatialField, grid: TruncationGrid, t_nodes,
+                   n_range) -> dict:
+    n_min, n_max = n_range
+    norm_f = l2_norm(f)
+    rec = poisson_projection_sum(f, n_min, n_max).samples
+    telescope = l2_norm(SpatialField(f.spec, f.samples - rec)) / norm_f
+    del rec
+    spectrum = op.half_spectrum(f)
+    return {
+        "poisson_max_ratio":
+            l2_norm(maximal_over(spectrum, "poisson", grid)) / norm_f,
+        "g_ratio": l2_norm(square_function(spectrum, t_nodes)) / norm_f,
+        "sn_square_ratio": l2_norm(projection_square_function(
+            spectrum, n_min, n_max)) / norm_f,
+        "telescope_residual": telescope,
+    }
 
 
 def numerical_inequality_check(g, n: int, l_max: int,

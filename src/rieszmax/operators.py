@@ -35,12 +35,15 @@ __all__ = [
     "Kernel",
     "riesz_radial_profile",
     "apply_symbol",
+    "kernel_transform",
+    "kernel_convolve",
     "truncated_riesz_spatial",
     "maximal_over",
     "vector_truncated_riesz",
     "vector_maximal",
     "square_function",
     "poisson_projection",
+    "projection_square_function",
     "poisson_projection_sum",
     "directional_hilbert_trunc",
     "rotation_reconstruct",
@@ -293,19 +296,17 @@ class Kernel:
         # offsets in (-L/2, L/2], FFT order
         base = np.fft.fftfreq(spec.points_per_axis) * length
         total = np.zeros(spec.shape)
+        vals = np.empty(spec.shape)
         shifts = np.arange(-self.image_radius, self.image_radius + 1) * length
-        grids = np.meshgrid(*([base] * d), indexing="ij")
         for image in np.stack(np.meshgrid(*([shifts] * d), indexing="ij"),
                               axis=-1).reshape(-1, d):
-            coords = [g + s for g, s in zip(grids, image)]
-            r2 = np.zeros(spec.shape)
-            for c in coords:
-                r2 += c ** 2
-            r = np.sqrt(r2)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                vals = np.where(r > self.truncation,
-                                coords[self.axis - 1] / np.where(r > 0, r, 1.0)
-                                ** (d + 1), 0.0)
+            # per-axis offsets of this image cell, broadcast against each other
+            coords = np.meshgrid(*(base + s for s in image), indexing="ij",
+                                 sparse=True)
+            r = np.sqrt(sum(c ** 2 for c in coords))
+            vals.fill(0.0)
+            np.divide(coords[self.axis - 1], r ** (d + 1), out=vals,
+                      where=r > self.truncation)
             total += vals
         # The periodized kernel is exactly odd; the finite image sum breaks
         # that on the -L/2 edge planes (their +L/2 counterparts fall outside
@@ -316,20 +317,34 @@ class Kernel:
         return c_d * 0.5 * (total - reflected)
 
 
-def truncated_riesz_spatial(f: SpatialField, j: int, t: float,
-                            image_radius: int = 1) -> SpatialField:
-    """Truncated Riesz transform by discrete periodic convolution with the
-    sampled periodized kernel (executed through the transform pair)."""
-    spec = f.spec
+def kernel_transform(spec: GridSpec, j: int, t: float,
+                     image_radius: int = 1) -> np.ndarray:
+    """Unnormalized DFT of the sampled periodized axis-j kernel truncated
+    at t.  It does not depend on the field, so one transform serves every
+    field on the grid (see kernel_convolve)."""
     if not 0 < t < spec.period / 2:
         raise DomainError(
             f"truncation t must satisfy 0 < t < L/2 = {spec.period / 2}, got {t}")
     kernel = Kernel(dimension=spec.dimension, axis=j, truncation=t,
                     image_radius=image_radius)
-    k_hat = np.fft.fftn(kernel.sample(spec))
+    return np.fft.fftn(kernel.sample(spec))
+
+
+def kernel_convolve(f: SpatialField, k_hat: np.ndarray) -> SpatialField:
+    """Discrete periodic convolution of f with the kernel whose
+    kernel_transform is k_hat, executed through the transform pair."""
+    spec = f.spec
+    # f_hat is named, not a temporary: numpy would multiply into a
+    # temporary in place with the operands swapped, which moves the last bit
     f_hat = np.fft.fftn(f.samples)
-    out = np.fft.ifftn(k_hat * f_hat) * spec.cell_volume
-    return SpatialField(spec, out)
+    return SpatialField(spec, np.fft.ifftn(k_hat * f_hat) * spec.cell_volume)
+
+
+def truncated_riesz_spatial(f: SpatialField, j: int, t: float,
+                            image_radius: int = 1) -> SpatialField:
+    """Truncated Riesz transform by discrete periodic convolution with the
+    sampled periodized kernel."""
+    return kernel_convolve(f, kernel_transform(f.spec, j, t, image_radius))
 
 
 # ---------------------------------------------------------------------------
@@ -381,8 +396,7 @@ class HalfSpectrum:
         before building its own."""
         if self._kept is None or self._kept[0] != axis:
             self._kept = None
-            angular = None if axis is None else _riesz_angular(self.spec, axis)
-            self._kept = (axis, radial_bundle(self, angular))
+            self._kept = (axis, radial_bundle(self, axis))
         return self._kept[1]
 
 
@@ -447,21 +461,32 @@ class RadialBundle:
         sup = self.sup_abs(profiles)
         return sup * sup
 
+    def weighted_sum_sq(self, profiles: np.ndarray,
+                        weights: np.ndarray) -> np.ndarray:
+        """sum over columns tau of w[tau] |sum_i u_i P[i, tau]|^2, flattened
+        samples."""
+        out = np.empty(self.components.shape[0])
+        by_t = np.ascontiguousarray(profiles.T)
+        for cols, parts in self._blocks(by_t.shape[0]):
+            sq = sum(np.square(by_t @ u) for u in parts)
+            out[cols] = weights @ sq
+        return out
+
     def combine(self, profile: np.ndarray) -> np.ndarray:
         """Spatial samples of the operator with radial values profile (n_r,)."""
         return (self.components @ profile).reshape(self.spec.shape)
 
 
-def radial_bundle(f: SpatialField | HalfSpectrum,
-                  angular: np.ndarray | None = None,
+def radial_bundle(f: SpatialField | HalfSpectrum, axis: int | None = None,
                   rel_tol: float = 1e-13) -> RadialBundle:
     """Split the angular-filtered spectrum of f into integer |k|^2 classes.
 
-    angular is a symbol over the full lattice (FFT layout), or None for the
-    identity.  A conjugate pair of coefficients of f whose RMS magnitude is
-    below rel_tol of the peak counts as inactive, so band-limited fields
-    produce only the handful of classes inside the band, the same classes
-    under every angular symbol.
+    The angular symbol is the axis-th Riesz symbol -i k_axis / |k|, or the
+    identity when axis is None; it is evaluated at the active bins only.  A
+    conjugate pair of coefficients of f whose RMS magnitude is below
+    rel_tol of the peak counts as inactive, so band-limited fields produce
+    only the handful of classes inside the band, the same classes under
+    every angular symbol.
 
     The filtered spectrum splits into its Hermitian part, whose inverse
     transform is the real part of the components, and its anti-Hermitian
@@ -475,7 +500,8 @@ def radial_bundle(f: SpatialField | HalfSpectrum,
     if spectrum.imag is not None:
         power += np.square(np.abs(spectrum.imag))
     active = np.flatnonzero(power > rel_tol ** 2 * np.max(power))
-    classes, column = np.unique(k2.ravel()[active], return_inverse=True)
+    k2_active = k2.ravel()[active]
+    classes, column = np.unique(k2_active, return_inverse=True)
 
     # f = a + i b, where a and b have Hermitian transforms fa and fb, and
     # g = gh + ga with gh(-k) = conj(gh(k)), ga(-k) = -conj(ga(k)):
@@ -483,11 +509,18 @@ def radial_bundle(f: SpatialField | HalfSpectrum,
     #   imaginary part               <- fb gh - i fa ga
     fa = spectrum.real.ravel()[active]
     gh, ga = 1.0, 0.0
-    if angular is not None:
-        k = np.unravel_index(active, k2.shape)
-        g = angular[k]
-        g_neg = np.conj(angular[tuple(-c % spec.points_per_axis for c in k)])
-        gh, ga = 0.5 * (g + g_neg), 0.5 * (g - g_neg)
+    if axis is not None:
+        if not 1 <= axis <= spec.dimension:
+            raise DomainError(f"axis must be in 1..{spec.dimension}, got {axis}")
+        n = spec.points_per_axis
+        k_index = np.unravel_index(active, k2.shape)[axis - 1]
+        k_axis = np.where(k_index < n // 2, k_index, k_index - n)
+        norm = np.sqrt(k2_active)
+        g = -1j * np.where(norm > 0, k_axis / np.where(norm > 0, norm, 1.0), 0.0)
+        # g is odd, so Hermitian, except on the plane k_axis = -N/2, which
+        # is its own negative: there g is anti-Hermitian
+        nyquist = k_index == n // 2
+        gh, ga = np.where(nyquist, 0.0, g), np.where(nyquist, g, 0.0)
     real_part, imag_part = fa * gh, -1j * fa * ga
     if spectrum.imag is not None:
         fb = spectrum.imag.ravel()[active]
@@ -641,39 +674,61 @@ def vector_maximal(f: SpatialField | HalfSpectrum,
     return SpatialField(spec, sup.reshape(spec.shape).astype(complex))
 
 
-def square_function(f: SpatialField, t_nodes: np.ndarray) -> SpatialField:
+def square_function(f: SpatialField | HalfSpectrum,
+                    t_nodes: np.ndarray) -> SpatialField:
     """Vertical square function of the Poisson semigroup, discretized on
     increasing positive nodes by the trapezoid rule:
 
         g(f)(x)^2 ~ int t |d/dt P_t f(x)|^2 dt.
+
+    f is a field or its half_spectrum; a half_spectrum shares its identity
+    bundle with maximal_over and projection_square_function.
     """
     t_nodes = np.asarray(t_nodes, dtype=float)
     if t_nodes.size == 0:
         raise DomainError("square_function requires at least one t node")
     if np.any(t_nodes <= 0) or np.any(np.diff(t_nodes) <= 0):
         raise DomainError("t_nodes must be positive and strictly increasing")
-    spec = f.spec
-    d = spec.dimension
-    bundle = radial_bundle(f)
+    spectrum = _as_spectrum(f)
+    spec = spectrum.spec
+    bundle = spectrum.bundle(None)
     # trapezoid weights for int ... dt
     w = np.zeros_like(t_nodes)
     w[:-1] += 0.5 * np.diff(t_nodes)
     w[1:] += 0.5 * np.diff(t_nodes)
     # d/dt P_t has radial profile -(r/sqrt(d)) exp(-t r / sqrt(d))
-    rate = bundle.radii / math.sqrt(d)
+    rate = bundle.radii / math.sqrt(spec.dimension)
     profiles = -rate[:, None] * np.exp(-np.outer(rate, t_nodes))
-    acc = np.zeros(spec.n_samples)
-    weights = (w * t_nodes)
-    by_t = np.ascontiguousarray(profiles.T)
-    for cols, parts in bundle._blocks(t_nodes.size):
-        sq = sum(np.square(by_t @ u) for u in parts)
-        acc[cols] = weights @ sq
+    acc = bundle.weighted_sum_sq(profiles, w * t_nodes)
     return SpatialField(spec, np.sqrt(acc).reshape(spec.shape).astype(complex))
 
 
 def poisson_projection(f: SpatialField, n: int) -> SpatialField:
     """S_n f = (P_{2^(n-1)} - P_{2^n}) f."""
     return apply_symbol(f, MultiplierSymbol.poisson_projection(n))
+
+
+def projection_square_function(f: SpatialField | HalfSpectrum, n_min: int,
+                               n_max: int) -> SpatialField:
+    """(sum_{n=n_min}^{n_max} |S_n f|^2)^(1/2).
+
+    S_n has the radial profile exp(-2^(n-1) r/sqrt(d)) - exp(-2^n r/sqrt(d)),
+    so the sum is one weighted sum-of-squares reduction of the field's
+    identity bundle over the n_max - n_min + 1 profile columns.  f is a
+    field or its half_spectrum, whose identity bundle is shared as in
+    square_function.
+    """
+    if n_min > n_max:
+        raise DomainError(f"n_min {n_min} > n_max {n_max}")
+    spectrum = _as_spectrum(f)
+    spec = spectrum.spec
+    bundle = spectrum.bundle(None)
+    rate = bundle.radii / math.sqrt(spec.dimension)
+    scales = 2.0 ** np.arange(n_min, n_max + 1)
+    profiles = (np.exp(-np.outer(rate, scales / 2.0))
+                - np.exp(-np.outer(rate, scales)))
+    acc = bundle.weighted_sum_sq(profiles, np.ones(scales.size))
+    return SpatialField(spec, np.sqrt(acc).reshape(spec.shape).astype(complex))
 
 
 def poisson_projection_sum(f: SpatialField, n_min: int, n_max: int) -> SpatialField:

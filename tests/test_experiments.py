@@ -2,21 +2,38 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from rieszmax.errors import DomainError, IntegrityError
-from rieszmax.experiments import (ExperimentReport, decomposition_diagnostics,
+from rieszmax import operators
+from rieszmax.experiments import (ExperimentReport, _trial_field,
+                                  decomposition_diagnostics,
                                   default_truncation_grid,
                                   factorization_residual, merge_reports,
                                   multiplier_bound_suite, norm_ratio_sweep,
                                   numerical_inequality_check, poisson_suite,
                                   read_rows, rotation_check,
                                   specfun_bound_suite)
+from rieszmax.fields import GridSpec
 from rieszmax.operators import TruncationGrid
 
 SMALL_GRID = TruncationGrid(-4, 2, depth=1)
+
+
+def _count_calls(monkeypatch, owner, name) -> list:
+    """Replace owner.name by a wrapper that appends to the returned list."""
+    calls = []
+    real = getattr(owner, name)
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counting)
+    return calls
 
 
 class TestExperimentReport:
@@ -60,6 +77,12 @@ class TestFactorization:
         vals = rep.values("residual_t=0.15")
         assert len(vals) == 1 and 0.0 <= vals[0] <= 0.1
 
+    def test_kernel_sampled_once_per_t(self, monkeypatch):
+        samples = _count_calls(monkeypatch, operators.Kernel, "sample")
+        t_list = [0.1, 0.2]
+        factorization_residual(4, 8, t_list, 2.0, trials=3, seed=11)
+        assert len(samples) == len(t_list)
+
     def test_d2_residual_shrinks_with_n(self):
         # large image_radius keeps the periodization error of the spatial
         # kernel well below the sampling error being measured
@@ -94,15 +117,7 @@ class TestNormRatioSweep:
     def test_trial_builds_one_bundle_per_axis_plus_one(self, monkeypatch):
         # r1 takes the unfiltered bundle; r2, r3 and r4 share the axis-1
         # bundle, and r3 adds one bundle for each of the other axes
-        from rieszmax import operators
-        built = []
-        real = operators.radial_bundle
-
-        def counting(*args, **kwargs):
-            built.append(1)
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(operators, "radial_bundle", counting)
+        built = _count_calls(monkeypatch, operators, "radial_bundle")
         norm_ratio_sweep([4], {4: 8}, default_truncation_grid(), 3.0, 1,
                          seed=42)
         assert len(built) == 1 + 4
@@ -127,6 +142,37 @@ class TestPoissonSuite:
         assert max(rep.values("sn_square_ratio")) \
             <= 1.0 / math.sqrt(2.0) + 0.05
         assert max(rep.values("telescope_residual")) <= 1e-6
+
+    def test_trial_builds_one_bundle_and_no_projection(self, monkeypatch):
+        # the maximal function, g and the S_n square function share one
+        # identity bundle per trial; S_n never takes its own transform pair
+        built = _count_calls(monkeypatch, operators, "radial_bundle")
+        projections = _count_calls(monkeypatch, operators,
+                                   "poisson_projection")
+        poisson_suite(4, 8, 2.0, trials=3, seed=3)
+        assert len(built) == 3 and len(projections) == 0
+
+
+@pytest.mark.parametrize("driver", [poisson_suite, decomposition_diagnostics],
+                         ids=["poisson", "decomposition"])
+def test_trial_state_is_released_before_the_next_trial(driver):
+    # a second trial may not raise the allocation peak by a whole bundle:
+    # the first trial's bundle must be gone before the second builds its own
+    d, n, band, seed = 4, 16, 3.0, 5
+    args = (d, n, band) if driver is poisson_suite else \
+        (d, n, SMALL_GRID, band)
+    bundle = operators.radial_bundle(
+        _trial_field(GridSpec(d, n), band, seed, 0)).components.nbytes
+    driver(*args, trials=1, seed=seed)      # warm the m table and caches
+    peaks = {}
+    for trials in (1, 2):
+        tracemalloc.start()
+        try:
+            driver(*args, trials=trials, seed=seed)
+            peaks[trials] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[2] - peaks[1] < bundle
 
 
 class TestNumericalInequality:

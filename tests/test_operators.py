@@ -1,6 +1,7 @@
 """Spectral/spatial operators: symbols, kernels, maximal and square operators,
 Poisson projections, directional Hilbert transforms, method of rotations."""
 
+import itertools
 import math
 
 import numpy as np
@@ -14,7 +15,8 @@ from rieszmax.operators import (Kernel, MultiplierSymbol, TruncationGrid,
                                 _maximal_per_t, apply_symbol,
                                 directional_hilbert_trunc, half_spectrum,
                                 maximal_over, poisson_projection,
-                                poisson_projection_sum, radial_bundle,
+                                poisson_projection_sum,
+                                projection_square_function, radial_bundle,
                                 riesz_radial_profile, rotation_reconstruct,
                                 sphere_moment, square_function,
                                 truncated_riesz_spatial, vector_maximal,
@@ -185,6 +187,37 @@ class TestSpatialKernel:
         assert vals[1, 0] == 0.0  # |x| = 1/16 < 0.2 inside the truncation
         assert vals[5, 0] == pytest.approx(-vals[-5, 0])  # oddness
 
+    @pytest.mark.parametrize("d, n, period, axis, t, image_radius, points", [
+        (2, 8, 1.0, 1, 0.1, 2, [(0, 0), (1, 0), (3, 6), (4, 1), (4, 4)]),
+        (3, 8, 1.0, 2, 0.2, 1, [(0, 0, 0), (0, 1, 0), (0, 3, 1), (4, 2, 7),
+                                (5, 4, 6)]),
+        (4, 6, 2.0, 4, 0.45, 1, [(0, 0, 0, 1), (1, 2, 3, 4), (3, 3, 0, 5)]),
+    ])
+    def test_sample_matches_brute_force_image_sum(self, d, n, period, axis, t,
+                                                   image_radius, points):
+        # c_d x_axis / |x|^(d+1) summed over the image cells with |x| > t,
+        # then its odd part over the lattice, one point at a time
+        c_d = math.gamma((d + 1) / 2) / math.pi ** ((d + 1) / 2)
+        h = period / n
+
+        def image_sum(index):
+            total = 0.0
+            for cell in itertools.product(range(-image_radius,
+                                                image_radius + 1), repeat=d):
+                x = [((i if i < n // 2 else i - n) * h) + c * period
+                     for i, c in zip(index, cell)]
+                r = math.sqrt(sum(v * v for v in x))
+                if r > t:
+                    total += x[axis - 1] / r ** (d + 1)
+            return total
+
+        vals = Kernel(d, axis, t, image_radius).sample(GridSpec(d, n, period))
+        scale = np.max(np.abs(vals))
+        for index in points:
+            mirror = tuple(-i % n for i in index)
+            want = c_d * 0.5 * (image_sum(index) - image_sum(mirror))
+            assert abs(vals[index] - want) <= 1e-13 * scale
+
     def test_constant_field_annihilated(self):
         spec = GridSpec(2, 16)
         f = SpatialField(spec, np.ones(spec.shape, dtype=complex))
@@ -346,17 +379,29 @@ class TestRadialBundle:
         assert np.max(np.abs(recon - f.samples)) < 1e-10
         # the Riesz symbol is odd except on the axis-1 Nyquist plane, where
         # it is anti-Hermitian, so the filtered components turn complex
-        angular = MultiplierSymbol.riesz(1).values(spec)
-        filtered = radial_bundle(f, angular)
+        filtered = radial_bundle(f, axis=1)
         assert not filtered.is_real
         recon = filtered.combine(np.ones(len(filtered.radii)))
         direct = apply_symbol(f, MultiplierSymbol.riesz(1)).samples
         assert np.max(np.abs(recon - direct)) < 1e-10
 
+    @pytest.mark.parametrize("axis", [1, 2, 3])
+    def test_riesz_bundle_matches_symbol_on_every_axis(self, axis):
+        # a complex white-noise field carries energy on every Nyquist plane,
+        # the last (half-spectrum) axis included
+        spec = GridSpec(3, 8)
+        rng = np.random.default_rng(6)
+        f = SpatialField(spec, rng.standard_normal(spec.shape)
+                         + 1j * rng.standard_normal(spec.shape))
+        bundle = radial_bundle(f, axis=axis)
+        recon = bundle.combine(np.ones(len(bundle.radii)))
+        direct = apply_symbol(f, MultiplierSymbol.riesz(axis)).samples
+        assert np.max(np.abs(recon - direct)) < 1e-10
+
     def test_band_limited_riesz_components_are_real(self):
         spec = GridSpec(4, 8)
         f = random_band_limited(spec, 3.0, seed=8)
-        bundle = radial_bundle(f, MultiplierSymbol.riesz(2).values(spec))
+        bundle = radial_bundle(f, axis=2)
         assert bundle.is_real and bundle.components.dtype == np.float64
 
 
@@ -446,6 +491,24 @@ class TestPoissonMachinery:
         f = random_band_limited(spec, 2.0, seed=0)
         with pytest.raises(DomainError):
             poisson_projection_sum(f, 3, 2)
+        with pytest.raises(DomainError):
+            projection_square_function(f, 3, 2)
+
+    def test_projection_square_function_matches_per_n_route(self):
+        spec = GridSpec(4, 8)
+        f = random_band_limited(spec, 3.0, seed=10)
+        out = projection_square_function(half_spectrum(f), -20, 20).samples
+        acc = np.zeros(spec.shape)
+        for n in range(-20, 21):
+            acc += np.abs(poisson_projection(f, n).samples) ** 2
+        direct = np.sqrt(acc)
+        assert np.max(np.abs(out - direct)) <= 1e-12 * np.max(direct)
+
+    def test_square_function_of_half_spectrum_is_bit_identical(self):
+        f = random_band_limited(GridSpec(4, 8), 3.0, seed=10)
+        t_nodes = np.geomspace(1e-3, 1e2, 400)
+        shared = square_function(half_spectrum(f), t_nodes).samples
+        assert np.array_equal(shared, square_function(f, t_nodes).samples)
 
     def test_square_function_single_mode_half(self):
         spec = GridSpec(4, 16)
