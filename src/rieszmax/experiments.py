@@ -219,17 +219,24 @@ def _decomposition_trial(f: SpatialField, grid: TruncationGrid) -> dict:
     bundle = spectrum.bundle(None)
     radii = bundle.radii
 
-    prof_dyadic = op._profile_matrix(d, radii, dyadic, "factor_m")
+    # m is evaluated once, on every truncation value the trial uses; the
+    # dyadic and octave profiles are columns of that one matrix
+    octaves = [grid.octave_values(grid.n_min + idx)
+               for idx in range(max(len(dyadic) - 1, 1))]
+    ts = np.unique(np.concatenate([grid.values(), *octaves]))
+    prof_all = op._profile_matrix(d, radii, ts, "factor_m")
+
+    def profile(values: np.ndarray) -> np.ndarray:
+        return prof_all[:, np.searchsorted(ts, values)]
+
+    prof_dyadic = profile(dyadic)
     a_sup = bundle.sup_abs(prof_dyadic)
     a = math.sqrt(np.sum(a_sup ** 2) * spec.cell_volume) / norm_f
 
     sq_acc = np.zeros(spec.n_samples)
     sum_mp_sq = 0.0
-    for idx, t_dyad in enumerate(dyadic[:-1] if len(dyadic) > 1 else dyadic):
-        n_exp = grid.n_min + idx
-        ts = grid.octave_values(n_exp)
-        prof = op._profile_matrix(d, radii, ts, "factor_m") \
-            - op._profile_matrix(d, radii, np.array([t_dyad]), "factor_m")
+    for idx, octave in enumerate(octaves):
+        prof = profile(octave) - prof_dyadic[:, idx:idx + 1]
         sq_acc += bundle.sup_abs_sq(prof)
     b_field = np.sqrt(sq_acc)
     b = math.sqrt(np.sum(b_field ** 2) * spec.cell_volume) / norm_f
@@ -237,9 +244,8 @@ def _decomposition_trial(f: SpatialField, grid: TruncationGrid) -> dict:
     poisson_prof = np.exp(-np.outer(radii, dyadic) / math.sqrt(d))
     c_sup = bundle.sup_abs(prof_dyadic - poisson_prof)
     c = math.sqrt(np.sum(c_sup ** 2) * spec.cell_volume) / norm_f
-    for t_dyad in dyadic:
-        diff_prof = (op._profile_matrix(d, radii, np.array([t_dyad]),
-                                        "factor_m")[:, 0]
+    for idx, t_dyad in enumerate(dyadic):
+        diff_prof = (prof_dyadic[:, idx]
                      - np.exp(-radii * t_dyad / math.sqrt(d)))
         diff_field = bundle.combine(diff_prof)
         sum_mp_sq += np.sum(np.abs(diff_field) ** 2) * spec.cell_volume

@@ -8,15 +8,16 @@ transforms, and the method-of-rotations reconstruction.
 
 Maximal operators over a truncation grid exploit that every supported
 family has a symbol of the form  angular(xi) * profile(t * |xi|):  a
-band-limited field splits into a few classes of equal integer |k|^2, all
-classes are transformed back in one batched inverse real FFT, and the sweep
-over truncation values becomes a dense matrix product instead of one
-inverse FFT per t.
+band-limited field splits into a few classes of equal integer |k|^2, each
+class is transformed back by one inverse real FFT through one reused
+half-spectrum buffer, and the sweep over truncation values becomes a dense
+matrix product instead of one inverse FFT per t.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,7 +26,7 @@ from scipy.special import (gammaln, j0 as bessel_j0, j1 as bessel_j1, sici,
                            struve)
 
 from . import multiplier
-from .errors import DomainError, UnsupportedDimensionError
+from .errors import DomainError, ResourceError, UnsupportedDimensionError
 from .fields import (GridSpec, SpatialField, SpectralField, forward_transform,
                      inverse_transform)
 
@@ -361,6 +362,28 @@ def _sample_blocks(n_samples: int, n_rows: int):
         yield slice(lo, min(lo + step, n_samples))
 
 
+def _physical_memory() -> int:
+    """Bytes of physical memory: the budget of the large allocations."""
+    return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+
+
+def _require_memory(nbytes: int, what: str) -> None:
+    """Raise ResourceError when an estimate of the bytes live at once
+    exceeds the budget, before anything of that size is allocated."""
+    budget = _physical_memory()
+    if nbytes > budget:
+        raise ResourceError(
+            f"{what} needs about {nbytes / 2 ** 30:.2f} GiB at once, more "
+            f"than the {budget / 2 ** 30:.2f} GiB of physical memory")
+
+
+def _class_buffer_bytes(spec: GridSpec) -> int:
+    """Bytes of one radius class in flight: the complex half-spectrum
+    buffer and the float64 samples of its inverse transform."""
+    n = spec.points_per_axis
+    return 16 * spec.n_samples // n * (n // 2 + 1) + 8 * spec.n_samples
+
+
 def _half_k2(spec: GridSpec) -> np.ndarray:
     """Integer |k|^2 over the real-to-complex half spectrum (FFT layout,
     last axis 0..N/2)."""
@@ -490,17 +513,21 @@ def radial_bundle(f: SpatialField | HalfSpectrum, axis: int | None = None,
 
     The filtered spectrum splits into its Hermitian part, whose inverse
     transform is the real part of the components, and its anti-Hermitian
-    part, whose inverse transform is i times their imaginary part.  Each
-    part takes one batched inverse real transform over all classes.
+    part, whose inverse transform is i times their imaginary part.  The
+    components are filled one class at a time: each part of a class is
+    scattered into one reused half-spectrum buffer and takes one inverse
+    real transform, so the temporaries stay at one class whatever the
+    number of classes.
     """
     spectrum = _as_spectrum(f)
     spec = spectrum.spec
-    k2 = _half_k2(spec)
+    half_shape = spectrum.real.shape
     power = np.square(np.abs(spectrum.real))
     if spectrum.imag is not None:
         power += np.square(np.abs(spectrum.imag))
     active = np.flatnonzero(power > rel_tol ** 2 * np.max(power))
-    k2_active = k2.ravel()[active]
+    del power
+    k2_active = _half_k2(spec).ravel()[active]
     classes, column = np.unique(k2_active, return_inverse=True)
 
     # f = a + i b, where a and b have Hermitian transforms fa and fb, and
@@ -513,7 +540,7 @@ def radial_bundle(f: SpatialField | HalfSpectrum, axis: int | None = None,
         if not 1 <= axis <= spec.dimension:
             raise DomainError(f"axis must be in 1..{spec.dimension}, got {axis}")
         n = spec.points_per_axis
-        k_index = np.unravel_index(active, k2.shape)[axis - 1]
+        k_index = np.unravel_index(active, half_shape)[axis - 1]
         k_axis = np.where(k_index < n // 2, k_index, k_index - n)
         norm = np.sqrt(k2_active)
         g = -1j * np.where(norm > 0, k_axis / np.where(norm > 0, norm, 1.0), 0.0)
@@ -527,22 +554,26 @@ def radial_bundle(f: SpatialField | HalfSpectrum, axis: int | None = None,
         real_part = real_part + 1j * fb * ga
         imag_part = imag_part + fb * gh
 
-    def components(part: np.ndarray) -> np.ndarray:
-        if classes.size == 0:
-            return np.zeros((spec.n_samples, 0))
-        batch = np.zeros((classes.size, k2.size), dtype=complex)
-        batch[column, active] = part
-        out = sfft.irfftn(batch.reshape((classes.size,) + k2.shape),
-                          s=spec.shape, axes=tuple(range(1, spec.dimension + 1)),
-                          workers=-1)
-        return out.reshape(classes.size, spec.n_samples).T
-
-    comps = components(real_part)
     is_real = not np.any(imag_part)
+    dtype = np.dtype(float if is_real else complex)
+    _require_memory(classes.size * spec.n_samples * dtype.itemsize
+                   + _class_buffer_bytes(spec), "the radial bundle")
+    # row i of by_class is u_i; the bundle's components are its transpose
+    by_class = np.empty((classes.size, spec.n_samples), dtype=dtype)
+    parts = [(real_part, by_class.real)]
     if not is_real:
-        comps = comps + 1j * components(imag_part)
+        parts.append((imag_part, by_class.imag))
+    buffer = np.zeros(half_shape, dtype=complex)
+    flat = buffer.reshape(-1)
+    for i in range(classes.size):
+        chosen = np.flatnonzero(column == i)
+        bins = active[chosen]
+        for part, rows in parts:
+            flat[bins] = part[chosen]
+            rows[i] = sfft.irfftn(buffer, s=spec.shape, workers=-1).reshape(-1)
+        flat[bins] = 0.0
     radii = np.sqrt(classes) / spec.period
-    return RadialBundle(spec=spec, radii=radii, components=comps,
+    return RadialBundle(spec=spec, radii=radii, components=by_class.T,
                         is_real=is_real)
 
 
@@ -644,7 +675,13 @@ def vector_maximal(f: SpatialField | HalfSpectrum,
     # Gram entries (a, b), a <= b, row by row: row a holds pairs[a]:pairs[a+1]
     pairs = np.concatenate([[0], np.cumsum(np.arange(n_r, 0, -1))])
     gram = pairs[-1] <= ts.size
-    acc = np.zeros((pairs[-1] if gram else ts.size, spec.n_samples))
+    n_acc = pairs[-1] if gram else ts.size
+    # the accumulator, one axis bundle and the class in flight while the
+    # next axis bundle is built
+    _require_memory(8 * n_acc * spec.n_samples
+                    + spectrum.bundle(1).components.nbytes
+                    + _class_buffer_bytes(spec), "the vector maximal")
+    acc = np.zeros((n_acc, spec.n_samples))
 
     def accumulate(bundle: RadialBundle) -> None:
         if not np.array_equal(bundle.radii, radii):

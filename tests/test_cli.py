@@ -3,6 +3,7 @@
 import csv
 import json
 
+from rieszmax import operators
 from rieszmax.cli import (EXIT_BOUND_FAIL, EXIT_PASS, EXIT_RESOURCE,
                           EXIT_USAGE, main)
 
@@ -110,6 +111,13 @@ def test_config_cannot_set_the_subcommand(tmp_path):
 def test_resource_error_exit_code(tmp_path):
     # 16^8 samples blows the grid budget
     assert main(["factorization", "--dim", "8", "--grid-n", "16",
+                 "--output", str(tmp_path)]) == EXIT_RESOURCE
+
+
+def test_memory_budget_exit_code(tmp_path, monkeypatch):
+    # a bundle larger than physical memory is refused before it is allocated
+    monkeypatch.setattr(operators, "_physical_memory", lambda: 1 << 16)
+    assert main(["poisson", "--grid-n", "8", "--trials", "1",
                  "--output", str(tmp_path)]) == EXIT_RESOURCE
 
 

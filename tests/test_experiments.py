@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from rieszmax.errors import DomainError, IntegrityError
-from rieszmax import operators
+from rieszmax import multiplier, operators
 from rieszmax.experiments import (ExperimentReport, _trial_field,
                                   decomposition_diagnostics,
                                   default_truncation_grid,
@@ -123,9 +123,47 @@ class TestNormRatioSweep:
         assert len(built) == 1 + 4
 
 
+def test_sweep_trial_peak_is_accumulator_plus_one_bundle():
+    # r3's Gram accumulator and one axis bundle are live together, with the
+    # trial's field and half spectrum; building the next axis bundle may
+    # add at most two class buffers on top
+    d, n, band, seed = 4, 16, 3.0, 42
+    spec = GridSpec(d, n)
+    grid = default_truncation_grid()
+    field = _trial_field(spec, band, seed, 0)
+    bundle = operators.radial_bundle(field, axis=1)
+    n_r = len(bundle.radii)
+    gram = n_r * (n_r + 1) // 2 * spec.n_samples * 8
+    half = 16 * spec.n_samples // n * (n // 2 + 1)
+    class_bytes = half + 8 * spec.n_samples
+    inputs = field.samples.nbytes + half
+    norm_ratio_sweep([d], {d: n}, grid, band, 1, seed)    # warm caches
+    tracemalloc.start()
+    try:
+        norm_ratio_sweep([d], {d: n}, grid, band, 1, seed)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert n_r * (n_r + 1) // 2 <= grid.values().size      # the Gram form
+    assert peak < gram + bundle.components.nbytes + inputs + 2 * class_bytes
+
+
 class TestDecomposition:
     def test_triangle_inequality_every_trial(self):
         rep = decomposition_diagnostics(4, 8, SMALL_GRID, 2.0, 3, seed=2)
+        assert all(v >= -1e-12 for v in rep.values("triangle_slack"))
+
+    def test_m_evaluated_at_most_twice_per_trial(self, monkeypatch):
+        # once for the trial's profile matrix, once for r1's maximal_over
+        calls = _count_calls(monkeypatch, multiplier, "m_values")
+        decomposition_diagnostics(4, 16, default_truncation_grid(), 3.0, 3,
+                                  seed=42)
+        assert 0 < len(calls) <= 2 * 3
+
+    def test_single_octave_grid(self):
+        # n_min == n_max: the one octave reaches past the grid's values
+        rep = decomposition_diagnostics(4, 8, TruncationGrid(-1, -1, depth=2),
+                                        2.0, 1, seed=2)
         assert all(v >= -1e-12 for v in rep.values("triangle_slack"))
 
     def test_paper_bounds_enormous_margin(self):

@@ -3,11 +3,14 @@ Poisson projections, directional Hilbert transforms, method of rotations."""
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from rieszmax.errors import DomainError, UnsupportedDimensionError
+from rieszmax import operators
+from rieszmax.errors import (DomainError, ResourceError,
+                             UnsupportedDimensionError)
 from rieszmax.fields import (GridSpec, SpatialField, forward_transform,
                              inverse_transform, l2_norm, random_band_limited)
 from rieszmax.multiplier import m_eval, m_values
@@ -403,6 +406,47 @@ class TestRadialBundle:
         f = random_band_limited(spec, 3.0, seed=8)
         bundle = radial_bundle(f, axis=2)
         assert bundle.is_real and bundle.components.dtype == np.float64
+
+
+class TestBundleMemory:
+    def test_build_temporaries_stay_below_two_class_buffers(self):
+        # one class in flight: its complex half-spectrum buffer and the
+        # float64 samples of its inverse transform
+        spec = GridSpec(4, 16)
+        n = spec.points_per_axis
+        class_bytes = (16 * spec.n_samples // n * (n // 2 + 1)
+                       + 8 * spec.n_samples)
+        spectrum = half_spectrum(random_band_limited(spec, 3.0, seed=8))
+        radial_bundle(spectrum)              # warm up caches and plans
+        tracemalloc.start()
+        try:
+            bundle = radial_bundle(spectrum)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(bundle.radii) == 9
+        assert peak - bundle.components.nbytes < 2 * class_bytes
+
+    def test_bundle_over_budget_is_resource_error(self, monkeypatch):
+        spec = GridSpec(4, 8)
+        f = random_band_limited(spec, 3.0, seed=8)
+        need = (radial_bundle(f).components.nbytes
+                + operators._class_buffer_bytes(spec))
+        monkeypatch.setattr(operators, "_physical_memory", lambda: need - 1)
+        with pytest.raises(ResourceError):
+            radial_bundle(f)
+        monkeypatch.setattr(operators, "_physical_memory", lambda: need)
+        radial_bundle(f)
+
+    def test_vector_maximal_over_budget_is_resource_error(self, monkeypatch):
+        # the axis bundles fit, the accumulator beside one of them does not
+        spec = GridSpec(4, 8)
+        f = random_band_limited(spec, 3.0, seed=8)
+        need = (radial_bundle(f, axis=1).components.nbytes
+                + operators._class_buffer_bytes(spec))
+        monkeypatch.setattr(operators, "_physical_memory", lambda: need)
+        with pytest.raises(ResourceError):
+            vector_maximal(f, TruncationGrid(-3, 1, depth=1))
 
 
 class TestHalfSpectrumBundle:
