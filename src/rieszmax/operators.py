@@ -515,9 +515,9 @@ def radial_bundle(f: SpatialField | HalfSpectrum, axis: int | None = None,
     transform is the real part of the components, and its anti-Hermitian
     part, whose inverse transform is i times their imaginary part.  The
     components are filled one class at a time: each part of a class is
-    scattered into one reused half-spectrum buffer and takes one inverse
-    real transform, so the temporaries stay at one class whatever the
-    number of classes.
+    scattered into one reused half-spectrum buffer and takes one
+    single-threaded inverse real transform, so the temporaries stay at one
+    class whatever the number of classes.
     """
     spectrum = _as_spectrum(f)
     spec = spectrum.spec
@@ -570,7 +570,10 @@ def radial_bundle(f: SpatialField | HalfSpectrum, axis: int | None = None,
         bins = active[chosen]
         for part, rows in parts:
             flat[bins] = part[chosen]
-            rows[i] = sfft.irfftn(buffer, s=spec.shape, workers=-1).reshape(-1)
+            # One worker: the threads of a multi-threaded transform meet at
+            # every axis pass, and a class is small enough that one of them
+            # being descheduled costs more than the threads save.
+            rows[i] = sfft.irfftn(buffer, s=spec.shape, workers=1).reshape(-1)
         flat[bins] = 0.0
     radii = np.sqrt(classes) / spec.period
     return RadialBundle(spec=spec, radii=radii, components=by_class.T,
