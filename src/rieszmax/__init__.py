@@ -9,16 +9,13 @@ from .experiments import (ExperimentReport, decomposition_diagnostics,
                           norm_ratio_sweep, numerical_inequality_check,
                           poisson_suite, rotation_check, specfun_bound_suite)
 from .fields import (GridSpec, SpatialField, SpectralField, forward_transform,
-                     inverse_transform, l2_norm, load_field, lp_norm,
-                     random_band_limited, save_field, sup_norm)
+                     inverse_transform, l2_norm, random_band_limited)
 from .multiplier import (MultiplierEval, check_derivative, check_large_arg,
                          check_small_arg, m_eval, m_prime, m_values)
 from .operators import (Kernel, MultiplierSymbol, TruncationGrid, apply_symbol,
-                        directional_hilbert_trunc, maximal_over,
-                        poisson_projection, poisson_projection_sum,
+                        maximal_over, poisson_projection_sum,
                         riesz_radial_profile, rotation_reconstruct,
-                        sphere_moment, square_function, truncated_riesz_spatial,
-                        vector_maximal, vector_truncated_riesz)
+                        sphere_moment, square_function, vector_maximal)
 from .specfun import (BoundCheck, bessel_envelope, bessel_j, gautschi_bounds,
                       stirling_bounds)
 

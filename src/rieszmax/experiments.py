@@ -217,14 +217,14 @@ def _decomposition_trial(f: SpatialField, grid: TruncationGrid) -> dict:
     norm_f = l2_norm(f)
     spectrum = op.half_spectrum(f)
     bundle = spectrum.bundle(None)
-    radii = bundle.radii
+    radii = spectrum.radii
 
     # m is evaluated once, on every truncation value the trial uses; the
     # dyadic and octave profiles are columns of that one matrix
     octaves = [grid.octave_values(grid.n_min + idx)
                for idx in range(max(len(dyadic) - 1, 1))]
     ts = np.unique(np.concatenate([grid.values(), *octaves]))
-    prof_all = op._profile_matrix(d, radii, ts, "factor_m")
+    prof_all = op.profile_matrix(d, radii, ts, "factor_m")
 
     def profile(values: np.ndarray) -> np.ndarray:
         return prof_all[:, np.searchsorted(ts, values)]
@@ -237,7 +237,8 @@ def _decomposition_trial(f: SpatialField, grid: TruncationGrid) -> dict:
     sum_mp_sq = 0.0
     for idx, octave in enumerate(octaves):
         prof = profile(octave) - prof_dyadic[:, idx:idx + 1]
-        sq_acc += bundle.sup_abs_sq(prof)
+        sup = bundle.sup_abs(prof)
+        sq_acc += sup * sup
     b_field = np.sqrt(sq_acc)
     b = math.sqrt(np.sum(b_field ** 2) * spec.cell_volume) / norm_f
 

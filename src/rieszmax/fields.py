@@ -1,4 +1,4 @@
-"""d-dimensional periodic grids, unitary DFT, norms, and test fields.
+"""d-dimensional periodic grids, unitary DFT, the L^2 norm, and test fields.
 
 The box is [0, L)^d sampled with N points per axis.  Frequencies are
 xi = k / L with integer lattice k in [-N/2, N/2)^d (numpy FFT layout).
@@ -12,9 +12,7 @@ operator norms then equal symbol sup-norms.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -27,11 +25,7 @@ __all__ = [
     "forward_transform",
     "inverse_transform",
     "l2_norm",
-    "lp_norm",
-    "sup_norm",
     "random_band_limited",
-    "save_field",
-    "load_field",
 ]
 
 MAX_SAMPLES = 2 ** 24  # memory budget in grid samples
@@ -95,7 +89,8 @@ class GridSpec:
 
 @dataclass(frozen=True)
 class SpatialField:
-    """Samples of a function on the grid, complex-valued, FFT axis order."""
+    """Samples of a function on the grid, real (float64) or complex, FFT
+    axis order."""
 
     spec: GridSpec
     samples: np.ndarray
@@ -136,27 +131,13 @@ def inverse_transform(F: SpectralField) -> SpatialField:
     return SpatialField(spec, np.fft.ifftn(F.coefficients) * scale)
 
 
-def _cell_volume(f) -> float:
-    return f.spec.cell_volume
-
-
 def l2_norm(f: SpatialField) -> float:
-    return float(np.sqrt(np.sum(np.abs(f.samples) ** 2) * _cell_volume(f)))
-
-
-def lp_norm(f: SpatialField, p: float) -> float:
-    if p < 1:
-        raise DomainError(f"lp_norm requires p >= 1, got {p}")
-    return float((np.sum(np.abs(f.samples) ** p) * _cell_volume(f)) ** (1.0 / p))
-
-
-def sup_norm(f: SpatialField) -> float:
-    return float(np.max(np.abs(f.samples)))
+    return float(np.sqrt(np.sum(np.abs(f.samples) ** 2) * f.spec.cell_volume))
 
 
 def random_band_limited(spec: GridSpec, band_radius: float,
                         seed: int) -> SpatialField:
-    """Real-valued mean-zero field with i.i.d. Gaussian coefficients on
+    """Real (float64) mean-zero field with i.i.d. Gaussian coefficients on
     0 < |xi| <= band_radius, conjugate-symmetrized; deterministic per seed."""
     nyquist = spec.points_per_axis / (2.0 * spec.period)
     if not 0 < band_radius < nyquist:
@@ -173,28 +154,4 @@ def random_band_limited(spec: GridSpec, band_radius: float,
         reflected = np.roll(np.flip(reflected, axis=axis), 1, axis=axis)
     coeff = 0.5 * (coeff + np.conj(reflected))
     field = inverse_transform(SpectralField(spec, coeff))
-    return SpatialField(spec, field.samples.real.astype(complex))
-
-
-_HEADER = struct.Struct("<qqd")  # d, N as int64; L as float64; little-endian
-
-
-def save_field(f: SpatialField, path) -> None:
-    """Flat binary layout: header (d, N, L) then row-major interleaved
-    float64 (re, im) pairs, all little-endian."""
-    data = np.ascontiguousarray(f.samples, dtype="<c16")
-    with open(path, "wb") as fh:
-        fh.write(_HEADER.pack(f.spec.dimension, f.spec.points_per_axis,
-                              f.spec.period))
-        fh.write(data.tobytes())
-
-
-def load_field(path) -> SpatialField:
-    raw = Path(path).read_bytes()
-    d, n, length = _HEADER.unpack_from(raw)
-    spec = GridSpec(dimension=int(d), points_per_axis=int(n), period=float(length))
-    body = np.frombuffer(raw, dtype="<c16", offset=_HEADER.size)
-    if body.size != spec.n_samples:
-        raise DomainError(
-            f"file holds {body.size} samples, header implies {spec.n_samples}")
-    return SpatialField(spec, body.reshape(spec.shape).astype(complex))
+    return SpatialField(spec, field.samples.real.copy())

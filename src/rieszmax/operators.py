@@ -3,15 +3,18 @@
 Covers the Riesz transform, its truncations (spectral route via the radial
 factorization profile, spatial route via the periodized kernel), the
 Poisson semigroup with its maximal/square/projection companions, maximal
-operators over finite truncation grids, directional truncated Hilbert
-transforms, and the method-of-rotations reconstruction.
+operators over finite truncation grids, and the method-of-rotations
+reconstruction.
 
-Maximal operators over a truncation grid exploit that every supported
-family has a symbol of the form  angular(xi) * profile(t * |xi|):  a
-band-limited field splits into a few classes of equal integer |k|^2, each
-class is transformed back by one inverse real FFT through one reused
-half-spectrum buffer, and the sweep over truncation values becomes a dense
-matrix product instead of one inverse FFT per t.
+Each maximal and square operator has a symbol angular(xi) * profile(t |xi|)
+and is one reduction, by a max or a weighted sum over the columns c of a
+profile matrix P, of s_c = sum over angular symbols of |sum_i P[i, c] u_i|^2,
+where u_i is the field's class of equal integer |k|^2 under the symbol.
+The route is picked before any transform: radial bundles (an inverse FFT
+per class, then a matrix product over the columns) when there are at most
+max(64, 2 n_columns) classes and the bundles fit in physical memory, else
+one inverse FFT per column and symbol, whose own memory estimate must fit
+or ResourceError is raised.  No kept bundle or call history enters it.
 """
 
 from __future__ import annotations
@@ -35,18 +38,15 @@ __all__ = [
     "TruncationGrid",
     "Kernel",
     "riesz_radial_profile",
+    "profile_matrix",
     "apply_symbol",
     "kernel_transform",
     "kernel_convolve",
-    "truncated_riesz_spatial",
     "maximal_over",
-    "vector_truncated_riesz",
     "vector_maximal",
     "square_function",
-    "poisson_projection",
     "projection_square_function",
     "poisson_projection_sum",
-    "directional_hilbert_trunc",
     "rotation_reconstruct",
     "sphere_moment",
     "HalfSpectrum",
@@ -128,9 +128,10 @@ def riesz_radial_profile(d: int, xs) -> np.ndarray:
         f"the radial profile is available for d >= 2, got d={d}")
 
 
-def _profile_matrix(d: int, radii: np.ndarray, ts: np.ndarray,
-                    family: str) -> np.ndarray:
-    """profile(t * r) as an (n_radii, n_t) matrix (radii are flattened)."""
+def profile_matrix(d: int, radii: np.ndarray, ts: np.ndarray,
+                   family: str) -> np.ndarray:
+    """The radial profile of a maximal family at t * r, as an (n_radii, n_t)
+    matrix (radii are flattened)."""
     args = np.outer(radii, ts)
     if family in ("factor_m", "truncated_riesz"):
         uniq, inv = np.unique(args, return_inverse=True)
@@ -158,15 +159,12 @@ class MultiplierSymbol:
     """Tagged radial-times-angular Fourier symbol.
 
     kind is one of riesz, truncated_riesz, factor_m, poisson,
-    conjugate_poisson, poisson_projection, directional_hilbert.
+    conjugate_poisson.
     """
 
     kind: str
     j: int | None = None
     t: float | None = None
-    n: int | None = None
-    theta: tuple[float, ...] | None = None
-    eps: float | None = None
 
     # constructors ----------------------------------------------------------
 
@@ -195,19 +193,6 @@ class MultiplierSymbol:
         cls._positive(t, "t")
         return cls(kind="conjugate_poisson", j=j, t=t)
 
-    @classmethod
-    def poisson_projection(cls, n: int) -> "MultiplierSymbol":
-        return cls(kind="poisson_projection", n=n)
-
-    @classmethod
-    def directional_hilbert(cls, theta, eps: float) -> "MultiplierSymbol":
-        cls._positive(eps, "eps")
-        theta = tuple(float(c) for c in theta)
-        norm = math.sqrt(sum(c * c for c in theta))
-        if abs(norm - 1.0) > 1e-12:
-            raise DomainError(f"theta must be a unit vector, |theta| = {norm}")
-        return cls(kind="directional_hilbert", theta=theta, eps=eps)
-
     @staticmethod
     def _positive(value: float, name: str) -> None:
         if not value > 0:
@@ -232,29 +217,11 @@ class MultiplierSymbol:
         if self.kind == "conjugate_poisson":
             decay = np.exp(-self.t * spec.freq_radius() / math.sqrt(d))
             return _riesz_angular(spec, self.j) * decay
-        if self.kind == "poisson_projection":
-            radius = spec.freq_radius() / math.sqrt(d)
-            return (np.exp(-2.0 ** (self.n - 1) * radius)
-                    - np.exp(-2.0 ** self.n * radius)).astype(complex)
-        if self.kind == "directional_hilbert":
-            return _directional_hilbert_symbol(spec, self.theta, self.eps)
         raise DomainError(f"unknown symbol kind {self.kind!r}")
 
     def _radial(self, spec: GridSpec) -> np.ndarray:
-        return _profile_matrix(spec.dimension, spec.freq_radius(),
-                               np.array([self.t]), "factor_m").reshape(spec.shape)
-
-
-def _directional_hilbert_symbol(spec: GridSpec, theta, eps: float) -> np.ndarray:
-    if spec.dimension not in (2, 3):
-        raise UnsupportedDimensionError(
-            f"directional Hilbert transforms support d in {{2, 3}}, "
-            f"got d={spec.dimension}")
-    dot = np.zeros(spec.shape)
-    for axis, comp in enumerate(theta, start=1):
-        dot = dot + comp * spec.freq_component(axis)
-    si, _ = sici(2.0 * math.pi * eps * np.abs(dot))
-    return -1j * np.sign(dot) * (2.0 / math.pi) * (math.pi / 2.0 - si)
+        return profile_matrix(spec.dimension, spec.freq_radius(),
+                              np.array([self.t]), "factor_m").reshape(spec.shape)
 
 
 def apply_symbol(f: SpatialField, s: MultiplierSymbol) -> SpatialField:
@@ -341,15 +308,13 @@ def kernel_convolve(f: SpatialField, k_hat: np.ndarray) -> SpatialField:
     return SpatialField(spec, np.fft.ifftn(k_hat * f_hat) * spec.cell_volume)
 
 
-def truncated_riesz_spatial(f: SpatialField, j: int, t: float,
-                            image_radius: int = 1) -> SpatialField:
-    """Truncated Riesz transform by discrete periodic convolution with the
-    sampled periodized kernel."""
-    return kernel_convolve(f, kernel_transform(f.spec, j, t, image_radius))
-
-
 # ---------------------------------------------------------------------------
 # radius-class decomposition
+
+# A conjugate pair of coefficients whose RMS magnitude is below this
+# fraction of the peak counts as inactive, so band-limited fields produce
+# only the handful of classes inside the band.
+_REL_TOL = 1e-13
 
 # Sample blocks of the reductions hold about this many float64 values per
 # (n_t, block) temporary: 512 kB, which stays in a core's L2 cache.
@@ -384,6 +349,12 @@ def _class_buffer_bytes(spec: GridSpec) -> int:
     return 16 * spec.n_samples // n * (n // 2 + 1) + 8 * spec.n_samples
 
 
+def _bundle_bytes(spec: GridSpec, n_r: int, n_parts: int) -> int:
+    """Bytes of a radial bundle of n_r classes, float64 (one part) or
+    complex (two parts), plus one class in flight while it is built."""
+    return 8 * n_parts * n_r * spec.n_samples + _class_buffer_bytes(spec)
+
+
 def _half_k2(spec: GridSpec) -> np.ndarray:
     """Integer |k|^2 over the real-to-complex half spectrum (FFT layout,
     last axis 0..N/2)."""
@@ -396,17 +367,27 @@ def _half_k2(spec: GridSpec) -> np.ndarray:
 @dataclass
 class HalfSpectrum:
     """A field with the unnormalized real-to-complex DFTs of its real and
-    imaginary parts (imag is None when the field is real).
-
-    It keeps the radial bundle it built last, so maximal operators that
-    share an angular symbol and run one after another on it share one
-    bundle.
+    imaginary parts (imag is None when the field is real), and the lattice
+    bookkeeping its transforms share: the active bins (flat indices), the
+    integer |k|^2 of each radius class, each active bin's class, and the
+    class radii |k| / L.  It keeps the radial bundle it built last, so
+    maximal operators that share an angular symbol share one bundle.
     """
 
     field: SpatialField
     real: np.ndarray
     imag: np.ndarray | None
     _kept = None                        # (axis, RadialBundle) built last
+
+    def __post_init__(self):
+        power = np.square(np.abs(self.real))
+        if self.imag is not None:
+            power += np.square(np.abs(self.imag))
+        self.active = np.flatnonzero(power > _REL_TOL ** 2 * np.max(power))
+        del power
+        self.classes, self.class_of_bin = np.unique(
+            _half_k2(self.spec).ravel()[self.active], return_inverse=True)
+        self.radii = np.sqrt(self.classes) / self.spec.period
 
     @property
     def spec(self) -> GridSpec:
@@ -422,6 +403,40 @@ class HalfSpectrum:
             self._kept = (axis, radial_bundle(self, axis))
         return self._kept[1]
 
+    def filtered(self, axis: int | None) -> list[np.ndarray]:
+        """The inverse-transform inputs, at the active bins, of the real and
+        imaginary parts of f under the axis-th Riesz symbol -i k_axis / |k|
+        (the identity when axis is None): the filtered spectrum's Hermitian
+        and anti-Hermitian parts, the second only when it is nonzero (for a
+        complex field, or an odd symbol meeting energy on a Nyquist plane)."""
+        spec = self.spec
+        # f = a + i b, where a and b have Hermitian transforms fa and fb, and
+        # g = gh + ga with gh(-k) = conj(gh(k)), ga(-k) = -conj(ga(k)):
+        #   real part       <- fa gh + i fb ga
+        #   imaginary part  <- fb gh - i fa ga
+        fa = self.real.ravel()[self.active]
+        gh, ga = 1.0, 0.0
+        if axis is not None:
+            if not 1 <= axis <= spec.dimension:
+                raise DomainError(
+                    f"axis must be in 1..{spec.dimension}, got {axis}")
+            n = spec.points_per_axis
+            k_index = np.unravel_index(self.active, self.real.shape)[axis - 1]
+            k_axis = np.where(k_index < n // 2, k_index, k_index - n)
+            norm = np.sqrt(self.classes[self.class_of_bin])
+            g = -1j * np.where(norm > 0, k_axis / np.where(norm > 0, norm, 1.0),
+                               0.0)
+            # g is odd, so Hermitian, except on the plane k_axis = -N/2,
+            # which is its own negative: there g is anti-Hermitian
+            nyquist = k_index == n // 2
+            gh, ga = np.where(nyquist, 0.0, g), np.where(nyquist, g, 0.0)
+        real_part, imag_part = fa * gh, -1j * fa * ga
+        if self.imag is not None:
+            fb = self.imag.ravel()[self.active]
+            real_part = real_part + 1j * fb * ga
+            imag_part = imag_part + fb * gh
+        return [real_part, imag_part] if np.any(imag_part) else [real_part]
+
 
 def half_spectrum(f: SpatialField) -> HalfSpectrum:
     """Forward transform of f on the half spectrum, to share between the
@@ -435,6 +450,26 @@ def half_spectrum(f: SpatialField) -> HalfSpectrum:
 
 def _as_spectrum(f: SpatialField | HalfSpectrum) -> HalfSpectrum:
     return f if isinstance(f, HalfSpectrum) else half_spectrum(f)
+
+
+def _inverse_transformer(spectrum: HalfSpectrum):
+    """A function (bins, values) -> the flattened inverse real transform of
+    the half spectrum that holds values at the flat bins and 0 elsewhere.
+    Every call reuses one half-spectrum buffer."""
+    shape = spectrum.spec.shape
+    buffer = np.zeros(spectrum.real.shape, dtype=complex)
+    flat = buffer.reshape(-1)
+
+    def transform(bins: np.ndarray, values: np.ndarray) -> np.ndarray:
+        flat[bins] = values
+        # One worker: the threads of a multi-threaded transform meet at
+        # every axis pass, and one transform is small enough that one of
+        # them being descheduled costs more than the threads save.
+        samples = sfft.irfftn(buffer, s=shape, workers=1).reshape(-1)
+        flat[bins] = 0.0
+        return samples
+
+    return transform
 
 
 @dataclass
@@ -464,124 +499,62 @@ class RadialBundle:
             yield cols, ((block,) if self.is_real
                          else (block.real.copy(), block.imag.copy()))
 
+    def _column_sums(self, by_t: np.ndarray):
+        """Yield (samples slice, s) over sample blocks, where
+        s[tau] = |sum_i by_t[tau, i] u_i|^2 on the block's samples."""
+        for cols, parts in self._blocks(by_t.shape[0]):
+            s = by_t @ parts[0]
+            np.square(s, out=s)
+            for u in parts[1:]:
+                s += np.square(by_t @ u)
+            yield cols, s
+
+    def _add_gram(self, acc: np.ndarray, pairs: np.ndarray) -> None:
+        """Add the Gram entries u_a u_b, a <= b, of every sample to acc,
+        row by row: row a of the Gram matrix is acc[pairs[a]:pairs[a+1]]."""
+        for cols, parts in self._blocks(len(self.radii)):
+            for u in parts:
+                for a in range(len(self.radii)):
+                    acc[pairs[a]:pairs[a + 1], cols] += u[a] * u[a:]
+
     def sup_abs(self, profiles: np.ndarray) -> np.ndarray:
         """sup over columns tau of |sum_i u_i P[i, tau]|, flattened samples."""
         out = np.empty(self.components.shape[0])
-        by_t = np.ascontiguousarray(profiles.T)
-        for cols, parts in self._blocks(by_t.shape[0]):
-            if self.is_real:
-                vals = by_t @ parts[0]
-                np.abs(vals, out=vals)
-            else:
-                vals = np.square(by_t @ parts[0])
-                vals += np.square(by_t @ parts[1])
-                np.sqrt(vals, out=vals)
-            out[cols] = vals.max(axis=0)
-        return out
-
-    def sup_abs_sq(self, profiles: np.ndarray) -> np.ndarray:
-        """sup over columns of |...|^2 (no final sqrt), for accumulation."""
-        sup = self.sup_abs(profiles)
-        return sup * sup
-
-    def weighted_sum_sq(self, profiles: np.ndarray,
-                        weights: np.ndarray) -> np.ndarray:
-        """sum over columns tau of w[tau] |sum_i u_i P[i, tau]|^2, flattened
-        samples."""
-        out = np.empty(self.components.shape[0])
-        by_t = np.ascontiguousarray(profiles.T)
-        for cols, parts in self._blocks(by_t.shape[0]):
-            sq = sum(np.square(by_t @ u) for u in parts)
-            out[cols] = weights @ sq
-        return out
+        for cols, s in self._column_sums(np.ascontiguousarray(profiles.T)):
+            out[cols] = s.max(axis=0)
+        return np.sqrt(out, out=out)
 
     def combine(self, profile: np.ndarray) -> np.ndarray:
         """Spatial samples of the operator with radial values profile (n_r,)."""
         return (self.components @ profile).reshape(self.spec.shape)
 
 
-def radial_bundle(f: SpatialField | HalfSpectrum, axis: int | None = None,
-                  rel_tol: float = 1e-13) -> RadialBundle:
-    """Split the angular-filtered spectrum of f into integer |k|^2 classes.
+def radial_bundle(f: SpatialField | HalfSpectrum,
+                  axis: int | None = None) -> RadialBundle:
+    """Split f, filtered by the axis-th Riesz symbol or the identity when
+    axis is None, into the radius classes of its HalfSpectrum.
 
-    The angular symbol is the axis-th Riesz symbol -i k_axis / |k|, or the
-    identity when axis is None; it is evaluated at the active bins only.  A
-    conjugate pair of coefficients of f whose RMS magnitude is below
-    rel_tol of the peak counts as inactive, so band-limited fields produce
-    only the handful of classes inside the band, the same classes under
-    every angular symbol.
-
-    The filtered spectrum splits into its Hermitian part, whose inverse
-    transform is the real part of the components, and its anti-Hermitian
-    part, whose inverse transform is i times their imaginary part.  The
-    components are filled one class at a time: each part of a class is
-    scattered into one reused half-spectrum buffer and takes one
-    single-threaded inverse real transform, so the temporaries stay at one
-    class whatever the number of classes.
+    The components are filled one class at a time: each part of a class
+    (see HalfSpectrum.filtered) takes one single-threaded inverse real
+    transform through one reused half-spectrum buffer, so the temporaries
+    stay at one class whatever the number of classes.
     """
     spectrum = _as_spectrum(f)
     spec = spectrum.spec
-    half_shape = spectrum.real.shape
-    power = np.square(np.abs(spectrum.real))
-    if spectrum.imag is not None:
-        power += np.square(np.abs(spectrum.imag))
-    active = np.flatnonzero(power > rel_tol ** 2 * np.max(power))
-    del power
-    k2_active = _half_k2(spec).ravel()[active]
-    classes, column = np.unique(k2_active, return_inverse=True)
-
-    # f = a + i b, where a and b have Hermitian transforms fa and fb, and
-    # g = gh + ga with gh(-k) = conj(gh(k)), ga(-k) = -conj(ga(k)):
-    #   real part of the components  <- fa gh + i fb ga
-    #   imaginary part               <- fb gh - i fa ga
-    fa = spectrum.real.ravel()[active]
-    gh, ga = 1.0, 0.0
-    if axis is not None:
-        if not 1 <= axis <= spec.dimension:
-            raise DomainError(f"axis must be in 1..{spec.dimension}, got {axis}")
-        n = spec.points_per_axis
-        k_index = np.unravel_index(active, half_shape)[axis - 1]
-        k_axis = np.where(k_index < n // 2, k_index, k_index - n)
-        norm = np.sqrt(k2_active)
-        g = -1j * np.where(norm > 0, k_axis / np.where(norm > 0, norm, 1.0), 0.0)
-        # g is odd, so Hermitian, except on the plane k_axis = -N/2, which
-        # is its own negative: there g is anti-Hermitian
-        nyquist = k_index == n // 2
-        gh, ga = np.where(nyquist, 0.0, g), np.where(nyquist, g, 0.0)
-    real_part, imag_part = fa * gh, -1j * fa * ga
-    if spectrum.imag is not None:
-        fb = spectrum.imag.ravel()[active]
-        real_part = real_part + 1j * fb * ga
-        imag_part = imag_part + fb * gh
-
-    is_real = not np.any(imag_part)
-    dtype = np.dtype(float if is_real else complex)
-    _require_memory(classes.size * spec.n_samples * dtype.itemsize
-                   + _class_buffer_bytes(spec), "the radial bundle")
+    parts = spectrum.filtered(axis)
+    n_r = spectrum.radii.size
+    _require_memory(_bundle_bytes(spec, n_r, len(parts)), "the radial bundle")
+    is_real = len(parts) == 1
     # row i of by_class is u_i; the bundle's components are its transpose
-    by_class = np.empty((classes.size, spec.n_samples), dtype=dtype)
-    parts = [(real_part, by_class.real)]
-    if not is_real:
-        parts.append((imag_part, by_class.imag))
-    buffer = np.zeros(half_shape, dtype=complex)
-    flat = buffer.reshape(-1)
-    for i in range(classes.size):
-        chosen = np.flatnonzero(column == i)
-        bins = active[chosen]
-        for part, rows in parts:
-            flat[bins] = part[chosen]
-            # One worker: the threads of a multi-threaded transform meet at
-            # every axis pass, and a class is small enough that one of them
-            # being descheduled costs more than the threads save.
-            rows[i] = sfft.irfftn(buffer, s=spec.shape, workers=1).reshape(-1)
-        flat[bins] = 0.0
-    radii = np.sqrt(classes) / spec.period
-    return RadialBundle(spec=spec, radii=radii, components=by_class.T,
+    by_class = np.empty((n_r, spec.n_samples), dtype=float if is_real else complex)
+    rows = (by_class,) if is_real else (by_class.real, by_class.imag)
+    transform = _inverse_transformer(spectrum)
+    for i in range(n_r):
+        chosen = np.flatnonzero(spectrum.class_of_bin == i)
+        for part, row in zip(parts, rows):
+            row[i] = transform(spectrum.active[chosen], part[chosen])
+    return RadialBundle(spec=spec, radii=spectrum.radii, components=by_class.T,
                         is_real=is_real)
-
-
-def _too_many_radii(n_radii: int, n_t: int) -> bool:
-    return n_radii > max(64, 2 * n_t)
 
 
 def _family_axis(family: str, j: int) -> int | None:
@@ -593,6 +566,102 @@ def _family_axis(family: str, j: int) -> int | None:
 # maximal and square operators
 
 
+def _reduce(spectrum: HalfSpectrum, axes: list, profiles: np.ndarray,
+            weights: np.ndarray | None = None) -> SpatialField:
+    """sqrt(max_c s_c), or sqrt(sum_c weights[c] s_c) when weights are
+    given, with s_c = sum over axes of |sum_i profiles[i, c] u_i|^2 and u_i
+    the radius classes under the axis's angular symbol.  The route is
+    chosen here, before any transform (see the module docstring)."""
+    spec = spectrum.spec
+    n_r, n_cols = profiles.shape
+    # the largest axis bundle with one class in flight, and for several
+    # axes the accumulator of _bundle_route beside it
+    bundle_bytes = max(_bundle_bytes(spec, n_r, len(spectrum.filtered(axis)))
+                       for axis in axes)
+    if len(axes) > 1:
+        bundle_bytes += 8 * min(n_r * (n_r + 1) // 2, n_cols) * spec.n_samples
+    if n_r <= max(64, 2 * n_cols) and bundle_bytes <= _physical_memory():
+        out = _bundle_route(spectrum, axes, profiles, weights)
+    else:
+        _require_memory(_column_route_bytes(spectrum, axes), "the column route")
+        out = _column_route(spectrum, axes, profiles, weights)
+    np.sqrt(np.maximum(out, 0.0, out=out), out=out)
+    return SpatialField(spec, out.reshape(spec.shape))
+
+
+def _column_route_bytes(spectrum: HalfSpectrum, axes: list) -> int:
+    """The buffer and one transform's samples, the column's sum and the
+    running reduction, and every axis's filtered coefficients plus a copy."""
+    spec = spectrum.spec
+    return (_class_buffer_bytes(spec) + 16 * spec.n_samples
+            + 16 * (1 + 2 * len(axes)) * spectrum.active.size)
+
+
+def _bundle_route(spectrum: HalfSpectrum, axes: list, profiles: np.ndarray,
+                  weights: np.ndarray | None) -> np.ndarray:
+    """The sums of _reduce, before the square root, from one radial bundle
+    per axis.  For several axes s_c = P_c^T G(x) P_c, with P_c the profile
+    column and G the per-point Gram matrix of the classes summed over the
+    axis bundles, or, when the classes have more pairs than there are
+    columns, the per-column sums themselves: the accumulator keeps
+    min(n_r(n_r+1)/2, n_cols) rows, and with few classes the Gram form
+    does about 2-5x less work."""
+    n_r, n_cols = profiles.shape
+    n_samples = spectrum.spec.n_samples
+    by_t = np.ascontiguousarray(profiles.T)
+    out = np.empty(n_samples)
+
+    def reduce(s: np.ndarray) -> np.ndarray:
+        return s.max(axis=0) if weights is None else weights @ s
+
+    if len(axes) == 1:
+        for cols, s in spectrum.bundle(axes[0])._column_sums(by_t):
+            out[cols] = reduce(s)
+        return out
+
+    # Gram entries (a, b), a <= b, row by row: row a holds pairs[a]:pairs[a+1]
+    pairs = np.concatenate([[0], np.cumsum(np.arange(n_r, 0, -1))])
+    gram = pairs[-1] <= n_cols
+    acc = np.zeros((pairs[-1] if gram else n_cols, n_samples))
+    for axis in axes:
+        # the spectrum keeps one bundle at a time, releasing it before the
+        # next; no name here may hold it while the next is built
+        if gram:
+            spectrum.bundle(axis)._add_gram(acc, pairs)
+            continue
+        for cols, s in spectrum.bundle(axis)._column_sums(by_t):
+            acc[:, cols] += s
+    if gram:
+        rows_i, cols_i = np.triu_indices(n_r)
+        # off-diagonal pairs stand for both (a, b) and (b, a): weight 2
+        pair_weights = by_t[:, rows_i] * by_t[:, cols_i]
+        pair_weights[:, rows_i != cols_i] *= 2.0
+    for cols in _sample_blocks(n_samples, n_cols):
+        out[cols] = reduce(pair_weights @ acc[:, cols] if gram else acc[:, cols])
+    return out
+
+
+def _column_route(spectrum: HalfSpectrum, axes: list, profiles: np.ndarray,
+                  weights: np.ndarray | None) -> np.ndarray:
+    """The sums of _reduce, before the square root, one column at a time:
+    each column and part of an axis takes one inverse transform of its
+    coefficients scaled by the column's profile at the active bins."""
+    transform = _inverse_transformer(spectrum)
+    parts = [part for axis in axes for part in spectrum.filtered(axis)]
+    out = np.zeros(spectrum.spec.n_samples)
+    for c in range(profiles.shape[1]):
+        at_bins = profiles[spectrum.class_of_bin, c]
+        s = np.zeros_like(out)
+        for part in parts:
+            u = transform(spectrum.active, at_bins * part)
+            s += np.square(u, out=u)
+        if weights is None:
+            np.maximum(out, s, out=out)
+        else:
+            out += np.multiply(s, weights[c], out=s)
+    return out
+
+
 def maximal_over(f: SpatialField | HalfSpectrum, family: str,
                  grid: TruncationGrid, j: int = 1) -> SpatialField:
     """Pointwise sup over the grid's truncation values of |op_t f|.
@@ -602,116 +671,25 @@ def maximal_over(f: SpatialField | HalfSpectrum, family: str,
     axis-j Riesz symbol for truncated_riesz and conjugate_poisson, the
     identity otherwise).
     """
-    if family not in MAXIMAL_FAMILIES:
-        raise DomainError(f"family must be one of {MAXIMAL_FAMILIES}, got {family!r}")
     ts = grid.values()
-    if ts.size == 0:
-        raise DomainError("empty truncation grid")
     spectrum = _as_spectrum(f)
-    spec = spectrum.spec
-    bundle = spectrum.bundle(_family_axis(family, j))
-    if _too_many_radii(len(bundle.radii), len(ts)):
-        return _maximal_per_t(spectrum.field, family, ts, j)
-    profiles = _profile_matrix(spec.dimension, bundle.radii, ts, family)
-    sup = bundle.sup_abs(profiles)
-    return SpatialField(spec, sup.reshape(spec.shape).astype(complex))
-
-
-def _maximal_per_t(f: SpatialField, family: str, ts: np.ndarray,
-                   j: int) -> SpatialField:
-    spec = f.spec
-    coeff = forward_transform(f).coefficients
-    axis = _family_axis(family, j)
-    angular = 1.0 if axis is None else _riesz_angular(spec, axis)
-    scale = spec.n_samples / spec.period ** (spec.dimension / 2.0)
-    uniq, inv = np.unique(spec.freq_radius(), return_inverse=True)
-    sup = np.zeros(spec.shape)
-    for t in ts:
-        prof = _profile_matrix(spec.dimension, uniq, np.array([t]), family)[:, 0]
-        sym = prof[inv].reshape(spec.shape) * angular
-        vals = np.abs(np.fft.ifftn(coeff * sym) * scale)
-        np.maximum(sup, vals, out=sup)
-    return SpatialField(spec, sup.astype(complex))
-
-
-def vector_truncated_riesz(f: SpatialField, t: float) -> SpatialField:
-    """(sum_j |R_j^t f|^2)^(1/2) via the spectral route."""
-    spec = f.spec
-    acc = np.zeros(spec.shape)
-    for j in range(1, spec.dimension + 1):
-        comp = apply_symbol(f, MultiplierSymbol.truncated_riesz(j, t))
-        acc += np.abs(comp.samples) ** 2
-    return SpatialField(spec, np.sqrt(acc).astype(complex))
+    profiles = profile_matrix(spectrum.spec.dimension, spectrum.radii, ts,
+                              family)
+    return _reduce(spectrum, [_family_axis(family, j)], profiles)
 
 
 def vector_maximal(f: SpatialField | HalfSpectrum,
                    grid: TruncationGrid) -> SpatialField:
     """sup_t (sum_j |R_j^t f|^2)^(1/2) over the grid.
 
-    With P_t the m-profile column of the radius classes and u_j(x) the
-    axis-j class components at x, the value is sup_t P_t^T G(x) P_t for the
-    per-point Gram matrix G = sum_j u_j u_j^T (real and imaginary parts
-    both), accumulated one axis bundle at a time in float64.  When the
-    classes have more pairs than the grid has values, the per-t sums of
-    squares are accumulated instead, which keeps the accumulator at
-    min(n_r(n_r+1)/2, n_t) rows; with few classes the Gram form does
-    about 2-5x less work.  f is a field or its half_spectrum;
-    the axis bundles are taken from it in order 1..d, so a bundle it kept
-    for axis 1 is reused.
+    f is a field or its half_spectrum; the axis bundles are taken from it
+    in order 1..d, so a bundle it kept for axis 1 is reused.
     """
     ts = grid.values()
-    if ts.size == 0:
-        raise DomainError("empty truncation grid")
     spectrum = _as_spectrum(f)
-    spec = spectrum.spec
-    radii = spectrum.bundle(1).radii
-    n_r = len(radii)
-    if _too_many_radii(n_r, len(ts)):
-        sup = np.zeros(spec.shape)
-        for t in ts:
-            vals = np.abs(vector_truncated_riesz(spectrum.field, float(t)).samples)
-            np.maximum(sup, vals, out=sup)
-        return SpatialField(spec, sup.astype(complex))
-
-    profiles = _profile_matrix(spec.dimension, radii, ts, "truncated_riesz")
-    by_t = np.ascontiguousarray(profiles.T)
-    # Gram entries (a, b), a <= b, row by row: row a holds pairs[a]:pairs[a+1]
-    pairs = np.concatenate([[0], np.cumsum(np.arange(n_r, 0, -1))])
-    gram = pairs[-1] <= ts.size
-    n_acc = pairs[-1] if gram else ts.size
-    # the accumulator, one axis bundle and the class in flight while the
-    # next axis bundle is built
-    _require_memory(8 * n_acc * spec.n_samples
-                    + spectrum.bundle(1).components.nbytes
-                    + _class_buffer_bytes(spec), "the vector maximal")
-    acc = np.zeros((n_acc, spec.n_samples))
-
-    def accumulate(bundle: RadialBundle) -> None:
-        if not np.array_equal(bundle.radii, radii):
-            raise DomainError("axis bundles of one field differ in radius classes")
-        for cols, parts in bundle._blocks(n_r if gram else ts.size):
-            for u in parts:
-                if not gram:
-                    acc[:, cols] += np.square(by_t @ u)
-                    continue
-                for a in range(n_r):
-                    acc[pairs[a]:pairs[a + 1], cols] += u[a] * u[a:]
-
-    for j in range(1, spec.dimension + 1):
-        # the spectrum keeps one bundle at a time, releasing it before the next
-        accumulate(spectrum.bundle(j))
-
-    if gram:
-        rows_i, cols_i = np.triu_indices(n_r)
-        # off-diagonal pairs stand for both (a, b) and (b, a): weight 2
-        weights = by_t[:, rows_i] * by_t[:, cols_i]
-        weights[:, rows_i != cols_i] *= 2.0
-    sup = np.empty(spec.n_samples)
-    for cols in _sample_blocks(spec.n_samples, ts.size):
-        vals = weights @ acc[:, cols] if gram else acc[:, cols]
-        sup[cols] = vals.max(axis=0)
-    np.sqrt(np.maximum(sup, 0.0, out=sup), out=sup)
-    return SpatialField(spec, sup.reshape(spec.shape).astype(complex))
+    d = spectrum.spec.dimension
+    profiles = profile_matrix(d, spectrum.radii, ts, "truncated_riesz")
+    return _reduce(spectrum, list(range(1, d + 1)), profiles)
 
 
 def square_function(f: SpatialField | HalfSpectrum,
@@ -730,45 +708,33 @@ def square_function(f: SpatialField | HalfSpectrum,
     if np.any(t_nodes <= 0) or np.any(np.diff(t_nodes) <= 0):
         raise DomainError("t_nodes must be positive and strictly increasing")
     spectrum = _as_spectrum(f)
-    spec = spectrum.spec
-    bundle = spectrum.bundle(None)
     # trapezoid weights for int ... dt
     w = np.zeros_like(t_nodes)
     w[:-1] += 0.5 * np.diff(t_nodes)
     w[1:] += 0.5 * np.diff(t_nodes)
     # d/dt P_t has radial profile -(r/sqrt(d)) exp(-t r / sqrt(d))
-    rate = bundle.radii / math.sqrt(spec.dimension)
+    rate = spectrum.radii / math.sqrt(spectrum.spec.dimension)
     profiles = -rate[:, None] * np.exp(-np.outer(rate, t_nodes))
-    acc = bundle.weighted_sum_sq(profiles, w * t_nodes)
-    return SpatialField(spec, np.sqrt(acc).reshape(spec.shape).astype(complex))
-
-
-def poisson_projection(f: SpatialField, n: int) -> SpatialField:
-    """S_n f = (P_{2^(n-1)} - P_{2^n}) f."""
-    return apply_symbol(f, MultiplierSymbol.poisson_projection(n))
+    return _reduce(spectrum, [None], profiles, w * t_nodes)
 
 
 def projection_square_function(f: SpatialField | HalfSpectrum, n_min: int,
                                n_max: int) -> SpatialField:
-    """(sum_{n=n_min}^{n_max} |S_n f|^2)^(1/2).
+    """(sum_{n=n_min}^{n_max} |S_n f|^2)^(1/2), S_n = P_{2^(n-1)} - P_{2^n}.
 
     S_n has the radial profile exp(-2^(n-1) r/sqrt(d)) - exp(-2^n r/sqrt(d)),
-    so the sum is one weighted sum-of-squares reduction of the field's
-    identity bundle over the n_max - n_min + 1 profile columns.  f is a
-    field or its half_spectrum, whose identity bundle is shared as in
-    square_function.
+    so the sum is one reduction over the n_max - n_min + 1 profile columns.
+    f is a field or its half_spectrum, whose identity bundle is shared as
+    in square_function.
     """
     if n_min > n_max:
         raise DomainError(f"n_min {n_min} > n_max {n_max}")
     spectrum = _as_spectrum(f)
-    spec = spectrum.spec
-    bundle = spectrum.bundle(None)
-    rate = bundle.radii / math.sqrt(spec.dimension)
+    rate = spectrum.radii / math.sqrt(spectrum.spec.dimension)
     scales = 2.0 ** np.arange(n_min, n_max + 1)
     profiles = (np.exp(-np.outer(rate, scales / 2.0))
                 - np.exp(-np.outer(rate, scales)))
-    acc = bundle.weighted_sum_sq(profiles, np.ones(scales.size))
-    return SpatialField(spec, np.sqrt(acc).reshape(spec.shape).astype(complex))
+    return _reduce(spectrum, [None], profiles, np.ones(scales.size))
 
 
 def poisson_projection_sum(f: SpatialField, n_min: int, n_max: int) -> SpatialField:
@@ -785,11 +751,6 @@ def poisson_projection_sum(f: SpatialField, n_min: int, n_max: int) -> SpatialFi
 
 # ---------------------------------------------------------------------------
 # method of rotations
-
-
-def directional_hilbert_trunc(f: SpatialField, theta, eps: float) -> SpatialField:
-    """Truncated Hilbert transform along the unit direction theta."""
-    return apply_symbol(f, MultiplierSymbol.directional_hilbert(theta, eps))
 
 
 def rotation_reconstruct(f: SpatialField, j: int, t: float,

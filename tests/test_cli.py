@@ -121,6 +121,21 @@ def test_memory_budget_exit_code(tmp_path, monkeypatch):
                  "--output", str(tmp_path)]) == EXIT_RESOURCE
 
 
+def test_column_route_exit_codes(tmp_path, monkeypatch):
+    # a budget below the identity bundle takes the column route, which
+    # passes; below the column route's own estimate the command exits 3
+    from rieszmax.experiments import _trial_field
+    from rieszmax.fields import GridSpec
+    field = _trial_field(GridSpec(4, 8), 3.0, 42, 0)
+    need = operators._column_route_bytes(operators.half_spectrum(field), [None])
+    argv = ["poisson", "--grid-n", "8", "--trials", "1",
+            "--output", str(tmp_path)]
+    monkeypatch.setattr(operators, "_physical_memory", lambda: need)
+    assert main(argv) == EXIT_PASS
+    monkeypatch.setattr(operators, "_physical_memory", lambda: need - 1)
+    assert main(argv) == EXIT_RESOURCE
+
+
 def test_report_identity_merge(tmp_path, capsys):
     out = tmp_path / "r"
     assert main(["factorization", "--output", str(out), "--trials", "1",

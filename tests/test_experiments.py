@@ -183,12 +183,11 @@ class TestPoissonSuite:
 
     def test_trial_builds_one_bundle_and_no_projection(self, monkeypatch):
         # the maximal function, g and the S_n square function share one
-        # identity bundle per trial; S_n never takes its own transform pair
+        # identity bundle per trial; no S_n takes its own transform pair
         built = _count_calls(monkeypatch, operators, "radial_bundle")
-        projections = _count_calls(monkeypatch, operators,
-                                   "poisson_projection")
+        symbols = _count_calls(monkeypatch, operators, "apply_symbol")
         poisson_suite(4, 8, 2.0, trials=3, seed=3)
-        assert len(built) == 3 and len(projections) == 0
+        assert len(built) == 3 and len(symbols) == 0
 
 
 @pytest.mark.parametrize("driver", [poisson_suite, decomposition_diagnostics],

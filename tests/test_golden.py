@@ -4,9 +4,12 @@ codes.
 
 The subcommands run in one fresh interpreter, in a fixed order, because the
 values of m depend in their last bits on the calls made before them in the
-same process.  To regenerate the files after an intended change of values:
+same process.  To regenerate the files after an intended change of values,
+run the subcommands into an empty directory and copy its CSVs and
+exit_codes.json (not the JSON reports, which carry a timestamp) over
+tests/golden:
 
-    PYTHONPATH=src python tests/test_golden.py tests/golden
+    PYTHONPATH=src python tests/test_golden.py OUT_DIR
 """
 
 import json

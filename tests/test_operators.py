@@ -1,5 +1,5 @@
 """Spectral/spatial operators: symbols, kernels, maximal and square operators,
-Poisson projections, directional Hilbert transforms, method of rotations."""
+Poisson projections, method of rotations."""
 
 import itertools
 import math
@@ -14,16 +14,13 @@ from rieszmax.errors import (DomainError, ResourceError,
 from rieszmax.fields import (GridSpec, SpatialField, forward_transform,
                              inverse_transform, l2_norm, random_band_limited)
 from rieszmax.multiplier import m_eval, m_values
-from rieszmax.operators import (Kernel, MultiplierSymbol, TruncationGrid,
-                                _maximal_per_t, apply_symbol,
-                                directional_hilbert_trunc, half_spectrum,
-                                maximal_over, poisson_projection,
-                                poisson_projection_sum,
+from rieszmax.operators import (MAXIMAL_FAMILIES, Kernel, MultiplierSymbol,
+                                TruncationGrid, apply_symbol, half_spectrum,
+                                kernel_convolve, kernel_transform,
+                                maximal_over, poisson_projection_sum,
                                 projection_square_function, radial_bundle,
                                 riesz_radial_profile, rotation_reconstruct,
-                                sphere_moment, square_function,
-                                truncated_riesz_spatial, vector_maximal,
-                                vector_truncated_riesz)
+                                sphere_moment, square_function, vector_maximal)
 
 
 def _single_mode(spec, k):
@@ -33,6 +30,47 @@ def _single_mode(spec, k):
     grids = np.meshgrid(*axes, indexing="ij")
     phase = sum(ki * g for ki, g in zip(k, grids))
     return SpatialField(spec, np.exp(2j * math.pi * phase))
+
+
+# Per-t references, one apply_symbol per truncation value and axis, sharing
+# no code with the radius-class reductions.
+
+_FAMILY_SYMBOL = {
+    "truncated_riesz": lambda j, t: MultiplierSymbol.truncated_riesz(j, t),
+    "factor_m": lambda j, t: MultiplierSymbol.factor_m(t),
+    "poisson": lambda j, t: MultiplierSymbol.poisson(t),
+    "conjugate_poisson": lambda j, t: MultiplierSymbol.conjugate_poisson(j, t),
+}
+
+
+def _maximal_reference(f, family, ts, j=1):
+    sup = np.zeros(f.spec.shape)
+    for t in ts:
+        vals = np.abs(apply_symbol(f, _FAMILY_SYMBOL[family](j, float(t))).samples)
+        np.maximum(sup, vals, out=sup)
+    return sup
+
+
+def _vector_truncation(f, t):
+    """(sum_j |R_j^t f|^2)^(1/2)."""
+    acc = np.zeros(f.spec.shape)
+    for j in range(1, f.spec.dimension + 1):
+        comp = apply_symbol(f, MultiplierSymbol.truncated_riesz(j, t))
+        acc += np.abs(comp.samples) ** 2
+    return np.sqrt(acc)
+
+
+def _vector_reference(f, ts):
+    sup = np.zeros(f.spec.shape)
+    for t in ts:
+        np.maximum(sup, _vector_truncation(f, float(t)), out=sup)
+    return sup
+
+
+def _projection(f, n):
+    """S_n f = (P_{2^(n-1)} - P_{2^n}) f."""
+    return (apply_symbol(f, MultiplierSymbol.poisson(2.0 ** (n - 1))).samples
+            - apply_symbol(f, MultiplierSymbol.poisson(2.0 ** n)).samples)
 
 
 class TestTruncationGrid:
@@ -168,7 +206,6 @@ class TestSymbols:
         (MultiplierSymbol.truncated_riesz, (1, 0.0)),
         (MultiplierSymbol.factor_m, (-1.0,)),
         (MultiplierSymbol.poisson, (-0.5,)),
-        (MultiplierSymbol.directional_hilbert, ((0.6, 0.7), 0.1)),
     ])
     def test_invalid_parameters_rejected(self, ctor, args):
         with pytest.raises(DomainError):
@@ -224,30 +261,29 @@ class TestSpatialKernel:
     def test_constant_field_annihilated(self):
         spec = GridSpec(2, 16)
         f = SpatialField(spec, np.ones(spec.shape, dtype=complex))
-        out = truncated_riesz_spatial(f, 1, 0.2)
+        out = kernel_convolve(f, kernel_transform(spec, 1, 0.2))
         assert np.max(np.abs(out.samples)) < 1e-12
 
     def test_reflection_antisymmetry(self):
         spec = GridSpec(2, 16)
         f = random_band_limited(spec, 3.0, seed=9)
-        out = truncated_riesz_spatial(f, 1, 0.2)
+        k_hat = kernel_transform(spec, 1, 0.2)
+        out = kernel_convolve(f, k_hat)
         reflected = f.samples
-        out_ref = truncated_riesz_spatial(
+        out_ref = kernel_convolve(
             SpatialField(spec, np.roll(np.flip(reflected, axis=(0, 1)), 1,
-                                       axis=(0, 1))), 1, 0.2)
+                                       axis=(0, 1))), k_hat)
         expected = -np.roll(np.flip(out.samples, axis=(0, 1)), 1, axis=(0, 1))
         assert np.max(np.abs(out_ref.samples - expected)) < 1e-10
 
     def test_truncation_exceeding_half_period_rejected(self):
-        spec = GridSpec(2, 16)
-        f = random_band_limited(spec, 3.0, seed=9)
         with pytest.raises(DomainError):
-            truncated_riesz_spatial(f, 1, 0.5)
+            kernel_transform(GridSpec(2, 16), 1, 0.5)
 
     def test_agreement_with_spectral_route(self):
         spec = GridSpec(4, 16)
         f = random_band_limited(spec, 3.0, seed=0)
-        spatial = truncated_riesz_spatial(f, 1, 0.15)
+        spatial = kernel_convolve(f, kernel_transform(spec, 1, 0.15))
         spectral = apply_symbol(f, MultiplierSymbol.truncated_riesz(1, 0.15))
         rel = l2_norm(SpatialField(spec, spatial.samples - spectral.samples)) \
             / l2_norm(f)
@@ -308,26 +344,22 @@ class TestMaximalOperators:
         f = random_band_limited(spec, 3.0, seed=2)
         grid = TruncationGrid(-2, 1, depth=1)
         out = maximal_over(f, "truncated_riesz", grid, j=2)
-        direct = np.zeros(spec.shape)
-        for t in grid.values():
-            vals = np.abs(apply_symbol(
-                f, MultiplierSymbol.truncated_riesz(2, float(t))).samples)
-            np.maximum(direct, vals, out=direct)
-        assert np.max(np.abs(out.samples.real - direct)) < 1e-8
+        direct = _maximal_reference(f, "truncated_riesz", grid.values(), 2)
+        assert np.max(np.abs(out.samples - direct)) < 1e-8
 
 
 class TestVectorOperators:
     def test_zero_field(self):
         spec = GridSpec(3, 8)
         f = SpatialField(spec, np.zeros(spec.shape, dtype=complex))
-        assert np.all(vector_truncated_riesz(f, 0.5).samples == 0.0)
+        out = vector_maximal(f, TruncationGrid(-3, 1, depth=1)).samples
+        assert out.dtype == np.float64 and np.all(out == 0.0)
 
     def test_single_mode_vector_equals_scalar_profile(self):
         spec = GridSpec(4, 8)
         f = _single_mode(spec, (1, 0, 0, 0))
-        t = 0.4
-        out = vector_truncated_riesz(f, t)
-        expected = abs(m_eval(4, t).value)
+        out = vector_maximal(f, TruncationGrid(-1, -1, depth=0))
+        expected = abs(m_eval(4, 0.5).value)
         assert np.max(np.abs(out.samples)) == pytest.approx(expected, abs=1e-8)
         assert np.min(np.abs(out.samples)) == pytest.approx(expected, abs=1e-8)
 
@@ -336,8 +368,8 @@ class TestVectorOperators:
         f = random_band_limited(spec, 3.0, seed=3)
         grid = TruncationGrid(-1, -1, depth=0)
         vm = vector_maximal(f, grid)
-        vt = vector_truncated_riesz(f, 0.5)
-        assert np.max(np.abs(vm.samples - vt.samples)) < 1e-5
+        vt = _vector_truncation(f, 0.5)
+        assert np.max(np.abs(vm.samples - vt)) < 1e-5
 
     def test_vector_maximal_refinement_monotone(self):
         spec = GridSpec(4, 8)
@@ -439,14 +471,112 @@ class TestBundleMemory:
         radial_bundle(f)
 
     def test_vector_maximal_over_budget_is_resource_error(self, monkeypatch):
-        # the axis bundles fit, the accumulator beside one of them does not
+        # the axis bundles fit, the accumulator beside one of them does not:
+        # the column route runs instead, and raises only below its own
+        # estimate
         spec = GridSpec(4, 8)
         f = random_band_limited(spec, 3.0, seed=8)
+        grid = TruncationGrid(-3, 1, depth=1)
+        want = vector_maximal(f, grid).samples
         need = (radial_bundle(f, axis=1).components.nbytes
                 + operators._class_buffer_bytes(spec))
+        column = operators._column_route_bytes(half_spectrum(f), [1, 2, 3, 4])
+        assert column < need
         monkeypatch.setattr(operators, "_physical_memory", lambda: need)
+        got = vector_maximal(f, grid).samples
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(want)
+        monkeypatch.setattr(operators, "_physical_memory", lambda: column - 1)
         with pytest.raises(ResourceError):
-            vector_maximal(f, TruncationGrid(-3, 1, depth=1))
+            vector_maximal(f, grid)
+
+
+class _RadialSymbol:
+    """A symbol profile(|xi|) for apply_symbol, from any radial function."""
+
+    def __init__(self, profile):
+        self.profile = profile
+
+    def values(self, spec):
+        return self.profile(spec.freq_radius()).astype(complex)
+
+
+class TestColumnRoute:
+    """A real white-noise field on GridSpec(3, 16) has 116 radius classes,
+    more than max(64, 2 n_t) for a 4-value grid, so every reduction takes
+    one inverse transform per column and axis and builds no bundle."""
+
+    GRID = TruncationGrid(-3, 0, depth=0)
+    T_NODES = np.array([0.05, 0.1, 0.2, 0.4])
+
+    @pytest.fixture
+    def field(self):
+        spec = GridSpec(3, 16)
+        rng = np.random.default_rng(21)
+        f = SpatialField(spec, rng.standard_normal(spec.shape))
+        assert len(half_spectrum(f).radii) == 116
+        return f
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        from test_experiments import _count_calls
+        return _count_calls(monkeypatch, operators, "radial_bundle")
+
+    @pytest.mark.parametrize("family", MAXIMAL_FAMILIES)
+    def test_maximal_over_matches_per_t(self, field, built, family):
+        out = maximal_over(field, family, self.GRID, j=2).samples
+        direct = _maximal_reference(field, family, self.GRID.values(), 2)
+        assert len(built) == 0
+        assert np.max(np.abs(out - direct)) <= 1e-12 * np.max(direct)
+
+    def test_vector_maximal_matches_per_t(self, field, built):
+        out = vector_maximal(field, self.GRID).samples
+        direct = _vector_reference(field, self.GRID.values())
+        assert len(built) == 0
+        assert np.max(np.abs(out - direct)) <= 1e-12 * np.max(direct)
+
+    def test_square_functions_match_per_t(self, field, built):
+        d, ts = field.spec.dimension, self.T_NODES
+        # trapezoid weights of int t |d/dt P_t f|^2 dt
+        w = np.zeros_like(ts)
+        w[:-1] += 0.5 * np.diff(ts)
+        w[1:] += 0.5 * np.diff(ts)
+        acc = np.zeros(field.spec.shape)
+        for t, wt in zip(ts, w * ts):
+            sym = _RadialSymbol(lambda r, t=t: -(r / math.sqrt(d))
+                                * np.exp(-t * r / math.sqrt(d)))
+            acc += wt * np.abs(apply_symbol(field, sym).samples) ** 2
+        direct = np.sqrt(acc)
+        out = square_function(field, ts).samples
+        assert np.max(np.abs(out - direct)) <= 1e-12 * np.max(direct)
+        direct = np.sqrt(sum(np.abs(_projection(field, n)) ** 2
+                             for n in range(-2, 4)))
+        out = projection_square_function(field, -2, 3).samples
+        assert np.max(np.abs(out - direct)) <= 1e-12 * np.max(direct)
+        assert len(built) == 0
+
+    def test_bundle_route_agrees_with_column_route(self, field):
+        spectrum = half_spectrum(field)
+        ts = self.GRID.values()
+        riesz = operators.profile_matrix(3, spectrum.radii, ts, "truncated_riesz")
+        decay = operators.profile_matrix(3, spectrum.radii, ts, "poisson")
+        for axes, profiles, weights in [([None], riesz, None),
+                                        ([2], decay, None),
+                                        ([1, 2, 3], riesz, None),
+                                        ([None], decay, np.arange(1.0, 5.0))]:
+            by_bundle = operators._bundle_route(spectrum, axes, profiles,
+                                                weights)
+            by_column = operators._column_route(spectrum, axes, profiles,
+                                                weights)
+            assert np.max(np.abs(by_bundle - by_column)) \
+                <= 1e-12 * np.max(by_column)
+
+    def test_over_its_estimate_is_resource_error(self, field, monkeypatch):
+        need = operators._column_route_bytes(half_spectrum(field), [None])
+        monkeypatch.setattr(operators, "_physical_memory", lambda: need)
+        maximal_over(field, "poisson", self.GRID)
+        monkeypatch.setattr(operators, "_physical_memory", lambda: need - 1)
+        with pytest.raises(ResourceError):
+            maximal_over(field, "poisson", self.GRID)
 
 
 class TestHalfSpectrumBundle:
@@ -483,10 +613,7 @@ class TestReductionsAgainstPerT:
         spec = GridSpec(4, 8)
         f = random_band_limited(spec, 3.0, seed=11)
         out = vector_maximal(f, grid).samples
-        direct = np.zeros(spec.shape)
-        for t in grid.values():
-            np.maximum(direct, np.abs(vector_truncated_riesz(f, float(t)).samples),
-                       out=direct)
+        direct = _vector_reference(f, grid.values())
         assert np.max(np.abs(out - direct)) <= 1e-10 * np.max(direct)
 
     @pytest.mark.parametrize("family", ["truncated_riesz", "factor_m",
@@ -496,23 +623,24 @@ class TestReductionsAgainstPerT:
         f = random_band_limited(spec, 3.0, seed=12)
         grid = TruncationGrid(-8, 4, depth=4)
         out = maximal_over(f, family, grid, j=2).samples
-        direct = _maximal_per_t(f, family, grid.values(), 2).samples
-        assert np.max(np.abs(out - direct)) <= 1e-12 * np.max(np.abs(direct))
+        direct = _maximal_reference(f, family, grid.values(), 2)
+        assert np.max(np.abs(out - direct)) <= 1e-12 * np.max(direct)
 
 
 class TestPoissonMachinery:
     def test_projection_is_difference_of_semigroups(self):
+        # one term of the projection square function is |S_0 f|
         spec = GridSpec(4, 8)
         f = random_band_limited(spec, 3.0, seed=10)
-        sn = poisson_projection(f, 0)
+        sn = projection_square_function(f, 0, 0)
         direct = apply_symbol(f, MultiplierSymbol.poisson(0.5)).samples \
             - apply_symbol(f, MultiplierSymbol.poisson(1.0)).samples
-        assert np.max(np.abs(sn.samples - direct)) < 1e-12
+        assert np.max(np.abs(sn.samples - np.abs(direct))) < 1e-12
 
     def test_zero_field(self):
         spec = GridSpec(2, 8)
         f = SpatialField(spec, np.zeros(spec.shape, dtype=complex))
-        assert np.all(poisson_projection(f, 2).samples == 0.0)
+        assert np.all(projection_square_function(f, 0, 2).samples == 0.0)
 
     def test_telescoping_reconstruction(self):
         spec = GridSpec(4, 16)
@@ -544,7 +672,7 @@ class TestPoissonMachinery:
         out = projection_square_function(half_spectrum(f), -20, 20).samples
         acc = np.zeros(spec.shape)
         for n in range(-20, 21):
-            acc += np.abs(poisson_projection(f, n).samples) ** 2
+            acc += np.abs(_projection(f, n)) ** 2
         direct = np.sqrt(acc)
         assert np.max(np.abs(out - direct)) <= 1e-12 * np.max(direct)
 
@@ -580,53 +708,6 @@ class TestPoissonMachinery:
             f = random_band_limited(spec, 3.0, seed=seed)
             ratio = l2_norm(maximal_over(f, "poisson", grid)) / l2_norm(f)
             assert ratio <= 4.0
-
-
-class TestDirectionalHilbert:
-    def test_small_eps_limit_single_mode(self):
-        spec = GridSpec(2, 16)
-        f = _single_mode(spec, (2, 1))
-        theta = (1.0, 0.0)
-        out = directional_hilbert_trunc(f, theta, 1e-9)
-        ratio = out.samples[0, 0] / f.samples[0, 0]
-        assert ratio == pytest.approx(-1j, abs=1e-6)
-
-    def test_large_eps_limit(self):
-        spec = GridSpec(2, 16)
-        f = _single_mode(spec, (2, 1))
-        out = directional_hilbert_trunc(f, (1.0, 0.0), 1e6)
-        assert np.max(np.abs(out.samples)) < 1e-4
-
-    def test_orthogonal_direction_annihilates(self):
-        spec = GridSpec(2, 16)
-        f = _single_mode(spec, (2, 0))
-        out = directional_hilbert_trunc(f, (0.0, 1.0), 0.1)
-        assert np.max(np.abs(out.samples)) < 1e-12
-
-    def test_spatial_quadrature_oracle_single_mode(self):
-        # H_theta^eps e^{2 pi i k x} along theta=e_1 acts on the 1-d profile:
-        # (1/pi) int_{|s|>eps} e^{-2 pi i k s} ds / s = -i sign(k) (2/pi)
-        #     (pi/2 - Si(2 pi eps |k|)), checked by direct 1-d quadrature
-        from scipy.integrate import quad
-        k, eps = 2.0, 0.1
-        upper = 2000.0
-        real_part, _ = quad(lambda s: math.cos(2 * math.pi * k * s) / s,
-                            eps, upper, limit=20000)
-        # odd part cancels in the real component; imaginary component doubles
-        imag, _ = quad(lambda s: -math.sin(2 * math.pi * k * s) / s,
-                       eps, upper, limit=20000)
-        oracle = (2.0 / math.pi) * complex(0.0, imag)
-        spec = GridSpec(2, 16)
-        f = _single_mode(spec, (2, 0))
-        out = directional_hilbert_trunc(f, (1.0, 0.0), eps)
-        ratio = out.samples[0, 0] / f.samples[0, 0]
-        assert ratio == pytest.approx(oracle, abs=1e-3)
-
-    def test_high_dimension_rejected(self):
-        spec = GridSpec(4, 8)
-        f = random_band_limited(spec, 2.0, seed=0)
-        with pytest.raises(UnsupportedDimensionError):
-            directional_hilbert_trunc(f, (1.0, 0.0, 0.0, 0.0), 0.1)
 
 
 class TestRotations:
