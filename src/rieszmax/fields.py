@@ -83,8 +83,8 @@ class GridSpec:
         for j in range(self.dimension):
             shape = [1] * self.dimension
             shape[j] = self.points_per_axis
-            total = total + axis_sq.reshape(shape)
-        return np.sqrt(total)
+            total += axis_sq.reshape(shape)
+        return np.sqrt(total, out=total)
 
 
 @dataclass(frozen=True)

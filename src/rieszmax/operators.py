@@ -15,6 +15,8 @@ per class, then a matrix product over the columns) when there are at most
 max(64, 2 n_columns) classes and the bundles fit in physical memory, else
 one inverse FFT per column and symbol, whose own memory estimate must fit
 or ResourceError is raised.  No kept bundle or call history enters it.
+Every inverse FFT of either route runs irfftn's passes over the lines its
+bins occupy only (see _inverse_transformer), bit for bit irfftn.
 """
 
 from __future__ import annotations
@@ -226,6 +228,7 @@ class MultiplierSymbol:
 
 def apply_symbol(f: SpatialField, s: MultiplierSymbol) -> SpatialField:
     """Pointwise multiplication of the Fourier coefficients by the symbol."""
+    _require_memory(16 * 6 * f.spec.n_samples, "the symbol's application")
     coeff = forward_transform(f).coefficients * s.values(f.spec)
     return inverse_transform(SpectralField(f.spec, coeff))
 
@@ -293,6 +296,7 @@ def kernel_transform(spec: GridSpec, j: int, t: float,
     if not 0 < t < spec.period / 2:
         raise DomainError(
             f"truncation t must satisfy 0 < t < L/2 = {spec.period / 2}, got {t}")
+    _require_memory(16 * 4 * spec.n_samples, "the kernel transform")
     kernel = Kernel(dimension=spec.dimension, axis=j, truncation=t,
                     image_radius=image_radius)
     return np.fft.fftn(kernel.sample(spec))
@@ -302,6 +306,7 @@ def kernel_convolve(f: SpatialField, k_hat: np.ndarray) -> SpatialField:
     """Discrete periodic convolution of f with the kernel whose
     kernel_transform is k_hat, executed through the transform pair."""
     spec = f.spec
+    _require_memory(16 * 4 * spec.n_samples, "the kernel convolution")
     # f_hat is named, not a temporary: numpy would multiply into a
     # temporary in place with the operands swapped, which moves the last bit
     f_hat = np.fft.fftn(f.samples)
@@ -343,8 +348,8 @@ def _require_memory(nbytes: int, what: str) -> None:
 
 
 def _class_buffer_bytes(spec: GridSpec) -> int:
-    """Bytes of one radius class in flight: the complex half-spectrum
-    buffer and the float64 samples of its inverse transform."""
+    """Bytes of one radius class in flight: its inverse transform's complex
+    half-spectrum input of the last pass and float64 samples."""
     n = spec.points_per_axis
     return 16 * spec.n_samples // n * (n // 2 + 1) + 8 * spec.n_samples
 
@@ -452,22 +457,59 @@ def _as_spectrum(f: SpatialField | HalfSpectrum) -> HalfSpectrum:
     return f if isinstance(f, HalfSpectrum) else half_spectrum(f)
 
 
-def _inverse_transformer(spectrum: HalfSpectrum):
-    """A function (bins, values) -> the flattened inverse real transform of
-    the half spectrum that holds values at the flat bins and 0 elsewhere.
-    Every call reuses one half-spectrum buffer."""
-    shape = spectrum.spec.shape
-    buffer = np.zeros(spectrum.real.shape, dtype=complex)
-    flat = buffer.reshape(-1)
+def _inverse_transformer(spec: GridSpec, bins: np.ndarray):
+    """A function (values, out=None) -> the flattened inverse real transform
+    of the half spectrum that holds values at the flat bins and 0 elsewhere.
 
-    def transform(bins: np.ndarray, values: np.ndarray) -> np.ndarray:
-        flat[bins] = values
-        # One worker: the threads of a multi-threaded transform meet at
-        # every axis pass, and one transform is small enough that one of
-        # them being descheduled costs more than the threads save.
-        samples = sfft.irfftn(buffer, s=shape, workers=1).reshape(-1)
-        flat[bins] = 0.0
-        return samples
+    A pruned FFT: irfftn's passes in its order (unscaled complex passes on
+    axes 0..d-2, the complex-to-real pass, the scale 1/n), each over the
+    occupied lines only, so the samples are bit for bit irfftn's.  The
+    values start in an array of every axis's occupied indices; before its
+    pass, axis a is widened into a new zeroed array by slice copies of its
+    runs.  No axis is pruned when the last is full, so a pass's input and
+    its widened copy never outgrow _class_buffer_bytes(spec).
+    """
+    n = spec.points_per_axis
+    half = (n,) * (spec.dimension - 1) + (n // 2 + 1,)
+    last = len(half) - 1
+    places, stride, widen, full = np.zeros_like(bins), 1, [], False
+    for a in reversed(range(len(half))):
+        index = bins // math.prod(half[a + 1:]) % half[a]
+        mask = np.full(half[a], full)
+        mask[index] = True
+        full = full or (a == last and bool(mask.all()))
+        places += (np.cumsum(mask) - 1)[index] * stride
+        # (source, target) slices of each run of occupied indices
+        bounds = np.flatnonzero(np.diff(mask, prepend=False, append=False))
+        runs, count = [], 0
+        for lo, hi in bounds.reshape(-1, 2).tolist():
+            runs.append((slice(count, count + hi - lo), slice(lo, hi)))
+            count += hi - lo
+        stride *= count
+        widen.insert(0, (count, runs))
+    scale = 1.0 / spec.n_samples
+
+    def transform(values: np.ndarray, out: np.ndarray | None = None):
+        x = np.zeros(stride, dtype=complex)
+        x[places] = values
+        lead = 1
+        for a, (count, runs) in enumerate(widen):
+            x = x.reshape(lead, count, -1)
+            if count < half[a]:
+                narrow, x = x, np.zeros((lead, half[a], x.shape[2]), complex)
+                for source, target in runs:
+                    x[:, target] = narrow[:, source]
+                del narrow
+            lead *= half[a]
+            # One worker: the threads of a multi-threaded transform meet at
+            # every pass, and one pass is small enough that one of them
+            # being descheduled costs more than the threads save.
+            if a < last:
+                sfft.ifftn(x, axes=(1,), norm="forward", workers=1,
+                           overwrite_x=True)
+        samples = sfft.irfftn(x, s=(n,), axes=(1,), norm="forward",
+                              workers=1).reshape(-1)
+        return np.multiply(samples, scale, out=samples if out is None else out)
 
     return transform
 
@@ -535,9 +577,9 @@ def radial_bundle(f: SpatialField | HalfSpectrum,
     axis is None, into the radius classes of its HalfSpectrum.
 
     The components are filled one class at a time: each part of a class
-    (see HalfSpectrum.filtered) takes one single-threaded inverse real
-    transform through one reused half-spectrum buffer, so the temporaries
-    stay at one class whatever the number of classes.
+    (see HalfSpectrum.filtered) takes one inverse real transform over the
+    lines the class occupies, at most 2 floor(sqrt(|k|^2)) + 1 indices per
+    axis, written into its row; the temporaries stay at one class.
     """
     spectrum = _as_spectrum(f)
     spec = spectrum.spec
@@ -548,11 +590,11 @@ def radial_bundle(f: SpatialField | HalfSpectrum,
     # row i of by_class is u_i; the bundle's components are its transpose
     by_class = np.empty((n_r, spec.n_samples), dtype=float if is_real else complex)
     rows = (by_class,) if is_real else (by_class.real, by_class.imag)
-    transform = _inverse_transformer(spectrum)
     for i in range(n_r):
         chosen = np.flatnonzero(spectrum.class_of_bin == i)
+        transform = _inverse_transformer(spec, spectrum.active[chosen])
         for part, row in zip(parts, rows):
-            row[i] = transform(spectrum.active[chosen], part[chosen])
+            transform(part[chosen], out=row[i])
     return RadialBundle(spec=spec, radii=spectrum.radii, components=by_class.T,
                         is_real=is_real)
 
@@ -590,11 +632,12 @@ def _reduce(spectrum: HalfSpectrum, axes: list, profiles: np.ndarray,
 
 
 def _column_route_bytes(spectrum: HalfSpectrum, axes: list) -> int:
-    """The buffer and one transform's samples, the column's sum and the
-    running reduction, and every axis's filtered coefficients plus a copy."""
+    """One transform's work array and samples, the column's sum and the
+    running reduction, every axis's filtered coefficients plus a copy, and
+    the transform's places of the active bins."""
     spec = spectrum.spec
     return (_class_buffer_bytes(spec) + 16 * spec.n_samples
-            + 16 * (1 + 2 * len(axes)) * spectrum.active.size)
+            + (24 + 32 * len(axes)) * spectrum.active.size)
 
 
 def _bundle_route(spectrum: HalfSpectrum, axes: list, profiles: np.ndarray,
@@ -646,14 +689,14 @@ def _column_route(spectrum: HalfSpectrum, axes: list, profiles: np.ndarray,
     """The sums of _reduce, before the square root, one column at a time:
     each column and part of an axis takes one inverse transform of its
     coefficients scaled by the column's profile at the active bins."""
-    transform = _inverse_transformer(spectrum)
+    transform = _inverse_transformer(spectrum.spec, spectrum.active)
     parts = [part for axis in axes for part in spectrum.filtered(axis)]
     out = np.zeros(spectrum.spec.n_samples)
     for c in range(profiles.shape[1]):
         at_bins = profiles[spectrum.class_of_bin, c]
         s = np.zeros_like(out)
         for part in parts:
-            u = transform(spectrum.active, at_bins * part)
+            u = transform(at_bins * part)
             s += np.square(u, out=u)
         if weights is None:
             np.maximum(out, s, out=out)
@@ -739,14 +782,21 @@ def projection_square_function(f: SpatialField | HalfSpectrum, n_min: int,
 
 def poisson_projection_sum(f: SpatialField, n_min: int, n_max: int) -> SpatialField:
     """sum_{n=n_min}^{n_max} S_n f = (P_{2^(n_min-1)} - P_{2^n_max}) f,
-    evaluated in its telescoped form (exact spectrally)."""
+    evaluated in its telescoped form (exact spectrally), in place, so at
+    most two complex lattice arrays are live at once."""
     if n_min > n_max:
         raise DomainError(f"n_min {n_min} > n_max {n_max}")
     spec = f.spec
-    radius = spec.freq_radius() / math.sqrt(spec.dimension)
-    sym = np.exp(-2.0 ** (n_min - 1) * radius) - np.exp(-2.0 ** n_max * radius)
-    coeff = forward_transform(f).coefficients * sym
-    return inverse_transform(SpectralField(spec, coeff))
+    _require_memory(16 * 2 * spec.n_samples, "the projection sum")
+    coeff = forward_transform(f).coefficients
+    radius = spec.freq_radius()
+    radius /= math.sqrt(spec.dimension)
+    for i, r in enumerate(radius):
+        coeff[i] *= np.exp(-2.0 ** (n_min - 1) * r) - np.exp(-2.0 ** n_max * r)
+    del radius, r
+    np.fft.ifftn(coeff, out=coeff)          # inverse_transform, in place
+    coeff *= spec.n_samples / spec.period ** (spec.dimension / 2.0)
+    return SpatialField(spec, coeff)
 
 
 # ---------------------------------------------------------------------------
@@ -775,7 +825,8 @@ def rotation_reconstruct(f: SpatialField, j: int, t: float,
     if n_angles < 16:
         raise DomainError(f"n_angles must be >= 16, got {n_angles}")
     c_d = math.exp(float(gammaln((d + 1) / 2)) - 0.5 * (d + 1) * math.log(math.pi))
-
+    _require_memory(16 * (13 if d == 2 else 6) * spec.n_samples,
+                    "the rotation reconstruction")
     if d == 2:
         sym_total = _rotation_symbol_2d(spec, j, t, n_angles)
     else:

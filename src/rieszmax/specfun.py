@@ -7,8 +7,8 @@ applied to the classical integral representation
               * int_{-1}^{1} e^{its} (1 - s^2)^(nu - 1/2) ds,
 
 with the substitution s = sin(phi) so the integrand is smooth for every
-nu >= 0.  The module also provides the gamma-function brackets (Stirling,
-Gautschi) and the explicit exponential envelope that dominates |J_nu|.
+nu >= 0.  The module also provides the explicit exponential envelope that
+dominates |J_nu|.
 """
 
 from __future__ import annotations
@@ -25,8 +25,6 @@ __all__ = [
     "BoundCheck",
     "bessel_j",
     "bessel_envelope",
-    "stirling_bounds",
-    "gautschi_bounds",
 ]
 
 
@@ -123,26 +121,3 @@ def bessel_envelope(nu: float, t: float) -> float:
         - float(gammaln(nu + 0.5)) - 0.5 * math.log(nu * math.pi)
     decay = np.logaddexp(-t / math.sqrt(nu), -nu / 5.0)
     return float(np.exp(log_pref + decay))
-
-
-def stirling_bounds(x: float) -> tuple[float, float]:
-    """Two-sided Stirling bracket:
-
-        sqrt(2 pi) x^(x - 1/2) e^(-x)  <=  Gamma(x)  <=  lower * e^(1/(12x)).
-    """
-    if x <= 0:
-        raise DomainError(f"stirling_bounds requires x > 0, got {x}")
-    log_lower = 0.5 * math.log(2.0 * math.pi) + (x - 0.5) * math.log(x) - x
-    return math.exp(log_lower), math.exp(log_lower + 1.0 / (12.0 * x))
-
-
-def gautschi_bounds(x: float, s: float) -> tuple[float, float]:
-    """Gautschi bracket for the ratio Gamma(x+1)/Gamma(x+s):
-
-        x^(1-s) < Gamma(x+1)/Gamma(x+s) < (x+1)^(1-s),  0 < s < 1.
-    """
-    if x <= 0:
-        raise DomainError(f"gautschi_bounds requires x > 0, got {x}")
-    if not 0.0 < s < 1.0:
-        raise DomainError(f"gautschi_bounds requires s in (0, 1), got {s}")
-    return x ** (1.0 - s), (x + 1.0) ** (1.0 - s)

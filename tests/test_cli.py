@@ -121,6 +121,14 @@ def test_memory_budget_exit_code(tmp_path, monkeypatch):
                  "--output", str(tmp_path)]) == EXIT_RESOURCE
 
 
+def test_factorization_budget_exit_code(tmp_path, monkeypatch):
+    # the kernel transform's four lattice arrays are refused before they
+    # are allocated
+    monkeypatch.setattr(operators, "_physical_memory", lambda: 1 << 16)
+    assert main(["factorization", "--dim", "4", "--grid-n", "8", "--trials",
+                 "1", "--output", str(tmp_path)]) == EXIT_RESOURCE
+
+
 def test_column_route_exit_codes(tmp_path, monkeypatch):
     # a budget below the identity bundle takes the column route, which
     # passes; below the column route's own estimate the command exits 3

@@ -7,6 +7,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy import fft as sfft
 
 from rieszmax import operators
 from rieszmax.errors import (DomainError, ResourceError,
@@ -488,6 +489,136 @@ class TestBundleMemory:
         monkeypatch.setattr(operators, "_physical_memory", lambda: column - 1)
         with pytest.raises(ResourceError):
             vector_maximal(f, grid)
+
+
+def _irfftn_reference(spec, bins, values):
+    """One multi-axis irfftn of the half spectrum that holds values at the
+    flat bins and 0 elsewhere."""
+    n = spec.points_per_axis
+    buffer = np.zeros((n,) * (spec.dimension - 1) + (n // 2 + 1,),
+                      dtype=complex)
+    buffer.reshape(-1)[bins] = values
+    return sfft.irfftn(buffer, s=spec.shape, workers=1).reshape(-1)
+
+
+# Headroom over an estimate for what is not a lattice array: the array
+# headers and scipy's bookkeeping of a call, about a kilobyte.
+_HEADERS = 4096
+
+
+class TestPrunedTransform:
+    @staticmethod
+    def _fields(spec):
+        """Band-limited real and complex fields, and real and complex white
+        noise, whose energy reaches every Nyquist plane."""
+        band = min(3.0, spec.points_per_axis / 2 - 0.5)
+        real = random_band_limited(spec, band, seed=1).samples
+        imag = random_band_limited(spec, band, seed=2).samples
+        noise = np.random.default_rng(3).standard_normal((2,) + spec.shape)
+        return [real, real + 1j * imag, noise[0], noise[0] + 1j * noise[1]]
+
+    @pytest.mark.parametrize("d, n", [(2, 32), (2, 64), (3, 16), (4, 8),
+                                      (4, 16), (5, 8), (6, 10), (8, 4)])
+    def test_bit_identical_to_irfftn(self, d, n):
+        # per-class groups (the bundle route), all active bins (the column
+        # route) and a sparse random group, under the identity and the
+        # first and last axis symbols
+        spec = GridSpec(d, n)
+        rng = np.random.default_rng(d * n)
+        for samples in self._fields(spec):
+            spectrum = half_spectrum(SpatialField(spec, samples))
+            n_r = spectrum.radii.size
+            classes = range(n_r) if n_r <= 12 else (0, n_r - 1)
+            groups = [np.flatnonzero(spectrum.class_of_bin == i)
+                      for i in classes]
+            groups.append(np.arange(spectrum.active.size))
+            groups.append(np.sort(rng.choice(spectrum.active.size, 5,
+                                             replace=False)))
+            for axis in (None, 1, d):
+                parts = spectrum.filtered(axis)
+                for chosen in groups:
+                    bins = spectrum.active[chosen]
+                    transform = operators._inverse_transformer(spec, bins)
+                    for part in parts:
+                        want = _irfftn_reference(spec, bins, part[chosen])
+                        assert np.array_equal(transform(part[chosen]), want)
+
+    def test_small_class_transforms_under_half_the_lines(self, monkeypatch):
+        # |k|^2 = 1 occupies 3 of 10 indices on axes 0..4 and 2 of 6 on the
+        # last: the complex passes take 81*2, 10*27*2, 100*9*2, 1000*3*2 and
+        # 10^4*2 lines and the last pass 10^5, against 5 * 10^4 * 6 + 10^5
+        spec = GridSpec(6, 10)
+        spectrum = half_spectrum(random_band_limited(spec, 3.0, seed=42))
+        lines = []
+        for name in ("ifftn", "irfftn"):
+            def recorded(x, *args, _fft=getattr(operators.sfft, name),
+                         **kwargs):
+                lines.append(x.size // x.shape[kwargs["axes"][0]])
+                return _fft(x, *args, **kwargs)
+            monkeypatch.setattr(operators.sfft, name, recorded)
+        chosen = spectrum.class_of_bin == np.flatnonzero(
+            spectrum.classes == 1)[0]
+        transform = operators._inverse_transformer(
+            spec, spectrum.active[chosen])
+        transform(spectrum.filtered(None)[0][chosen])
+        full_lines = 5 * 10 ** 4 * 6 + 10 ** 5
+        assert lines == [162, 540, 1800, 6000, 20000, 100000]
+        assert sum(lines) < full_lines / 2
+
+    def test_one_class_stays_within_its_estimate(self):
+        spec = GridSpec(6, 10)
+        spectrum = half_spectrum(random_band_limited(spec, 3.0, seed=42))
+        chosen = spectrum.class_of_bin == spectrum.radii.size - 1
+        values = spectrum.filtered(None)[0][chosen]
+        transform = operators._inverse_transformer(spec,
+                                                   spectrum.active[chosen])
+        transform(values)                   # warm up scipy's plans
+        tracemalloc.start()
+        try:
+            transform(values)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= operators._class_buffer_bytes(spec) + _HEADERS
+
+
+class TestLatticeBudgets:
+    """Every full-lattice operator refuses an estimate over the budget
+    before it allocates, runs at the estimate, and stays within it."""
+
+    SPEC = GridSpec(3, 16)
+    CASES = {
+        "apply_symbol": (SPEC, 6, lambda f, k: apply_symbol(
+            f, MultiplierSymbol.truncated_riesz(1, 0.1))),
+        "kernel_transform": (SPEC, 4, lambda f, k: kernel_transform(
+            f.spec, 1, 0.1)),
+        "kernel_convolve": (SPEC, 4, lambda f, k: kernel_convolve(f, k)),
+        "poisson_projection_sum": (SPEC, 2, lambda f, k:
+                                   poisson_projection_sum(f, -3, 3)),
+        "rotation_reconstruct_3d": (SPEC, 6, lambda f, k:
+                                    rotation_reconstruct(f, 1, 0.1, 16)),
+        "rotation_reconstruct_2d": (GridSpec(2, 64), 13, lambda f, k:
+                                    rotation_reconstruct(f, 1, 0.1, 16)),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_estimate(self, case, monkeypatch):
+        spec, n_arrays, run = self.CASES[case]
+        f = random_band_limited(spec, 3.0, seed=6)
+        k_hat = kernel_transform(spec, 1, 0.1)
+        need = 16 * n_arrays * spec.n_samples
+        monkeypatch.setattr(operators, "_physical_memory", lambda: need - 1)
+        with pytest.raises(ResourceError):
+            run(f, k_hat)
+        monkeypatch.setattr(operators, "_physical_memory", lambda: need)
+        run(f, k_hat)                       # warm up, then trace
+        tracemalloc.start()
+        try:
+            run(f, k_hat)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= need + _HEADERS
 
 
 class _RadialSymbol:

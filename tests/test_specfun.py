@@ -1,4 +1,4 @@
-"""Special functions: values against independent oracles, bound brackets."""
+"""Special functions: values against independent oracles, the envelope bound."""
 
 import math
 
@@ -8,8 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rieszmax.errors import DomainError
-from rieszmax.specfun import (BoundCheck, bessel_envelope, bessel_j,
-                              gautschi_bounds, stirling_bounds)
+from rieszmax.specfun import BoundCheck, bessel_envelope, bessel_j
 
 # Oracle values, frozen.  J_{1/2}(1) from the closed form sqrt(2/(pi t)) sin t;
 # the others from an independent Bessel implementation.
@@ -17,7 +16,6 @@ J_HALF_AT_1 = 0.6713967071418031
 J_2_AT_5 = 0.04656511627775229
 J_5_AT_10 = -0.2340615281867936
 J_3_AT_7_5 = -0.2580609131934603
-GAMMA_5_OVER_4_5 = 2.0633219055460805
 
 
 class TestBoundCheck:
@@ -98,56 +96,3 @@ class TestBesselEnvelope:
 
     def test_no_overflow_large_parameters(self):
         assert math.isfinite(bessel_envelope(64.0, 1e4))
-
-
-class TestStirlingBounds:
-    @pytest.mark.parametrize("x, gamma_x", [
-        (1.0, 1.0),
-        (0.5, math.sqrt(math.pi)),
-        (10.0, 362880.0),
-    ])
-    def test_brackets_gamma(self, x, gamma_x):
-        lower, upper = stirling_bounds(x)
-        assert lower <= gamma_x <= upper
-
-    def test_known_values_at_one(self):
-        lower, upper = stirling_bounds(1.0)
-        assert lower == pytest.approx(math.sqrt(2.0 * math.pi) / math.e,
-                                      rel=1e-12)
-        assert upper == pytest.approx(lower * math.exp(1.0 / 12.0), rel=1e-12)
-
-    def test_nonpositive_rejected(self):
-        with pytest.raises(DomainError):
-            stirling_bounds(-1.0)
-
-
-class TestGautschiBounds:
-    def test_half_integer_case(self):
-        lower, upper = gautschi_bounds(1.0, 0.5)
-        assert lower == pytest.approx(1.0)
-        assert upper == pytest.approx(math.sqrt(2.0))
-        assert lower < 2.0 / math.sqrt(math.pi) < upper
-
-    def test_x4_case(self):
-        lower, upper = gautschi_bounds(4.0, 0.5)
-        assert lower == pytest.approx(2.0)
-        assert upper == pytest.approx(math.sqrt(5.0))
-        assert lower < GAMMA_5_OVER_4_5 < upper
-
-    def test_s_near_one(self):
-        lower, upper = gautschi_bounds(1.0, 0.999)
-        assert lower < 1.001 and upper < 1.001
-        assert lower <= math.gamma(2.0) / math.gamma(1.999) <= upper
-
-    @pytest.mark.parametrize("s", [0.0, 1.0, -0.5, 2.0])
-    def test_invalid_s_rejected(self, s):
-        with pytest.raises(DomainError):
-            gautschi_bounds(1.0, s)
-
-    @settings(max_examples=40, deadline=None)
-    @given(x=st.floats(0.01, 50.0), s=st.floats(0.01, 0.99))
-    def test_brackets_gamma_ratio(self, x, s):
-        lower, upper = gautschi_bounds(x, s)
-        ratio = math.exp(math.lgamma(x + 1.0) - math.lgamma(x + s))
-        assert lower <= ratio * (1 + 1e-12)
-        assert ratio <= upper * (1 + 1e-12)
