@@ -1,4 +1,4 @@
-"""Special functions: values against independent oracles, the envelope bound."""
+"""Special functions: values against independent oracles, bound brackets."""
 
 import math
 
@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rieszmax.errors import DomainError
-from rieszmax.specfun import BoundCheck, bessel_envelope, bessel_j
+from rieszmax.specfun import (BoundCheck, bessel_envelope, bessel_j,
+                              stirling_bounds)
 
 # Oracle values, frozen.  J_{1/2}(1) from the closed form sqrt(2/(pi t)) sin t;
 # the others from an independent Bessel implementation.
@@ -96,3 +97,24 @@ class TestBesselEnvelope:
 
     def test_no_overflow_large_parameters(self):
         assert math.isfinite(bessel_envelope(64.0, 1e4))
+
+
+class TestStirlingBounds:
+    @pytest.mark.parametrize("x, gamma_x", [
+        (1.0, 1.0),
+        (0.5, math.sqrt(math.pi)),
+        (10.0, 362880.0),
+    ])
+    def test_brackets_gamma(self, x, gamma_x):
+        lower, upper = stirling_bounds(x)
+        assert lower <= gamma_x <= upper
+
+    def test_known_values_at_one(self):
+        lower, upper = stirling_bounds(1.0)
+        assert lower == pytest.approx(math.sqrt(2.0 * math.pi) / math.e,
+                                      rel=1e-12)
+        assert upper == pytest.approx(lower * math.exp(1.0 / 12.0), rel=1e-12)
+
+    def test_nonpositive_rejected(self):
+        with pytest.raises(DomainError):
+            stirling_bounds(-1.0)
