@@ -16,7 +16,6 @@ from .operators import (Kernel, MultiplierSymbol, TruncationGrid, apply_symbol,
                         maximal_over, poisson_projection_sum,
                         riesz_radial_profile, rotation_reconstruct,
                         sphere_moment, square_function, vector_maximal)
-from .specfun import (BoundCheck, bessel_envelope, bessel_j,
-                      stirling_bounds)
+from .specfun import BoundCheck, bessel_envelope, bessel_j
 
 __version__ = "0.1.0"

@@ -158,8 +158,8 @@ def norm_ratio_sweep(dims, n_of_d: dict, grid: TruncationGrid, band: float,
             f = _trial_field(spec, band_d, seed, trial)
             norm_f = l2_norm(f)
             # One forward transform per trial.  The spectrum keeps the bundle
-            # it built last, so R_1 f, r2, r4 and then r3's first axis share
-            # one axis-1 bundle.
+            # it built last, so R_1 f, r2 and r4 share one axis-1 bundle;
+            # r3 releases it and builds no bundle.
             spectrum = op.half_spectrum(f)
             report.add(d, spec.points_per_axis, trial, "r1",
                        l2_norm(maximal_over(spectrum, "factor_m", grid))

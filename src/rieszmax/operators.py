@@ -10,13 +10,13 @@ Each maximal and square operator has a symbol angular(xi) * profile(t |xi|)
 and is one reduction, by a max or a weighted sum over the columns c of a
 profile matrix P, of s_c = sum over angular symbols of |sum_i P[i, c] u_i|^2,
 where u_i is the field's class of equal integer |k|^2 under the symbol.
-The route is picked before any transform: radial bundles (an inverse FFT
-per class, then a matrix product over the columns) when there are at most
-max(64, 2 n_columns) classes and the bundles fit in physical memory, else
-one inverse FFT per column and symbol, whose own memory estimate must fit
-or ResourceError is raised.  No kept bundle or call history enters it.
-Every inverse FFT of either route runs irfftn's passes over the lines its
-bins occupy only (see _inverse_transformer), bit for bit irfftn.
+The route is picked before any transform: bundles for one angular symbol
+(an inverse FFT per class, then a product over the columns), slabs for
+several (each class's inverse FFT finished and reduced one axis-0 index at
+a time), or, past max(64, 2 n_columns) classes or physical memory, one
+inverse FFT per column and symbol, whose estimate must fit or ResourceError
+is raised.  No kept bundle or call history enters it.  Every inverse FFT
+runs irfftn's passes over the lines its bins occupy only, bit for bit.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy import fft as sfft
@@ -402,11 +403,19 @@ class HalfSpectrum:
         """The field's radial bundle under the axis-th Riesz symbol, or
         under the identity when axis is None.  The bundle built last is
         returned again for the same axis; a different axis releases it
-        before building its own."""
+        before building its own, and so does vector_maximal's slab route."""
         if self._kept is None or self._kept[0] != axis:
             self._kept = None
             self._kept = (axis, radial_bundle(self, axis))
         return self._kept[1]
+
+    @cached_property
+    def class_transforms(self) -> list:
+        """(indices into active, inverse transform) of each class's bins."""
+        chosen = (np.flatnonzero(self.class_of_bin == i)
+                  for i in range(self.radii.size))
+        return [(c, _inverse_transformer(self.spec, self.active[c]))
+                for c in chosen]
 
     def filtered(self, axis: int | None) -> list[np.ndarray]:
         """The inverse-transform inputs, at the active bins, of the real and
@@ -466,8 +475,12 @@ def _inverse_transformer(spec: GridSpec, bins: np.ndarray):
     occupied lines only, so the samples are bit for bit irfftn's.  The
     values start in an array of every axis's occupied indices; before its
     pass, axis a is widened into a new zeroed array by slice copies of its
-    runs.  No axis is pruned when the last is full, so a pass's input and
-    its widened copy never outgrow _class_buffer_bytes(spec).
+    runs (axis d-2 widens the last axis too).  No axis is pruned when the
+    last is full, so a pass's input and its widened copy never outgrow
+    _class_buffer_bytes(spec).  The function is transform.head(values) (the
+    axis-0 pass, a row per axis-0 index), then transform.tail(rows,
+    out=None), which may overwrite rows of a head: the later passes act
+    within one axis-0 index, so for d >= 2 it gives those rows' samples.
     """
     n = spec.points_per_axis
     half = (n,) * (spec.dimension - 1) + (n // 2 + 1,)
@@ -485,32 +498,46 @@ def _inverse_transformer(spec: GridSpec, bins: np.ndarray):
         for lo, hi in bounds.reshape(-1, 2).tolist():
             runs.append((slice(count, count + hi - lo), slice(lo, hi)))
             count += hi - lo
+        widen.insert(0, (count, runs, stride))   # stride: the later extents
         stride *= count
-        widen.insert(0, (count, runs))
     scale = 1.0 / spec.n_samples
 
-    def transform(values: np.ndarray, out: np.ndarray | None = None):
+    def widened(x: np.ndarray, a: int) -> np.ndarray:
+        """x, viewed as (lead, occupied, later), widened and passed on axis a."""
+        count, runs, later = widen[a]
+        x = x.reshape(-1, count, later)
+        inner, width = ((widen[last][1], half[last]) if a == last - 1
+                        else ([(slice(None),) * 2], later))
+        if count < half[a] or width > later:
+            narrow, x = x, np.zeros((len(x), half[a], width), complex)
+            for source, target in runs:
+                for inner_source, inner_target in inner:
+                    x[:, target, inner_target] = narrow[:, source, inner_source]
+        # One worker: the threads of a multi-threaded transform meet at every
+        # pass, and one being descheduled costs more than the threads save.
+        if a < last:
+            for _, inner_target in inner:
+                sfft.ifftn(x[:, :, inner_target], axes=(1,), norm="forward",
+                           workers=1, overwrite_x=True)
+        return x
+
+    def head(values: np.ndarray) -> np.ndarray:
         x = np.zeros(stride, dtype=complex)
         x[places] = values
-        lead = 1
-        for a, (count, runs) in enumerate(widen):
-            x = x.reshape(lead, count, -1)
-            if count < half[a]:
-                narrow, x = x, np.zeros((lead, half[a], x.shape[2]), complex)
-                for source, target in runs:
-                    x[:, target] = narrow[:, source]
-                del narrow
-            lead *= half[a]
-            # One worker: the threads of a multi-threaded transform meet at
-            # every pass, and one pass is small enough that one of them
-            # being descheduled costs more than the threads save.
-            if a < last:
-                sfft.ifftn(x, axes=(1,), norm="forward", workers=1,
-                           overwrite_x=True)
-        samples = sfft.irfftn(x, s=(n,), axes=(1,), norm="forward",
-                              workers=1).reshape(-1)
+        return widened(x, 0).reshape(half[0], -1)
+
+    def tail(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        for a in range(1, last):
+            x = widened(x, a)
+        samples = sfft.irfftn(x.reshape(-1, half[last]), s=(n,), axes=(1,),
+                              norm="forward", workers=1).reshape(-1)
         return np.multiply(samples, scale, out=samples if out is None else out)
 
+    def transform(values: np.ndarray, out: np.ndarray | None = None):
+        return tail(head(values), out)
+
+    transform.head, transform.tail = head, tail
+    transform.head_bytes = 16 * half[0] * (half[1] if last == 1 else widen[0][2])
     return transform
 
 
@@ -531,33 +558,18 @@ class RadialBundle:
     components: np.ndarray              # (n_samples, n_r), real or complex
     is_real: bool
 
-    def _blocks(self, n_rows: int):
-        """Yield (samples slice, parts) over sample blocks sized for
-        (n_rows, block) temporaries.  parts holds the (n_r, block) real part
-        of the components, then for complex components the imaginary part."""
-        classes_by_sample = self.components.T    # (n_r, n_samples)
-        for cols in _sample_blocks(classes_by_sample.shape[1], n_rows):
-            block = classes_by_sample[:, cols]
-            yield cols, ((block,) if self.is_real
-                         else (block.real.copy(), block.imag.copy()))
-
     def _column_sums(self, by_t: np.ndarray):
         """Yield (samples slice, s) over sample blocks, where
         s[tau] = |sum_i by_t[tau, i] u_i|^2 on the block's samples."""
-        for cols, parts in self._blocks(by_t.shape[0]):
+        for cols in _sample_blocks(self.components.shape[0], by_t.shape[0]):
+            block = self.components.T[:, cols]          # (n_r, block)
+            parts = ((block,) if self.is_real
+                     else (block.real.copy(), block.imag.copy()))
             s = by_t @ parts[0]
             np.square(s, out=s)
             for u in parts[1:]:
                 s += np.square(by_t @ u)
             yield cols, s
-
-    def _add_gram(self, acc: np.ndarray, pairs: np.ndarray) -> None:
-        """Add the Gram entries u_a u_b, a <= b, of every sample to acc,
-        row by row: row a of the Gram matrix is acc[pairs[a]:pairs[a+1]]."""
-        for cols, parts in self._blocks(len(self.radii)):
-            for u in parts:
-                for a in range(len(self.radii)):
-                    acc[pairs[a]:pairs[a + 1], cols] += u[a] * u[a:]
 
     def sup_abs(self, profiles: np.ndarray) -> np.ndarray:
         """sup over columns tau of |sum_i u_i P[i, tau]|, flattened samples."""
@@ -590,9 +602,7 @@ def radial_bundle(f: SpatialField | HalfSpectrum,
     # row i of by_class is u_i; the bundle's components are its transpose
     by_class = np.empty((n_r, spec.n_samples), dtype=float if is_real else complex)
     rows = (by_class,) if is_real else (by_class.real, by_class.imag)
-    for i in range(n_r):
-        chosen = np.flatnonzero(spectrum.class_of_bin == i)
-        transform = _inverse_transformer(spec, spectrum.active[chosen])
+    for i, (chosen, transform) in enumerate(spectrum.class_transforms):
         for part, row in zip(parts, rows):
             transform(part[chosen], out=row[i])
     return RadialBundle(spec=spec, radii=spectrum.radii, components=by_class.T,
@@ -614,15 +624,11 @@ def _reduce(spectrum: HalfSpectrum, axes: list, profiles: np.ndarray,
     given, with s_c = sum over axes of |sum_i profiles[i, c] u_i|^2 and u_i
     the radius classes under the axis's angular symbol.  The route is
     chosen here, before any transform (see the module docstring)."""
-    spec = spectrum.spec
-    n_r, n_cols = profiles.shape
-    # the largest axis bundle with one class in flight, and for several
-    # axes the accumulator of _bundle_route beside it
-    bundle_bytes = max(_bundle_bytes(spec, n_r, len(spectrum.filtered(axis)))
-                       for axis in axes)
-    if len(axes) > 1:
-        bundle_bytes += 8 * min(n_r * (n_r + 1) // 2, n_cols) * spec.n_samples
-    if n_r <= max(64, 2 * n_cols) and bundle_bytes <= _physical_memory():
+    spec, (n_r, n_cols) = spectrum.spec, profiles.shape
+    if n_r <= max(64, 2 * n_cols) and (
+            _bundle_bytes(spec, n_r, len(spectrum.filtered(axes[0])))
+            if len(axes) == 1 else _slab_route_bytes(spectrum, axes, n_cols)
+    ) <= _physical_memory():
         out = _bundle_route(spectrum, axes, profiles, weights)
     else:
         _require_memory(_column_route_bytes(spectrum, axes), "the column route")
@@ -640,47 +646,82 @@ def _column_route_bytes(spectrum: HalfSpectrum, axes: list) -> int:
             + (24 + 32 * len(axes)) * spectrum.active.size)
 
 
+def _slab_chunk(n_samples: int, n_r: int, n_cols: int) -> int:
+    """The slab route's chunk: whole blocks, about _BLOCK_VALUES / n_r."""
+    step = max(1, _BLOCK_VALUES // max(n_cols, 1))
+    return min(n_samples, step * max(1, _BLOCK_VALUES // max(n_r, 1) // step))
+
+
+def _slab_route_bytes(spectrum: HalfSpectrum, axes: list, n_cols: int) -> int:
+    """Every axis, part and class's head, the slab buffer (a slab of each,
+    and a carry of up to a chunk), a chunk's accumulator, a tail in flight."""
+    spec, n_r = spectrum.spec, spectrum.radii.size
+    n = spec.points_per_axis
+    rows = sum(len(spectrum.filtered(axis)) for axis in axes)
+    chunk = _slab_chunk(spec.n_samples, n_r, n_cols)
+    return (rows * sum(t.head_bytes for _, t in spectrum.class_transforms)
+            + 8 * (rows * n_r * (spec.n_samples // n + chunk)
+                   + min(n_r * (n_r + 1) // 2, n_cols) * chunk)
+            + _class_buffer_bytes(spec) // n)
+
+
 def _bundle_route(spectrum: HalfSpectrum, axes: list, profiles: np.ndarray,
                   weights: np.ndarray | None) -> np.ndarray:
-    """The sums of _reduce, before the square root, from one radial bundle
-    per axis.  For several axes s_c = P_c^T G(x) P_c, with P_c the profile
-    column and G the per-point Gram matrix of the classes summed over the
-    axis bundles, or, when the classes have more pairs than there are
-    columns, the per-column sums themselves: the accumulator keeps
-    min(n_r(n_r+1)/2, n_cols) rows, and with few classes the Gram form
-    does about 2-5x less work."""
-    n_r, n_cols = profiles.shape
-    n_samples = spectrum.spec.n_samples
+    """The sums of _reduce, before the square root, from the radial bundle
+    of one axis, or for several by slabs: the tails of every head finish one
+    axis-0 index at a time into a buffer, reduced in chunks of whole blocks
+    of _sample_blocks(n_samples, n_cols).  With few classes s_c = P_c^T G P_c
+    (G the per-point Gram matrix of the classes): 2-5x less work."""
+    spec, (n_r, n_cols) = spectrum.spec, profiles.shape
     by_t = np.ascontiguousarray(profiles.T)
-    out = np.empty(n_samples)
-
-    def reduce(s: np.ndarray) -> np.ndarray:
-        return s.max(axis=0) if weights is None else weights @ s
-
+    out = np.empty(spec.n_samples)
     if len(axes) == 1:
         for cols, s in spectrum.bundle(axes[0])._column_sums(by_t):
-            out[cols] = reduce(s)
+            out[cols] = s.max(axis=0) if weights is None else weights @ s
         return out
-
+    slab = spec.n_samples // spec.points_per_axis
+    chunk = _slab_chunk(spec.n_samples, n_r, n_cols)
+    _require_memory(_slab_route_bytes(spectrum, axes, n_cols), "the slabs")
+    spectrum._kept = None               # not live beside the heads
+    # groups[k]: the rows of axes[k]; column sums add within one, then across
+    transforms, heads, groups = spectrum.class_transforms, [], []
+    for axis in axes:
+        parts = spectrum.filtered(axis)
+        groups.append(range(len(heads), len(heads) + len(parts)))
+        heads += [[t.head(part[c]) for c, t in transforms] for part in parts]
     # Gram entries (a, b), a <= b, row by row: row a holds pairs[a]:pairs[a+1]
     pairs = np.concatenate([[0], np.cumsum(np.arange(n_r, 0, -1))])
     gram = pairs[-1] <= n_cols
-    acc = np.zeros((pairs[-1] if gram else n_cols, n_samples))
-    for axis in axes:
-        # the spectrum keeps one bundle at a time, releasing it before the
-        # next; no name here may hold it while the next is built
-        if gram:
-            spectrum.bundle(axis)._add_gram(acc, pairs)
-            continue
-        for cols, s in spectrum.bundle(axis)._column_sums(by_t):
-            acc[:, cols] += s
     if gram:
         rows_i, cols_i = np.triu_indices(n_r)
         # off-diagonal pairs stand for both (a, b) and (b, a): weight 2
         pair_weights = by_t[:, rows_i] * by_t[:, cols_i]
         pair_weights[:, rows_i != cols_i] *= 2.0
-    for cols in _sample_blocks(n_samples, n_cols):
-        out[cols] = reduce(pair_weights @ acc[:, cols] if gram else acc[:, cols])
+    buf = np.empty((len(heads), n_r, min(slab + chunk, spec.n_samples)))
+    start = end = 0                     # buf[..., :end - start] is start:end
+    for lo in range(0, spec.n_samples, chunk):
+        hi = min(lo + chunk, spec.n_samples)
+        if end < hi and lo > start:     # carry lo:end to the front
+            buf[:, :, :end - lo] = buf[:, :, lo - start:end - start]
+            start = lo
+        for index in range(end // slab, -(-hi // slab)):
+            at = index * slab - start
+            for row, head in zip(buf, heads):
+                for i, (_, t) in enumerate(transforms):
+                    t.tail(head[i][index:index + 1], out=row[i, at:at + slab])
+            end = (index + 1) * slab
+        u = buf[:, :, lo - start:hi - start]
+        if gram:
+            acc = np.zeros((pairs[-1], hi - lo))
+            for part in u:
+                for a in range(n_r):
+                    acc[pairs[a]:pairs[a + 1]] += part[a] * part[a:]
+        for cols in _sample_blocks(hi - lo, n_cols):
+            s = pair_weights @ acc[:, cols] if gram else sum(
+                sum(np.square(by_t @ u[q, :, cols]) for q in group)
+                for group in groups)
+            out[lo + cols.start:lo + cols.stop] = (
+                s.max(axis=0) if weights is None else weights @ s)
     return out
 
 
@@ -725,8 +766,7 @@ def vector_maximal(f: SpatialField | HalfSpectrum,
                    grid: TruncationGrid) -> SpatialField:
     """sup_t (sum_j |R_j^t f|^2)^(1/2) over the grid.
 
-    f is a field or its half_spectrum; the axis bundles are taken from it
-    in order 1..d, so a bundle it kept for axis 1 is reused.
+    f is a field or its half_spectrum, whose kept bundle the slabs release.
     """
     ts = grid.values()
     spectrum = _as_spectrum(f)

@@ -7,8 +7,7 @@ applied to the classical integral representation
               * int_{-1}^{1} e^{its} (1 - s^2)^(nu - 1/2) ds,
 
 with the substitution s = sin(phi) so the integrand is smooth for every
-nu >= 0.  The module also provides the Stirling bracket of the gamma
-function and the explicit exponential envelope that dominates |J_nu|.
+nu >= 0.  It also gives the exponential envelope that dominates |J_nu|.
 """
 
 from __future__ import annotations
@@ -25,7 +24,6 @@ __all__ = [
     "BoundCheck",
     "bessel_j",
     "bessel_envelope",
-    "stirling_bounds",
 ]
 
 
@@ -123,13 +121,3 @@ def bessel_envelope(nu: float, t: float) -> float:
     decay = np.logaddexp(-t / math.sqrt(nu), -nu / 5.0)
     return float(np.exp(log_pref + decay))
 
-
-def stirling_bounds(x: float) -> tuple[float, float]:
-    """Two-sided Stirling bracket:
-
-        sqrt(2 pi) x^(x - 1/2) e^(-x)  <=  Gamma(x)  <=  lower * e^(1/(12x)).
-    """
-    if x <= 0:
-        raise DomainError(f"stirling_bounds requires x > 0, got {x}")
-    log_lower = 0.5 * math.log(2.0 * math.pi) + (x - 0.5) * math.log(x) - x
-    return math.exp(log_lower), math.exp(log_lower + 1.0 / (12.0 * x))

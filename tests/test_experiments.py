@@ -115,12 +115,12 @@ class TestNormRatioSweep:
         assert r1 >= single - 1e-10
 
     def test_trial_builds_one_bundle_per_axis_plus_one(self, monkeypatch):
-        # r1 takes the unfiltered bundle; r2, r3 and r4 share the axis-1
-        # bundle, and r3 adds one bundle for each of the other axes
+        # r1 takes the unfiltered bundle and r2 and r4 share the axis-1
+        # bundle; r3 builds no bundle, it reduces slab by slab
         built = _count_calls(monkeypatch, operators, "radial_bundle")
         norm_ratio_sweep([4], {4: 8}, default_truncation_grid(), 3.0, 1,
                          seed=42)
-        assert len(built) == 1 + 4
+        assert len(built) == 2
 
 
 def test_sweep_trial_peak_is_accumulator_plus_one_bundle():
@@ -146,6 +146,32 @@ def test_sweep_trial_peak_is_accumulator_plus_one_bundle():
         tracemalloc.stop()
     assert n_r * (n_r + 1) // 2 <= grid.values().size      # the Gram form
     assert peak < gram + bundle.components.nbytes + inputs + 2 * class_bytes
+
+
+def test_sweep_trial_peak_is_one_bundle_plus_the_slab_route():
+    # r1, r2 and r4 hold one bundle at a time; r3 holds its heads, slab
+    # buffer and chunk accumulator, and its output, which is no larger
+    # than a bundle; the trial's field and half spectrum stay live, and a
+    # class or tail in flight adds at most two class buffers on top
+    d, n, band, seed = 4, 16, 3.0, 42
+    spec = GridSpec(d, n)
+    grid = default_truncation_grid()
+    spectrum = operators.half_spectrum(_trial_field(spec, band, seed, 0))
+    bundle = operators.radial_bundle(spectrum, axis=1).components.nbytes
+    slabs = operators._slab_route_bytes(spectrum, list(range(1, d + 1)),
+                                        grid.values().size)
+    half = 16 * spec.n_samples // n * (n // 2 + 1)
+    class_bytes = half + 8 * spec.n_samples
+    inputs = spectrum.field.samples.nbytes + half
+    del spectrum
+    norm_ratio_sweep([d], {d: n}, grid, band, 1, seed)    # warm caches
+    tracemalloc.start()
+    try:
+        norm_ratio_sweep([d], {d: n}, grid, band, 1, seed)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bundle + slabs + inputs + 2 * class_bytes
 
 
 class TestDecomposition:

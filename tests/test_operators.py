@@ -12,6 +12,7 @@ from scipy import fft as sfft
 from rieszmax import operators
 from rieszmax.errors import (DomainError, ResourceError,
                              UnsupportedDimensionError)
+from rieszmax.experiments import default_truncation_grid
 from rieszmax.fields import (GridSpec, SpatialField, forward_transform,
                              inverse_transform, l2_norm, random_band_limited)
 from rieszmax.multiplier import m_eval, m_values
@@ -708,6 +709,121 @@ class TestColumnRoute:
         monkeypatch.setattr(operators, "_physical_memory", lambda: need - 1)
         with pytest.raises(ResourceError):
             maximal_over(field, "poisson", self.GRID)
+
+
+def _bundle_reduction(spectrum, axes, profiles, weights=None):
+    """_reduce of several axes as computed before the slab route: one radial
+    bundle per axis, a Gram (or per-column) accumulator over every sample,
+    then the reduction over the blocks of _sample_blocks."""
+    n_r, n_cols = profiles.shape
+    n_samples = spectrum.spec.n_samples
+    by_t = np.ascontiguousarray(profiles.T)
+    pairs = np.concatenate([[0], np.cumsum(np.arange(n_r, 0, -1))])
+    gram = pairs[-1] <= n_cols
+    acc = np.zeros((pairs[-1] if gram else n_cols, n_samples))
+    for axis in axes:
+        by_class = radial_bundle(spectrum, axis).components.T
+        for cols in operators._sample_blocks(n_samples,
+                                             n_r if gram else n_cols):
+            block = by_class[:, cols]
+            parts = ((block,) if np.isrealobj(block)
+                     else (block.real.copy(), block.imag.copy()))
+            if gram:
+                for u in parts:
+                    for a in range(n_r):
+                        acc[pairs[a]:pairs[a + 1], cols] += u[a] * u[a:]
+                continue
+            s = by_t @ parts[0]
+            np.square(s, out=s)
+            for u in parts[1:]:
+                s += np.square(by_t @ u)
+            acc[:, cols] += s
+        del by_class
+    if gram:
+        rows_i, cols_i = np.triu_indices(n_r)
+        pair_weights = by_t[:, rows_i] * by_t[:, cols_i]
+        pair_weights[:, rows_i != cols_i] *= 2.0
+    out = np.empty(n_samples)
+    for cols in operators._sample_blocks(n_samples, n_cols):
+        s = pair_weights @ acc[:, cols] if gram else acc[:, cols]
+        out[cols] = s.max(axis=0) if weights is None else weights @ s
+    return np.sqrt(np.maximum(out, 0.0, out=out), out=out)
+
+
+class TestSlabRoute:
+    """Several axes reduce one axis-0 index at a time, bit for bit as the
+    per-axis bundles did, and build no bundle."""
+
+    # (2, 32) and (3, 16) have slabs shorter than one 315-sample reduction
+    # block of the 208-value grid, the others longer, so a slab's tail is
+    # carried into the next
+    @pytest.mark.parametrize("d, n", [(2, 32), (3, 16), (4, 8), (4, 16),
+                                      (8, 4)])
+    def test_bit_identical_to_the_bundle_reduction(self, d, n, monkeypatch):
+        # band-limited real and complex fields take the Gram form on the
+        # default grid and the per-column sums on a 10-value grid; white
+        # noise, whose energy on the Nyquist planes gives the Riesz symbols
+        # two parts, has too many classes for the Gram form on either
+        from test_experiments import _count_calls
+        spec = GridSpec(d, n)
+        band = min(3.0, n / 2 - 0.5)
+        real = random_band_limited(spec, band, seed=1).samples
+        imag = random_band_limited(spec, band, seed=2).samples
+        noise = np.random.default_rng(3).standard_normal(spec.shape)
+        axes = list(range(1, d + 1))
+        branches = set()
+        for samples in (real, real + 1j * imag, noise):
+            for grid in (default_truncation_grid(),
+                         TruncationGrid(-3, 1, depth=1)):
+                spectrum = half_spectrum(SpatialField(spec, samples))
+                n_r, ts = spectrum.radii.size, grid.values()
+                if n_r > 2 * ts.size:
+                    continue                    # the column route
+                branches.add(n_r * (n_r + 1) // 2 <= ts.size)
+                profiles = operators.profile_matrix(d, spectrum.radii, ts,
+                                                    "truncated_riesz")
+                want = _bundle_reduction(spectrum, axes, profiles)
+                built = _count_calls(monkeypatch, operators, "radial_bundle")
+                assert np.array_equal(vector_maximal(spectrum, grid).samples,
+                                      want.reshape(spec.shape))
+                assert len(built) == 0
+                monkeypatch.undo()
+                if samples is noise:
+                    continue
+                # a weighted sum is one matrix-vector product per block,
+                # which BLAS may round by where the block's rows start
+                weights = np.linspace(0.5, 2.0, ts.size)
+                want = _bundle_reduction(spectrum, axes, profiles, weights)
+                got = operators._reduce(spectrum, axes, profiles, weights)
+                assert np.allclose(got.samples, want.reshape(spec.shape),
+                                   rtol=1e-14, atol=0.0)
+        assert branches == {True, False}
+
+    def test_runs_at_its_estimate_and_refuses_below(self, monkeypatch):
+        from test_experiments import _count_calls
+        spec = GridSpec(4, 8)
+        f = random_band_limited(spec, 3.0, seed=8)
+        grid = TruncationGrid(-3, 1, depth=1)
+        want = vector_maximal(f, grid).samples
+        spectrum = half_spectrum(f)
+        axes, n_cols = [1, 2, 3, 4], grid.values().size
+        slab = operators._slab_route_bytes(spectrum, axes, n_cols)
+        column = operators._column_route_bytes(spectrum, axes)
+        built = _count_calls(monkeypatch, operators, "radial_bundle")
+        monkeypatch.setattr(operators, "_physical_memory", lambda: slab)
+        assert np.array_equal(vector_maximal(spectrum, grid).samples, want)
+        assert len(built) == 0
+        monkeypatch.setattr(operators, "_physical_memory",
+                            lambda: min(slab, column) - 1)
+        with pytest.raises(ResourceError):
+            vector_maximal(spectrum, grid)
+
+    def test_releases_the_kept_bundle(self):
+        spectrum = half_spectrum(random_band_limited(GridSpec(4, 8), 3.0,
+                                                     seed=9))
+        spectrum.bundle(1)
+        vector_maximal(spectrum, TruncationGrid(-3, 1, depth=1))
+        assert spectrum._kept is None
 
 
 class TestHalfSpectrumBundle:
