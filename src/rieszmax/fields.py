@@ -126,32 +126,45 @@ def forward_transform(f: SpatialField) -> SpectralField:
 
 def inverse_transform(F: SpectralField) -> SpatialField:
     """Inverse of forward_transform (exact round trip up to rounding)."""
-    spec = F.spec
-    scale = spec.n_samples / spec.period ** (spec.dimension / 2.0)
-    return SpatialField(spec, np.fft.ifftn(F.coefficients) * scale)
+    return SpatialField(F.spec, _inverse_in_place(
+        F.coefficients.astype(complex), F.spec))
+
+
+def _inverse_in_place(coeff: np.ndarray, spec: GridSpec) -> np.ndarray:
+    """inverse_transform of the complex lattice array coeff, computed in it."""
+    np.fft.ifftn(coeff, out=coeff)
+    coeff *= spec.n_samples / spec.period ** (spec.dimension / 2.0)
+    return coeff
 
 
 def l2_norm(f: SpatialField) -> float:
-    return float(np.sqrt(np.sum(np.abs(f.samples) ** 2) * f.spec.cell_volume))
+    power = np.abs(f.samples)
+    np.square(power, out=power)
+    return float(np.sqrt(np.sum(power) * f.spec.cell_volume))
 
 
 def random_band_limited(spec: GridSpec, band_radius: float,
                         seed: int) -> SpatialField:
     """Real (float64) mean-zero field with i.i.d. Gaussian coefficients on
-    0 < |xi| <= band_radius, conjugate-symmetrized; deterministic per seed."""
+    0 < |xi| <= band_radius, conjugate-symmetrized; deterministic per seed.
+    The full-lattice draws are kept at the band's bins, where the Hermitian
+    average 0.5 (c(k) + conj(c(-k))) is formed (the band is symmetric); one
+    complex lattice array takes it and is inverse transformed in place."""
+    from .operators import _require_memory      # operators imports fields
     nyquist = spec.points_per_axis / (2.0 * spec.period)
     if not 0 < band_radius < nyquist:
         raise DomainError(
             f"band_radius must lie in (0, N/(2L)) = (0, {nyquist}), got {band_radius}")
+    bins = np.flatnonzero(spec.freq_radius() <= band_radius)[1:]  # not k = 0
+    # a complex lattice array and the real copy, with 2 d + 6 values per bin
+    _require_memory(8 * (3 * spec.n_samples + (2 * spec.dimension + 6)
+                         * bins.size), "the band-limited field")
     rng = np.random.default_rng(seed)
-    coeff = rng.standard_normal(spec.shape) + 1j * rng.standard_normal(spec.shape)
-    radius = spec.freq_radius()
-    mask = (radius > 0) & (radius <= band_radius)
-    coeff = np.where(mask, coeff, 0.0)
-    # Hermitian part: average with the conjugate at -k
-    reflected = coeff
-    for axis in range(spec.dimension):
-        reflected = np.roll(np.flip(reflected, axis=axis), 1, axis=axis)
-    coeff = 0.5 * (coeff + np.conj(reflected))
-    field = inverse_transform(SpectralField(spec, coeff))
-    return SpatialField(spec, field.samples.real.copy())
+    coeff = rng.standard_normal(spec.shape).ravel()[bins] \
+        + 1j * rng.standard_normal(spec.shape).ravel()[bins]
+    partner = np.searchsorted(bins, np.ravel_multi_index(
+        [-k for k in np.unravel_index(bins, spec.shape)], spec.shape, mode="wrap"))
+    lattice = np.zeros(spec.shape, dtype=complex)
+    lattice.ravel()[bins] = 0.5 * (coeff + np.conj(coeff[partner]))
+    lattice = _inverse_in_place(lattice, spec).real.copy()  # frees the complex
+    return SpatialField(spec, lattice)

@@ -33,8 +33,8 @@ from scipy.special import (gammaln, j0 as bessel_j0, j1 as bessel_j1, sici,
 
 from . import multiplier
 from .errors import DomainError, ResourceError, UnsupportedDimensionError
-from .fields import (GridSpec, SpatialField, SpectralField, forward_transform,
-                     inverse_transform)
+from .fields import (GridSpec, SpatialField, SpectralField, _inverse_in_place,
+                     forward_transform, inverse_transform)
 
 __all__ = [
     "MultiplierSymbol",
@@ -361,27 +361,23 @@ def _bundle_bytes(spec: GridSpec, n_r: int, n_parts: int) -> int:
     return 8 * n_parts * n_r * spec.n_samples + _class_buffer_bytes(spec)
 
 
-def _half_k2(spec: GridSpec) -> np.ndarray:
-    """Integer |k|^2 over the real-to-complex half spectrum (FFT layout,
-    last axis 0..N/2)."""
+def _half_shape(spec: GridSpec) -> tuple[int, ...]:
+    """The real-to-complex half spectrum's shape: the last axis is 0..N/2."""
     n = spec.points_per_axis
-    k = np.rint(np.fft.fftfreq(n, 1.0 / n)).astype(np.int64)
-    axes = [k] * (spec.dimension - 1) + [np.arange(n // 2 + 1)]
-    return sum(g ** 2 for g in np.meshgrid(*axes, indexing="ij", sparse=True))
+    return (n,) * (spec.dimension - 1) + (n // 2 + 1,)
 
 
 @dataclass
 class HalfSpectrum:
     """A field with the unnormalized real-to-complex DFTs of its real and
-    imaginary parts (imag is None when the field is real), and the lattice
-    bookkeeping its transforms share: the active bins (flat indices), the
-    integer |k|^2 of each radius class, each active bin's class, and the
-    class radii |k| / L.  It keeps the radial bundle it built last, so
-    maximal operators that share an angular symbol share one bundle.
+    imaginary parts at the active bins (imag is None for a real field), and
+    the bookkeeping its transforms share: the active bins (flat half-spectrum
+    indices), each radius class's integer |k|^2, each active bin's class and
+    the class radii |k| / L.  It keeps the bundle it built last for reuse.
     """
 
     field: SpatialField
-    real: np.ndarray
+    real: np.ndarray                    # half spectrum, then active bins
     imag: np.ndarray | None
     _kept = None                        # (axis, RadialBundle) built last
 
@@ -391,9 +387,19 @@ class HalfSpectrum:
             power += np.square(np.abs(self.imag))
         self.active = np.flatnonzero(power > _REL_TOL ** 2 * np.max(power))
         del power
+        self.real = self.real.ravel()[self.active]
+        if self.imag is not None:
+            self.imag = self.imag.ravel()[self.active]
         self.classes, self.class_of_bin = np.unique(
-            _half_k2(self.spec).ravel()[self.active], return_inverse=True)
+            sum(np.square(self._k(a)) for a in range(self.spec.dimension)),
+            return_inverse=True)
         self.radii = np.sqrt(self.classes) / self.spec.period
+
+    def _k(self, a: int) -> np.ndarray:
+        """The active bins' frequency index on axis a (from 0), in [-N/2, N/2)."""
+        n, half = self.spec.points_per_axis, _half_shape(self.spec)
+        index = self.active // math.prod(half[a + 1:]) % half[a]
+        return np.where(index < n // 2, index, index - n)
 
     @property
     def spec(self) -> GridSpec:
@@ -428,25 +434,23 @@ class HalfSpectrum:
         # g = gh + ga with gh(-k) = conj(gh(k)), ga(-k) = -conj(ga(k)):
         #   real part       <- fa gh + i fb ga
         #   imaginary part  <- fb gh - i fa ga
-        fa = self.real.ravel()[self.active]
+        fa = self.real
         gh, ga = 1.0, 0.0
         if axis is not None:
             if not 1 <= axis <= spec.dimension:
                 raise DomainError(
                     f"axis must be in 1..{spec.dimension}, got {axis}")
-            n = spec.points_per_axis
-            k_index = np.unravel_index(self.active, self.real.shape)[axis - 1]
-            k_axis = np.where(k_index < n // 2, k_index, k_index - n)
+            k_axis = self._k(axis - 1)
             norm = np.sqrt(self.classes[self.class_of_bin])
             g = -1j * np.where(norm > 0, k_axis / np.where(norm > 0, norm, 1.0),
                                0.0)
             # g is odd, so Hermitian, except on the plane k_axis = -N/2,
             # which is its own negative: there g is anti-Hermitian
-            nyquist = k_index == n // 2
+            nyquist = k_axis == -(spec.points_per_axis // 2)
             gh, ga = np.where(nyquist, 0.0, g), np.where(nyquist, g, 0.0)
         real_part, imag_part = fa * gh, -1j * fa * ga
         if self.imag is not None:
-            fb = self.imag.ravel()[self.active]
+            fb = self.imag
             real_part = real_part + 1j * fb * ga
             imag_part = imag_part + fb * gh
         return [real_part, imag_part] if np.any(imag_part) else [real_part]
@@ -456,9 +460,8 @@ def half_spectrum(f: SpatialField) -> HalfSpectrum:
     """Forward transform of f on the half spectrum, to share between the
     radial bundles of one field."""
     samples = f.samples
-    imag = None
-    if np.iscomplexobj(samples) and np.any(samples.imag):
-        imag = sfft.rfftn(samples.imag, workers=-1)
+    imag = (sfft.rfftn(samples.imag, workers=-1)
+            if np.iscomplexobj(samples) and np.any(samples.imag) else None)
     return HalfSpectrum(f, sfft.rfftn(samples.real, workers=-1), imag)
 
 
@@ -482,8 +485,7 @@ def _inverse_transformer(spec: GridSpec, bins: np.ndarray):
     out=None), which may overwrite rows of a head: the later passes act
     within one axis-0 index, so for d >= 2 it gives those rows' samples.
     """
-    n = spec.points_per_axis
-    half = (n,) * (spec.dimension - 1) + (n // 2 + 1,)
+    n, half = spec.points_per_axis, _half_shape(spec)
     last = len(half) - 1
     places, stride, widen, full = np.zeros_like(bins), 1, [], False
     for a in reversed(range(len(half))):
@@ -591,7 +593,8 @@ def radial_bundle(f: SpatialField | HalfSpectrum,
     The components are filled one class at a time: each part of a class
     (see HalfSpectrum.filtered) takes one inverse real transform over the
     lines the class occupies, at most 2 floor(sqrt(|k|^2)) + 1 indices per
-    axis, written into its row; the temporaries stay at one class.
+    axis; for d >= 2 its tails run over groups of axis-0 indices of about
+    _BLOCK_VALUES samples, so one head and one group's tail are in flight.
     """
     spectrum = _as_spectrum(f)
     spec = spectrum.spec
@@ -599,12 +602,18 @@ def radial_bundle(f: SpatialField | HalfSpectrum,
     n_r = spectrum.radii.size
     _require_memory(_bundle_bytes(spec, n_r, len(parts)), "the radial bundle")
     is_real = len(parts) == 1
+    n, slab = spec.points_per_axis, spec.n_samples // spec.points_per_axis
+    # a tail over some axis-0 indices gives their samples only for d >= 2
+    group = max(1, _BLOCK_VALUES // slab) if spec.dimension > 1 else n
     # row i of by_class is u_i; the bundle's components are its transpose
     by_class = np.empty((n_r, spec.n_samples), dtype=float if is_real else complex)
     rows = (by_class,) if is_real else (by_class.real, by_class.imag)
     for i, (chosen, transform) in enumerate(spectrum.class_transforms):
         for part, row in zip(parts, rows):
-            transform(part[chosen], out=row[i])
+            head = transform.head(part[chosen])
+            for lo in range(0, n, group):
+                transform.tail(head[lo:lo + group],
+                               out=row[i, lo * slab:(lo + group) * slab])
     return RadialBundle(spec=spec, radii=spectrum.radii, components=by_class.T,
                         is_real=is_real)
 
@@ -834,9 +843,7 @@ def poisson_projection_sum(f: SpatialField, n_min: int, n_max: int) -> SpatialFi
     for i, r in enumerate(radius):
         coeff[i] *= np.exp(-2.0 ** (n_min - 1) * r) - np.exp(-2.0 ** n_max * r)
     del radius, r
-    np.fft.ifftn(coeff, out=coeff)          # inverse_transform, in place
-    coeff *= spec.n_samples / spec.period ** (spec.dimension / 2.0)
-    return SpatialField(spec, coeff)
+    return SpatialField(spec, _inverse_in_place(coeff, spec))
 
 
 # ---------------------------------------------------------------------------

@@ -124,9 +124,11 @@ class TestNormRatioSweep:
 
 
 def test_sweep_trial_peak_is_accumulator_plus_one_bundle():
-    # r3's Gram accumulator and one axis bundle are live together, with the
-    # trial's field and half spectrum; building the next axis bundle may
-    # add at most two class buffers on top
+    # a looser bound than the one below: gram is the size a Gram matrix of
+    # the classes at every sample would take, more than r3's heads, slab
+    # buffer and chunk accumulator; r1, r2 and r4 hold one bundle at a time,
+    # with the trial's field and half spectrum, and a class or tail in
+    # flight adds at most two class buffers on top
     d, n, band, seed = 4, 16, 3.0, 42
     spec = GridSpec(d, n)
     grid = default_truncation_grid()

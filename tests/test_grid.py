@@ -146,8 +146,48 @@ class TestNorms:
         g = SpatialField(spec, scale * f.samples)
         assert l2_norm(g) == pytest.approx(scale * l2_norm(f), rel=1e-10)
 
+    def test_matches_the_modulus_squared_sum(self):
+        # real samples are squared directly, complex ones through |x|^2
+        spec = GridSpec(3, 8)
+        for f in (_random_field(spec, 4),
+                  SpatialField(spec, _random_field(spec, 5).samples.real)):
+            want = float(np.sqrt(np.sum(np.abs(f.samples) ** 2)
+                                 * spec.cell_volume))
+            assert l2_norm(f) == want
+
+
+def _full_lattice_band_limited(spec, band_radius, seed):
+    """The field built on the whole lattice: masked draws, their average
+    with the conjugate reflection, and one inverse transform."""
+    rng = np.random.default_rng(seed)
+    coeff = rng.standard_normal(spec.shape) + 1j * rng.standard_normal(spec.shape)
+    radius = spec.freq_radius()
+    coeff = np.where((radius > 0) & (radius <= band_radius), coeff, 0.0)
+    reflected = coeff
+    for axis in range(spec.dimension):
+        reflected = np.roll(np.flip(reflected, axis=axis), 1, axis=axis)
+    coeff = 0.5 * (coeff + np.conj(reflected))
+    return inverse_transform(SpectralField(spec, coeff)).samples.real
+
 
 class TestRandomBandLimited:
+    @pytest.mark.parametrize("d, n", [(1, 16), (2, 32), (2, 64), (3, 6),
+                                      (3, 16), (4, 8), (4, 16), (5, 8),
+                                      (6, 10), (8, 4)])
+    @pytest.mark.parametrize("period", [1.0, 2.5])
+    def test_bit_identical_to_the_full_lattice_construction(self, d, n,
+                                                            period):
+        # from a band with few bins (none at all for (8, 4) at period 1) to
+        # ones that nearly reach the Nyquist planes
+        spec = GridSpec(d, n, period)
+        nyquist = n / (2.0 * period)
+        for band in (0.3 * nyquist, 0.9 * nyquist, 0.98 * nyquist):
+            for seed in (0, 1, 12345):
+                got = random_band_limited(spec, band, seed).samples
+                want = _full_lattice_band_limited(spec, band, seed)
+                assert got.dtype == np.float64
+                assert np.array_equal(got, want)
+
     def test_seed_repeatability(self):
         spec = GridSpec(4, 8)
         a = random_band_limited(spec, 2.0, seed=7)

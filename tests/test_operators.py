@@ -473,9 +473,9 @@ class TestBundleMemory:
         radial_bundle(f)
 
     def test_vector_maximal_over_budget_is_resource_error(self, monkeypatch):
-        # the axis bundles fit, the accumulator beside one of them does not:
-        # the column route runs instead, and raises only below its own
-        # estimate
+        # one axis bundle fits, the slab route's heads and slab buffer over
+        # all d axes do not: the column route runs instead, and raises only
+        # below its own estimate
         spec = GridSpec(4, 8)
         f = random_band_limited(spec, 3.0, seed=8)
         grid = TruncationGrid(-3, 1, depth=1)
@@ -490,6 +490,62 @@ class TestBundleMemory:
         monkeypatch.setattr(operators, "_physical_memory", lambda: column - 1)
         with pytest.raises(ResourceError):
             vector_maximal(f, grid)
+
+    def test_half_spectrum_holds_only_the_active_bins(self):
+        # the half spectrum's transforms are dropped once the active bins
+        # are found: what stays is far below one half-lattice array
+        spec = GridSpec(6, 10)
+        f = random_band_limited(spec, 3.0, seed=42)
+        half_bytes = 16 * spec.n_samples // 10 * 6
+        half_spectrum(f)                     # warm up caches and plans
+        tracemalloc.start()
+        try:
+            spectrum = half_spectrum(f)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        arrays = [a for a in vars(spectrum).values()
+                  if isinstance(a, np.ndarray)]
+        assert spectrum.real.shape == spectrum.active.shape
+        assert max(a.nbytes for a in arrays) < half_bytes // 100
+        assert held < half_bytes // 10
+
+    def test_build_holds_one_head_and_one_group_tail(self):
+        # at (5, 10) a group is 6 of the 10 axis-0 indices: beside the
+        # components and the filtered values at the active bins, the build
+        # holds one class's head and one group's tail, less than the whole
+        # class buffer it took as one transform
+        spec = GridSpec(5, 10)
+        spectrum = half_spectrum(random_band_limited(spec, 3.0, seed=8))
+        radial_bundle(spectrum)              # warm up caches and plans
+        group = operators._BLOCK_VALUES // 10 ** 4
+        head = max(t.head_bytes for _, t in spectrum.class_transforms)
+        tail = operators._class_buffer_bytes(spec) // 10 * group
+        values = spectrum.filtered(None)[0].nbytes
+        tracemalloc.start()
+        try:
+            bundle = radial_bundle(spectrum)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert group == 6
+        assert head + tail < operators._class_buffer_bytes(spec)
+        assert peak - bundle.components.nbytes < (head + tail + values
+                                                  + _HEADERS)
+
+    def test_d1_classes_are_whole_transforms(self):
+        # at d = 1 a row of the head is a frequency, not an axis-0 index of
+        # the samples: N = 2^17 exceeds _BLOCK_VALUES, and the classes must
+        # still match one irfftn each
+        spec = GridSpec(1, 1 << 17)
+        spectrum = half_spectrum(random_band_limited(spec, 3.0, seed=5))
+        bundle = radial_bundle(spectrum)
+        values = spectrum.filtered(None)[0]
+        assert spec.points_per_axis > operators._BLOCK_VALUES
+        for i, (chosen, _) in enumerate(spectrum.class_transforms):
+            want = _irfftn_reference(spec, spectrum.active[chosen],
+                                     values[chosen])
+            assert np.array_equal(bundle.components[:, i], want)
 
 
 def _irfftn_reference(spec, bins, values):
@@ -583,31 +639,46 @@ class TestPrunedTransform:
         assert peak <= operators._class_buffer_bytes(spec) + _HEADERS
 
 
+def _lattice_arrays(count):
+    """The estimate of count complex lattice arrays."""
+    return lambda spec: 16 * count * spec.n_samples
+
+
+def _band_field(spec):
+    """random_band_limited's estimate at band 3.0, from the band's bins."""
+    n_bins = np.count_nonzero(spec.freq_radius() <= 3.0) - 1
+    return 8 * (3 * spec.n_samples + (2 * spec.dimension + 6) * n_bins)
+
+
 class TestLatticeBudgets:
     """Every full-lattice operator refuses an estimate over the budget
     before it allocates, runs at the estimate, and stays within it."""
 
     SPEC = GridSpec(3, 16)
     CASES = {
-        "apply_symbol": (SPEC, 6, lambda f, k: apply_symbol(
+        "apply_symbol": (SPEC, _lattice_arrays(6), lambda f, k: apply_symbol(
             f, MultiplierSymbol.truncated_riesz(1, 0.1))),
-        "kernel_transform": (SPEC, 4, lambda f, k: kernel_transform(
-            f.spec, 1, 0.1)),
-        "kernel_convolve": (SPEC, 4, lambda f, k: kernel_convolve(f, k)),
-        "poisson_projection_sum": (SPEC, 2, lambda f, k:
+        "kernel_transform": (SPEC, _lattice_arrays(4), lambda f, k:
+                             kernel_transform(f.spec, 1, 0.1)),
+        "kernel_convolve": (SPEC, _lattice_arrays(4), lambda f, k:
+                            kernel_convolve(f, k)),
+        "poisson_projection_sum": (SPEC, _lattice_arrays(2), lambda f, k:
                                    poisson_projection_sum(f, -3, 3)),
-        "rotation_reconstruct_3d": (SPEC, 6, lambda f, k:
+        "rotation_reconstruct_3d": (SPEC, _lattice_arrays(6), lambda f, k:
                                     rotation_reconstruct(f, 1, 0.1, 16)),
-        "rotation_reconstruct_2d": (GridSpec(2, 64), 13, lambda f, k:
+        "rotation_reconstruct_2d": (GridSpec(2, 64), _lattice_arrays(13),
+                                    lambda f, k:
                                     rotation_reconstruct(f, 1, 0.1, 16)),
+        "random_band_limited": (SPEC, _band_field, lambda f, k:
+                                random_band_limited(f.spec, 3.0, seed=6)),
     }
 
     @pytest.mark.parametrize("case", CASES)
     def test_estimate(self, case, monkeypatch):
-        spec, n_arrays, run = self.CASES[case]
+        spec, estimate, run = self.CASES[case]
         f = random_band_limited(spec, 3.0, seed=6)
         k_hat = kernel_transform(spec, 1, 0.1)
-        need = 16 * n_arrays * spec.n_samples
+        need = estimate(spec)
         monkeypatch.setattr(operators, "_physical_memory", lambda: need - 1)
         with pytest.raises(ResourceError):
             run(f, k_hat)
