@@ -1,13 +1,13 @@
 """Golden outputs: every subcommand but report, at a reduced config and seed
-42, must reproduce the committed CSVs byte for byte and the committed exit
-codes.
+42, must reproduce the committed CSVs, the committed exit codes and the
+committed printed summaries (tests/golden/stdout/) byte for byte.
 
 The subcommands run in one fresh interpreter, in a fixed order, because the
 values of m depend in their last bits on the calls made before them in the
 same process.  To regenerate the files after an intended change of values,
-run the subcommands into an empty directory and copy its CSVs and
-exit_codes.json (not the JSON reports, which carry a timestamp) over
-tests/golden:
+run the subcommands into an empty directory and copy its CSVs, its stdout/
+directory and exit_codes.json (not the JSON reports, which carry a
+timestamp) over tests/golden:
 
     PYTHONPATH=src python tests/test_golden.py OUT_DIR
 """
@@ -21,6 +21,7 @@ from pathlib import Path
 HERE = Path(__file__).resolve().parent
 GOLDEN = HERE / "golden"
 EXIT_CODES = "exit_codes.json"
+STDOUT = "stdout"
 
 COMMANDS = [
     ["factorization", "--grid-n", "8", "--trials", "1"],
@@ -35,22 +36,27 @@ COMMANDS = [
 
 
 def run_all(out_dir: Path) -> None:
-    """Run COMMANDS in order into out_dir and record their exit codes."""
+    """Run COMMANDS in order into out_dir and record their exit codes and
+    what each printed."""
     import contextlib
     import io
 
     from rieszmax.cli import main
 
     codes = {}
+    (out_dir / STDOUT).mkdir(parents=True, exist_ok=True)
     for argv in COMMANDS:
-        with contextlib.redirect_stdout(io.StringIO()):
+        printed = io.StringIO()
+        with contextlib.redirect_stdout(printed):
             codes[argv[0]] = main([*argv, "--seed", "42",
                                    "--output", str(out_dir)])
+        (out_dir / STDOUT / f"{argv[0]}.txt").write_text(printed.getvalue())
     (out_dir / EXIT_CODES).write_text(json.dumps(codes, indent=1) + "\n")
 
 
 def _outputs(root: Path) -> dict[str, bytes]:
-    paths = [*root.rglob("*.csv"), root / EXIT_CODES]
+    paths = [*root.rglob("*.csv"), *(root / STDOUT).glob("*.txt"),
+             root / EXIT_CODES]
     return {p.relative_to(root).as_posix(): p.read_bytes() for p in paths}
 
 
