@@ -118,18 +118,24 @@ def _bound(doc, fn):
     return fn
 
 
+def _verdict(report: ex.ExperimentReport, args, bounds: dict) -> int:
+    """Persist the report, print its summary table against bounds, and
+    return the exit code."""
+    _persist(report, args.output)
+    ok = _summarize(_group(report), bounds)
+    return EXIT_PASS if ok else EXIT_BOUND_FAIL
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
 
 def _cmd_verify_specfun(args) -> int:
     report = ex.specfun_bound_suite()
-    _persist(report, args.output)
-    ok = _summarize(_group(report), {
+    return _verdict(report, args, {
         "envelope_margin": _bound(">= 0", lambda lo, med, hi: lo >= 0.0),
         "unit_margin": _bound(">= 0", lambda lo, med, hi: lo >= 0.0),
     })
-    return EXIT_PASS if ok else EXIT_BOUND_FAIL
 
 
 def _cmd_verify_multiplier(args) -> int:
@@ -139,26 +145,22 @@ def _cmd_verify_multiplier(args) -> int:
     for d in dims:
         at_zero = m_eval(d, 0.0)
         report.add(d, 0, 0, "m_at_zero_gap", abs(at_zero.value - 1.0))
-    _persist(report, args.output)
-    ok = _summarize(_group(report), {
+    return _verdict(report, args, {
         "small_margin": _bound(">= 0", lambda lo, med, hi: lo >= 0.0),
         "large_margin": _bound(">= 0", lambda lo, med, hi: lo >= 0.0),
         "deriv_margin": _bound(">= 0", lambda lo, med, hi: lo >= 0.0),
         "m_at_zero_gap": _bound("<= 1e-8", lambda lo, med, hi: hi <= 1e-8),
     })
-    return EXIT_PASS if ok else EXIT_BOUND_FAIL
 
 
 def _cmd_factorization(args) -> int:
     t_list = [float(p) for p in args.t_list.split(",")]
     report = ex.factorization_residual(args.dim, args.grid_n, t_list,
                                        args.band, args.trials, args.seed)
-    _persist(report, args.output)
     tol = args.tol if args.tol is not None else 0.1
-    ok = _summarize(_group(report), {
+    return _verdict(report, args, {
         "residual": _bound(f"<= {tol:g}", lambda lo, med, hi: hi <= tol),
     })
-    return EXIT_PASS if ok else EXIT_BOUND_FAIL
 
 
 def _cmd_norm_sweep(args) -> int:
@@ -166,32 +168,26 @@ def _cmd_norm_sweep(args) -> int:
     n_of_d = {d: _DEFAULT_N_OF_D.get(d, args.grid_n) for d in dims}
     report = ex.norm_ratio_sweep(dims, n_of_d, args.t_grid, args.band,
                                  args.trials, args.seed)
-    _persist(report, args.output)
     ceiling = args.tol if args.tol is not None else 10.0
-    bounds = {name: _bound(f"<= {ceiling:g}",
-                           lambda lo, med, hi, c=ceiling: hi <= c)
-              for name in ("r1", "r2", "r3", "r4")}
-    ok = _summarize(_group(report), bounds)
-    return EXIT_PASS if ok else EXIT_BOUND_FAIL
+    return _verdict(report, args, {
+        name: _bound(f"<= {ceiling:g}", lambda lo, med, hi: hi <= ceiling)
+        for name in ("r1", "r2", "r3", "r4")})
 
 
 def _cmd_decomposition(args) -> int:
     report = ex.decomposition_diagnostics(args.dim, args.grid_n, args.t_grid,
                                           args.band, args.trials, args.seed)
-    _persist(report, args.output)
-    ok = _summarize(_group(report), {
+    return _verdict(report, args, {
         "a": _bound("<= 1.3e5", lambda lo, med, hi: hi <= 1.3e5),
         "b": _bound("<= 1.7e8", lambda lo, med, hi: hi <= 1.7e8),
         "triangle_slack": _bound(">= 0", lambda lo, med, hi: lo >= -1e-12),
     })
-    return EXIT_PASS if ok else EXIT_BOUND_FAIL
 
 
 def _cmd_poisson(args) -> int:
     report = ex.poisson_suite(args.dim, args.grid_n, args.band, args.trials,
                               args.seed)
-    _persist(report, args.output)
-    ok = _summarize(_group(report), {
+    return _verdict(report, args, {
         "poisson_max_ratio": _bound("<= 4", lambda lo, med, hi: hi <= 4.0),
         "g_ratio": _bound("<= 0.757", lambda lo, med, hi:
                           hi <= 1.0 / math.sqrt(2.0) + 0.05),
@@ -199,19 +195,14 @@ def _cmd_poisson(args) -> int:
                                   hi <= 1.0 / math.sqrt(2.0) + 0.05),
         "telescope_residual": _bound("<= 1e-6", lambda lo, med, hi: hi <= 1e-6),
     })
-    return EXIT_PASS if ok else EXIT_BOUND_FAIL
 
 
 def _cmd_ineq(args) -> int:
-    checks = []
-    report = ex.numerical_inequality_check(lambda t: t, 0, args.levels,
-                                           label="identity")
-    checks.append(("identity", report))
-    report2 = ex.numerical_inequality_check(
-        lambda t: math.sin(8.0 * math.pi * t), 0, args.levels, label="sin8pi")
-    checks.append(("sin8pi", report2))
+    checks = {"identity": lambda t: t,
+              "sin8pi": lambda t: math.sin(8.0 * math.pi * t)}
     ok = True
-    for label, rep in checks:
+    for label, g in checks.items():
+        rep = ex.numerical_inequality_check(g, 0, args.levels, label=label)
         _persist(rep, args.output / label)
         vals = {r["quantity"]: r["value"] for r in rep.rows}
         holds = vals["holds"] == 1.0

@@ -49,6 +49,9 @@ __all__ = [
 
 CSV_COLUMNS = ("experiment_id", "seed", "d", "N", "trial", "quantity", "value")
 
+# t nodes of the Poisson suite's square function g
+_G_NODES = np.geomspace(1e-3, 1e2, 400)
+
 
 def default_truncation_grid() -> TruncationGrid:
     """Dyadic range covering the transition band t |xi| ~ sqrt(d) for every
@@ -106,6 +109,20 @@ def _capped_band(band: float, spec: GridSpec) -> float:
     return min(band, 0.98 * nyquist)
 
 
+def _run_trials(report: ExperimentReport, spec: GridSpec, band: float,
+                trials: int, trial_values) -> None:
+    """Add the rows trial_values(f) -> {quantity: value} gives for each
+    trial's field f, then sort the rows once."""
+    for trial in range(trials):
+        # a trial's field, and whatever trial_values builds from it, is
+        # released with its call, before the next trial draws its own
+        values = trial_values(_trial_field(spec, band, report.seed, trial))
+        for quantity, value in values.items():
+            report.add(spec.dimension, spec.points_per_axis, trial, quantity,
+                       value)
+    report.sort_rows()
+
+
 # ---------------------------------------------------------------------------
 
 
@@ -124,16 +141,18 @@ def factorization_residual(d: int, n: int, t_list, band: float, trials: int,
         {"d": d, "N": n, "t_list": list(map(float, t_list)), "band": band,
          "trials": trials, "image_radius": image_radius})
     k_hats = [kernel_transform(spec, 1, float(t), image_radius) for t in t_list]
-    for trial in range(trials):
-        f = _trial_field(spec, band, seed, trial)
+
+    def trial_values(f: SpatialField) -> dict:
         norm_f = l2_norm(f)
+        values = {}
         for t, k_hat in zip(t_list, k_hats):
             spatial = kernel_convolve(f, k_hat)
             spectral = apply_symbol(f, MultiplierSymbol.truncated_riesz(1, float(t)))
             diff = SpatialField(spec, spatial.samples - spectral.samples)
-            report.add(d, n, trial, f"residual_t={float(t):g}",
-                       l2_norm(diff) / norm_f)
-    report.sort_rows()
+            values[f"residual_t={float(t):g}"] = l2_norm(diff) / norm_f
+        return values
+
+    _run_trials(report, spec, band, trials, trial_values)
     return report
 
 
@@ -153,31 +172,27 @@ def norm_ratio_sweep(dims, n_of_d: dict, grid: TruncationGrid, band: float,
          "trials": trials})
     for d in dims:
         spec = GridSpec(d, n_of_d[d])
-        band_d = _capped_band(band, spec)
-        for trial in range(trials):
-            f = _trial_field(spec, band_d, seed, trial)
-            norm_f = l2_norm(f)
-            # One forward transform per trial.  The spectrum keeps the bundle
-            # it built last, so R_1 f, r2 and r4 share one axis-1 bundle;
-            # r3 releases it and builds no bundle.
-            spectrum = op.half_spectrum(f)
-            report.add(d, spec.points_per_axis, trial, "r1",
-                       l2_norm(maximal_over(spectrum, "factor_m", grid))
-                       / norm_f)
-            axis1 = spectrum.bundle(1)
-            norm_r = l2_norm(SpatialField(
-                spec, axis1.combine(np.ones(len(axis1.radii)))))
-            del axis1           # the spectrum holds it for as long as needed
-            report.add(d, spec.points_per_axis, trial, "r2",
-                       l2_norm(maximal_over(spectrum, "truncated_riesz", grid,
-                                            j=1)) / norm_r)
-            report.add(d, spec.points_per_axis, trial, "r4",
-                       l2_norm(maximal_over(spectrum, "conjugate_poisson",
-                                            grid, j=1)) / norm_r)
-            report.add(d, spec.points_per_axis, trial, "r3",
-                       l2_norm(vector_maximal(spectrum, grid)) / norm_f)
-    report.sort_rows()
+        _run_trials(report, spec, _capped_band(band, spec), trials,
+                    lambda f: _sweep_trial(f, grid))
     return report
+
+
+def _sweep_trial(f: SpatialField, grid: TruncationGrid) -> dict:
+    norm_f = l2_norm(f)
+    # One forward transform per trial.  The spectrum keeps the bundle it
+    # built last, so R_1 f, r2 and r4 share one axis-1 bundle; r3 releases
+    # it and builds no bundle.
+    spectrum = op.half_spectrum(f)
+    r1 = l2_norm(maximal_over(spectrum, "factor_m", grid)) / norm_f
+    axis1 = spectrum.bundle(1)
+    norm_r = l2_norm(SpatialField(
+        f.spec, axis1.combine(np.ones(len(axis1.radii)))))
+    del axis1           # the spectrum holds it for as long as needed
+    r2 = l2_norm(maximal_over(spectrum, "truncated_riesz", grid, j=1)) / norm_r
+    r4 = l2_norm(maximal_over(spectrum, "conjugate_poisson", grid, j=1)) \
+        / norm_r
+    r3 = l2_norm(vector_maximal(spectrum, grid)) / norm_f
+    return {"r1": r1, "r2": r2, "r4": r4, "r3": r3}
 
 
 def decomposition_diagnostics(d: int, n: int, grid: TruncationGrid, band: float,
@@ -199,14 +214,8 @@ def decomposition_diagnostics(d: int, n: int, grid: TruncationGrid, band: float,
         "decomposition", seed,
         {"d": d, "N": n, "grid": [grid.n_min, grid.n_max, grid.depth],
          "band": band, "trials": trials})
-    for trial in range(trials):
-        # a trial's field, spectrum and bundle are released with its call,
-        # before the next trial builds its own
-        values = _decomposition_trial(_trial_field(spec, band, seed, trial),
-                                      grid)
-        for quantity, value in values.items():
-            report.add(d, n, trial, quantity, value)
-    report.sort_rows()
+    _run_trials(report, spec, band, trials,
+                lambda f: _decomposition_trial(f, grid))
     return report
 
 
@@ -229,27 +238,24 @@ def _decomposition_trial(f: SpatialField, grid: TruncationGrid) -> dict:
     def profile(values: np.ndarray) -> np.ndarray:
         return prof_all[:, np.searchsorted(ts, values)]
 
+    def norm_ratio(samples: np.ndarray) -> float:
+        return l2_norm(SpatialField(spec, samples.reshape(spec.shape))) / norm_f
+
     prof_dyadic = profile(dyadic)
-    a_sup = bundle.sup_abs(prof_dyadic)
-    a = math.sqrt(np.sum(a_sup ** 2) * spec.cell_volume) / norm_f
+    a = norm_ratio(bundle.sup_abs(prof_dyadic))
 
     sq_acc = np.zeros(spec.n_samples)
-    sum_mp_sq = 0.0
     for idx, octave in enumerate(octaves):
-        prof = profile(octave) - prof_dyadic[:, idx:idx + 1]
-        sup = bundle.sup_abs(prof)
+        sup = bundle.sup_abs(profile(octave) - prof_dyadic[:, idx:idx + 1])
         sq_acc += sup * sup
-    b_field = np.sqrt(sq_acc)
-    b = math.sqrt(np.sum(b_field ** 2) * spec.cell_volume) / norm_f
+    b = norm_ratio(np.sqrt(sq_acc))
 
-    poisson_prof = np.exp(-np.outer(radii, dyadic) / math.sqrt(d))
-    c_sup = bundle.sup_abs(prof_dyadic - poisson_prof)
-    c = math.sqrt(np.sum(c_sup ** 2) * spec.cell_volume) / norm_f
-    for idx, t_dyad in enumerate(dyadic):
-        diff_prof = (prof_dyadic[:, idx]
-                     - np.exp(-radii * t_dyad / math.sqrt(d)))
-        diff_field = bundle.combine(diff_prof)
-        sum_mp_sq += np.sum(np.abs(diff_field) ** 2) * spec.cell_volume
+    gap = prof_dyadic - op.profile_matrix(d, radii, dyadic, "poisson")
+    c = norm_ratio(bundle.sup_abs(gap))
+    sum_mp_sq = 0.0
+    for column in gap.T:
+        gap_field = bundle.combine(column)
+        sum_mp_sq += np.sum(np.abs(gap_field) ** 2) * spec.cell_volume
 
     r1 = l2_norm(maximal_over(spectrum, "factor_m", grid)) / norm_f
     return {"a": a, "b": b, "c": c, "r1": r1,
@@ -257,8 +263,8 @@ def _decomposition_trial(f: SpatialField, grid: TruncationGrid) -> dict:
             "triangle_slack": a + b - r1}
 
 
-def poisson_suite(d: int, n: int, band: float, trials: int, seed: int,
-                  t_nodes=None, n_range=(-20, 20)) -> ExperimentReport:
+def poisson_suite(d: int, n: int, band: float, trials: int,
+                  seed: int) -> ExperimentReport:
     """Poisson maximal function, discretized square function, projection
     square function, and the telescoping reconstruction residual.
 
@@ -266,31 +272,28 @@ def poisson_suite(d: int, n: int, band: float, trials: int, seed: int,
     function g and the S_n square function share its identity bundle.  The
     telescoping check keeps its own full-spectrum route, independent of the
     bundle.
+
+    The projections run over n in [n_min, 20], with n_min the largest
+    integer <= -20 such that 2^(n_min-1) band / sqrt(d) <= 2^-20, which
+    keeps the small-t part of the telescoping residual below 2^-20.
     """
     spec = GridSpec(d, n)
     band = _capped_band(band, spec)
-    if t_nodes is None:
-        t_nodes = np.geomspace(1e-3, 1e2, 400)
     grid = TruncationGrid(n_min=-10, n_max=7, depth=2)
+    n_min = min(-20, -19 - math.ceil(math.log2(band / math.sqrt(d))))
+    n_max = 20
     report = ExperimentReport(
         "poisson", seed,
         {"d": d, "N": n, "band": band, "trials": trials,
-         "t_nodes": [float(t_nodes[0]), float(t_nodes[-1]), len(t_nodes)],
-         "n_range": list(n_range)})
-    for trial in range(trials):
-        # a trial's field, spectrum and bundle are released with its call,
-        # before the next trial builds its own
-        values = _poisson_trial(_trial_field(spec, band, seed, trial), grid,
-                                t_nodes, n_range)
-        for quantity, value in values.items():
-            report.add(d, n, trial, quantity, value)
-    report.sort_rows()
+         "t_nodes": [float(_G_NODES[0]), float(_G_NODES[-1]), len(_G_NODES)],
+         "n_range": [n_min, n_max]})
+    _run_trials(report, spec, band, trials,
+                lambda f: _poisson_trial(f, grid, n_min, n_max))
     return report
 
 
-def _poisson_trial(f: SpatialField, grid: TruncationGrid, t_nodes,
-                   n_range) -> dict:
-    n_min, n_max = n_range
+def _poisson_trial(f: SpatialField, grid: TruncationGrid, n_min: int,
+                   n_max: int) -> dict:
     norm_f = l2_norm(f)
     rec = poisson_projection_sum(f, n_min, n_max).samples
     telescope = l2_norm(SpatialField(f.spec, f.samples - rec)) / norm_f
@@ -299,7 +302,7 @@ def _poisson_trial(f: SpatialField, grid: TruncationGrid, t_nodes,
     return {
         "poisson_max_ratio":
             l2_norm(maximal_over(spectrum, "poisson", grid)) / norm_f,
-        "g_ratio": l2_norm(square_function(spectrum, t_nodes)) / norm_f,
+        "g_ratio": l2_norm(square_function(spectrum, _G_NODES)) / norm_f,
         "sn_square_ratio": l2_norm(projection_square_function(
             spectrum, n_min, n_max)) / norm_f,
         "telescope_residual": telescope,
@@ -307,7 +310,6 @@ def _poisson_trial(f: SpatialField, grid: TruncationGrid, t_nodes,
 
 
 def numerical_inequality_check(g, n: int, l_max: int,
-                               n_samples: int = 4096,
                                label: str = "g") -> ExperimentReport:
     """Dyadic-variation inequality on [2^n, 2^(n+1)]:
 
@@ -315,8 +317,11 @@ def numerical_inequality_check(g, n: int, l_max: int,
             <= sqrt(2) sum_l (sum_m |g-increments at level l|^2)^(1/2).
 
     Reports the dense-sample LHS, the cumulative RHS(L) per level, and a
-    Lipschitz-based estimate of the truncated tail.
+    Lipschitz-based estimate of the truncated tail.  g is evaluated once
+    per point of 2^max(12, l_max) equal steps; the interval is dyadic, so
+    every level's knots are among those points.
     """
+    n_samples = 2 ** max(12, l_max)
     lo, hi = 2.0 ** n, 2.0 ** (n + 1)
     dense = np.linspace(lo, hi, n_samples + 1)
     g_dense = np.array([g(t) for t in dense], dtype=complex)
@@ -329,9 +334,7 @@ def numerical_inequality_check(g, n: int, l_max: int,
     report.add(0, 0, 0, "lipschitz", lipschitz)
     rhs = 0.0
     for level in range(l_max + 1):
-        knots = lo + (hi - lo) * np.arange(2 ** level + 1) / 2 ** level
-        g_knots = np.array([g(t) for t in knots], dtype=complex)
-        increments = np.abs(np.diff(g_knots))
+        increments = np.abs(np.diff(g_dense[::n_samples >> level]))
         rhs += math.sqrt(2.0) * float(np.sqrt(np.sum(increments ** 2)))
         report.add(0, 0, 0, f"rhs_L={level}", rhs)
     # levels beyond l_max: increments <= Lip * 2^(n - l), so the level-l term
@@ -390,8 +393,8 @@ def multiplier_bound_suite(d_list, x_grid) -> ExperimentReport:
             if x >= sq:
                 chk = check_large_arg(d, x)
                 report.add(d, 0, 0, f"large_margin_x={x:.6g}", chk.margin)
-            chk = check_derivative(d, x) if x > 0 else None
-            if chk is not None:
+            if x > 0:
+                chk = check_derivative(d, x)
                 report.add(d, 0, 0, f"deriv_margin_x={x:.6g}", chk.margin)
     report.sort_rows()
     return report

@@ -149,6 +149,12 @@ def profile_matrix(d: int, radii: np.ndarray, ts: np.ndarray,
 # symbols
 
 
+def _riesz_constant(d: int) -> float:
+    """c_d = Gamma((d+1)/2) / pi^((d+1)/2), the Riesz kernel's constant."""
+    return math.exp(float(gammaln((d + 1) / 2))
+                    - 0.5 * (d + 1) * math.log(math.pi))
+
+
 def _riesz_angular(spec: GridSpec, j: int) -> np.ndarray:
     radius = spec.freq_radius()
     comp = spec.freq_component(j)
@@ -255,9 +261,7 @@ class Kernel:
             raise DomainError("image_radius must be >= 0")
 
     def normalization(self) -> float:
-        d = self.dimension
-        return math.exp(float(gammaln((d + 1) / 2))
-                        - 0.5 * (d + 1) * math.log(math.pi))
+        return _riesz_constant(self.dimension)
 
     def sample(self, spec: GridSpec) -> np.ndarray:
         """Kernel values at the lattice offsets (FFT order), image sum."""
@@ -871,19 +875,18 @@ def rotation_reconstruct(f: SpatialField, j: int, t: float,
             f"rotation_reconstruct supports d in {{2, 3}}, got d={d}")
     if n_angles < 16:
         raise DomainError(f"n_angles must be >= 16, got {n_angles}")
-    c_d = math.exp(float(gammaln((d + 1) / 2)) - 0.5 * (d + 1) * math.log(math.pi))
     _require_memory(16 * (13 if d == 2 else 6) * spec.n_samples,
                     "the rotation reconstruction")
     if d == 2:
         sym_total = _rotation_symbol_2d(spec, j, t, n_angles)
     else:
-        sym_total = _rotation_symbol_3d(spec, j, t, n_angles, c_d)
+        sym_total = _rotation_symbol_3d(spec, j, t, n_angles)
     coeff = forward_transform(f).coefficients * sym_total
     return inverse_transform(SpectralField(spec, coeff))
 
 
-def _rotation_symbol_3d(spec: GridSpec, j: int, t: float, n_angles: int,
-                        c_3: float) -> np.ndarray:
+def _rotation_symbol_3d(spec: GridSpec, j: int, t: float,
+                        n_angles: int) -> np.ndarray:
     """Product quadrature of the sphere integral in a frame adapted to each
     frequency: polar axis along xi.
 
@@ -900,15 +903,12 @@ def _rotation_symbol_3d(spec: GridSpec, j: int, t: float, n_angles: int,
     w = 0.5 * wts
 
     radius = spec.freq_radius()
-    comp = spec.freq_component(j)
     uniq, inv = np.unique(radius, return_inverse=True)
     si, _ = sici(2.0 * math.pi * t * np.outer(uniq, u))
     polar = 2.0 * ((math.pi / 2.0 - si) * u) @ w
     polar_full = polar[inv].reshape(radius.shape)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        zeta_j = np.where(radius > 0, comp / np.where(radius > 0, radius, 1.0),
-                          0.0)
-    return -2j * math.pi * c_3 * zeta_j * polar_full
+    return 2.0 * math.pi * _riesz_constant(3) * _riesz_angular(spec, j) \
+        * polar_full
 
 
 def _rotation_symbol_2d(spec: GridSpec, j: int, t: float,
@@ -952,9 +952,8 @@ def _rotation_symbol_2d(spec: GridSpec, j: int, t: float,
         acc += left * integrand(lo + 0.5 * left)
         acc += right * integrand(s + 0.5 * right)
 
-    c_2 = math.exp(float(gammaln(1.5)) - 1.5 * math.log(math.pi))
     sym = np.zeros(radius.shape, dtype=complex)
-    sym[active] = acc * c_2 * math.pi / 2.0
+    sym[active] = acc * _riesz_constant(2) * math.pi / 2.0
     return sym.reshape(spec.shape)
 
 

@@ -47,7 +47,7 @@ class BoundCheck:
 # Gauss-Legendre nodes/weights reused by every panel quadrature.
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(10)
 
-_ABS_TOL = 1e-8              # absolute error target of bessel_j's quadrature
+_ABS_TOL = 1e-8              # stopping test on bessel_j's integral, not on J
 _MAX_PANELS = 2_097_152      # bessel_j gives up beyond this many panels
 
 
@@ -64,7 +64,10 @@ def bessel_j(nu: float, t: float) -> float:
     """J_nu(t) for nu >= 0, t >= 0, from the integral definition.
 
     Panel width tracks the oscillation scale: the initial panel count is
-    max(8, ceil(t)) and doubles until two refinements agree to _ABS_TOL.
+    max(8, ceil(t)) and doubles until two refinements of the integral agree
+    to _ABS_TOL.  The prefactor t^nu / (2^nu Gamma(nu + 1/2) sqrt(pi)) then
+    multiplies the integral's error, cancellation rounding included: at
+    nu = 10 it is about 4e10 near t = 99, where J's error reaches 1.1e-5.
     """
     if nu < 0:
         raise DomainError(f"bessel_j requires nu >= 0, got {nu}")

@@ -15,6 +15,13 @@ def test_ineq_passes(tmp_path, capsys):
     assert "pass" in out and "FAIL" not in out
 
 
+def test_poisson_passes_at_a_large_band(tmp_path):
+    # the projection range follows the band, so telescope_residual stays
+    # within its 1e-6 bound
+    assert main(["poisson", "--grid-n", "16", "--band", "7.5", "--trials",
+                 "1", "--output", str(tmp_path)]) == EXIT_PASS
+
+
 def test_factorization_writes_reports(tmp_path):
     code = main(["factorization", "--output", str(tmp_path),
                  "--trials", "1", "--dim", "4", "--grid-n", "8",

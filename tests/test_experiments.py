@@ -209,6 +209,13 @@ class TestPoissonSuite:
             <= 1.0 / math.sqrt(2.0) + 0.05
         assert max(rep.values("telescope_residual")) <= 1e-6
 
+    def test_large_band_extends_the_projection_range(self):
+        # band / sqrt(d) = 3.75 > 2, so the range starts one octave lower;
+        # with n_min fixed at -20 the residual read 1.46e-6
+        rep = poisson_suite(4, 16, 7.5, 1, seed=0)
+        assert rep.parameters["n_range"] == [-21, 20]
+        assert max(rep.values("telescope_residual")) <= 1e-6
+
     def test_trial_builds_one_bundle_and_no_projection(self, monkeypatch):
         # the maximal function, g and the S_n square function share one
         # identity bundle per trial; no S_n takes its own transform pair
@@ -258,6 +265,14 @@ class TestNumericalInequality:
         rep = numerical_inequality_check(
             lambda t: math.sin(8.0 * math.pi * t), 0, 10)
         vals = {r["quantity"]: r["value"] for r in rep.rows}
+        assert vals["holds"] == 1.0
+
+    def test_g_evaluated_once_per_sample(self):
+        # past level 12 the samples follow l_max, so every knot is a sample
+        calls = []
+        rep = numerical_inequality_check(lambda t: calls.append(t) or t, 0, 13)
+        vals = {r["quantity"]: r["value"] for r in rep.rows}
+        assert len(calls) == 2 ** 13 + 1
         assert vals["holds"] == 1.0
 
     def test_rhs_nondecreasing_in_l(self):
