@@ -229,10 +229,10 @@ def _cmd_rotation(args) -> int:
         ok = ok and val_b <= val_a
         print(f"{name_a}: error={val_a:.4g} next-ratio={ratio:.3f}")
     print(f"{errors[-1][0]}: error={errors[-1][1]:.4g}")
-    ok = ok and _summarize(_group(report, prefix="sphere_moment"), {
+    moments_ok = _summarize(_group(report, prefix="sphere_moment"), {
         "sphere_moment_gap": _bound("<= 1e-10", lambda lo, med, hi: hi <= 1e-10),
     })
-    return EXIT_PASS if ok else EXIT_BOUND_FAIL
+    return EXIT_PASS if ok and moments_ok else EXIT_BOUND_FAIL
 
 
 def _cmd_report(args) -> int:

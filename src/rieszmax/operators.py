@@ -636,7 +636,17 @@ def _reduce(spectrum: HalfSpectrum, axes: list, profiles: np.ndarray,
     """sqrt(max_c s_c), or sqrt(sum_c weights[c] s_c) when weights are
     given, with s_c = sum over axes of |sum_i profiles[i, c] u_i|^2 and u_i
     the radius classes under the axis's angular symbol.  The route is
-    chosen here, before any transform (see the module docstring)."""
+    chosen here, before any transform (see the module docstring).
+
+    Nonnegative weights over more columns than classes are compressed first:
+    sum_c weights[c] s_c = sum over axes of |R u|^2, where R (n_r x n_r) is
+    the triangular factor of diag(sqrt(weights)) P^T = Q R, so the n_r rows
+    of R become the columns, each of weight 1.  Like the sum it replaces,
+    this takes one dot product per column and then a sum of squares."""
+    if weights is not None and profiles.shape[1] > profiles.shape[0]:
+        profiles = np.linalg.qr(np.sqrt(weights)[:, None] * profiles.T,
+                                mode="r").T
+        weights = np.ones(profiles.shape[1])
     spec, (n_r, n_cols) = spectrum.spec, profiles.shape
     if n_r <= max(64, 2 * n_cols) and (
             _bundle_bytes(spec, n_r, len(spectrum.filtered(axes[0])))
@@ -875,7 +885,9 @@ def rotation_reconstruct(f: SpatialField, j: int, t: float,
             f"rotation_reconstruct supports d in {{2, 3}}, got d={d}")
     if n_angles < 16:
         raise DomainError(f"n_angles must be >= 16, got {n_angles}")
-    _require_memory(16 * (13 if d == 2 else 6) * spec.n_samples,
+    # complex lattice arrays at the traced peak; the 2-d symbol's work is
+    # about 12 complex arrays over a quarter of the lattice
+    _require_memory(16 * (5 if d == 2 else 6) * spec.n_samples,
                     "the rotation reconstruction")
     if d == 2:
         sym_total = _rotation_symbol_2d(spec, j, t, n_angles)
@@ -920,9 +932,20 @@ def _rotation_symbol_2d(spec: GridSpec, j: int, t: float,
     angle of xi; the two panels containing a jump are split there and each
     half handled by its own midpoint, so the composite rule keeps its
     second-order accuracy despite the discontinuity.
+
+    Both factors of the integrand change sign under alpha -> alpha + pi, so
+    it is pi-periodic, and the rule folded modulo pi is symmetric under
+    alpha -> -alpha and alpha -> pi - alpha for any n_angles.  The
+    quadrature is therefore odd in xi_j and even in the other component,
+    like -i xi_j / |xi|.  It is evaluated at the axis indices 0..N/2 only
+    (N/2 is the Nyquist index, -N/2, which has no mirror on the lattice),
+    and each index -m, 0 < m < N/2, is filled from index m: negated along
+    axis j, copied along the other axis.
     """
-    xi1 = spec.freq_component(1).ravel()
-    xi2 = spec.freq_component(2).ravel()
+    n = spec.points_per_axis
+    half = n // 2 + 1
+    xi = spec.freq_axis()[:half]
+    xi1, xi2 = [c.ravel() for c in np.meshgrid(xi, xi, indexing="ij")]
     radius = np.hypot(xi1, xi2)
     active = radius > 0
     r = radius[active]
@@ -952,9 +975,14 @@ def _rotation_symbol_2d(spec: GridSpec, j: int, t: float,
         acc += left * integrand(lo + 0.5 * left)
         acc += right * integrand(s + 0.5 * right)
 
-    sym = np.zeros(radius.shape, dtype=complex)
-    sym[active] = acc * _riesz_constant(2) * math.pi / 2.0
-    return sym.reshape(spec.shape)
+    quarter = np.zeros(radius.shape, dtype=complex)
+    quarter[active] = acc * _riesz_constant(2) * math.pi / 2.0
+    # an index i > N/2 is the frequency i - N, read from index N - i
+    source = np.concatenate([np.arange(half), n - np.arange(half, n)])
+    sym = quarter.reshape(half, half)[np.ix_(source, source)]
+    mirrored = sym[half:] if j == 1 else sym[:, half:]
+    np.negative(mirrored, out=mirrored)
+    return sym
 
 
 def sphere_moment(q_exp: float, d: int) -> float:

@@ -179,6 +179,15 @@ def test_rotation_small(tmp_path):
                  "--band", "10.0", "--output", str(tmp_path)]) == EXIT_PASS
 
 
+def test_rotation_checks_sphere_moments_when_errors_fail(tmp_path, capsys):
+    # at 16 angles the error 0.031 misses its 1e-2 bound; the sphere-moment
+    # table must still be printed and checked
+    assert main(["rotation", "--grid-n", "32", "--n-angles", "16",
+                 "--band", "10", "--output", str(tmp_path)]) == EXIT_BOUND_FAIL
+    out = capsys.readouterr().out
+    assert "sphere_moment_gap" in out and "FAIL" not in out
+
+
 def test_abbreviated_flag_beats_config(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"levels": 3}))

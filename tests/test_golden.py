@@ -4,7 +4,9 @@ committed printed summaries (tests/golden/stdout/) byte for byte.
 
 The subcommands run in one fresh interpreter, in a fixed order, because the
 values of m depend in their last bits on the calls made before them in the
-same process.  To regenerate the files after an intended change of values,
+same process.  They run twice: with the environment as given and at one
+BLAS thread, since a reduction over many radius classes may round
+differently at another thread count.  To regenerate the files after an intended change of values,
 run the subcommands into an empty directory and copy its CSVs, its stdout/
 directory and exit_codes.json (not the JSON reports, which carry a
 timestamp) over tests/golden:
@@ -60,17 +62,28 @@ def _outputs(root: Path) -> dict[str, bytes]:
     return {p.relative_to(root).as_posix(): p.read_bytes() for p in paths}
 
 
-def test_csvs_and_exit_codes_match_golden(tmp_path):
-    env = dict(os.environ)
+def _check_against_golden(out_dir: Path, **env_vars: str) -> None:
+    env = dict(os.environ, **env_vars)
     src = str(HERE.parent / "src")
     env["PYTHONPATH"] = src + (os.pathsep + env["PYTHONPATH"]
                                if env.get("PYTHONPATH") else "")
-    subprocess.run([sys.executable, __file__, str(tmp_path)], env=env,
+    subprocess.run([sys.executable, __file__, str(out_dir)], env=env,
                    check=True, timeout=300)
-    got, want = _outputs(tmp_path), _outputs(GOLDEN)
+    got, want = _outputs(out_dir), _outputs(GOLDEN)
     assert sorted(got) == sorted(want)
     differ = [name for name in want if got[name] != want[name]]
     assert not differ, f"outputs differ from tests/golden: {differ}"
+
+
+def test_csvs_and_exit_codes_match_golden(tmp_path):
+    _check_against_golden(tmp_path)
+
+
+def test_golden_at_one_blas_thread(tmp_path):
+    # reductions over many radius classes round differently at other BLAS
+    # thread counts; the golden configs must not, so one thread matches too
+    _check_against_golden(tmp_path, OPENBLAS_NUM_THREADS="1",
+                          OMP_NUM_THREADS="1")
 
 
 if __name__ == "__main__":

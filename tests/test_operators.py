@@ -8,6 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from scipy import fft as sfft
+from scipy.special import sici
 
 from rieszmax import operators
 from rieszmax.errors import (DomainError, ResourceError,
@@ -442,6 +443,57 @@ class TestRadialBundle:
         assert bundle.is_real and bundle.components.dtype == np.float64
 
 
+def _class_components_at(f, axis, points):
+    """The radius classes of f under the axis-th Riesz symbol (the identity
+    when axis is None) at grid points given by their multi-indices, summed
+    directly: u_c(x) = sum over |k|^2 = c of g(k) fhat(k) e^{2 pi i k.x/L}.
+    fhat comes from numpy's full complex FFT and the phases from a table of
+    e^{2 pi i m/N}, indexed by k.n mod N.  Returns {c: u_c at the points}."""
+    spec = f.spec
+    n = spec.points_per_axis
+    coeff = np.fft.fftn(f.samples) / spec.n_samples
+    bins = np.argwhere(np.abs(coeff) > 1e-10 * np.max(np.abs(coeff)))
+    k = np.where(bins >= n // 2, bins - n, bins)    # index N/2 is -N/2
+    k2 = np.sum(k ** 2, axis=1)
+    weight = coeff[tuple(bins.T)]
+    if axis is not None:
+        norm = np.sqrt(np.maximum(k2, 1))
+        weight = weight * np.where(k2 > 0, -1j * k[:, axis - 1] / norm, 0.0)
+    phase = np.exp(2j * math.pi * np.arange(n) / n)[(points @ k.T) % n]
+    return {c: phase[:, k2 == c] @ weight[k2 == c] for c in np.unique(k2)}
+
+
+class TestBundleAtPoints:
+    """radial_bundle against direct trigonometric sums at grid points, which
+    take no inverse FFT, for the identity and every Riesz axis."""
+
+    @pytest.mark.parametrize("d, n, band", [(4, 8, 2.5), (6, 6, 2.0),
+                                            (8, 4, 1.5)])
+    def test_classes_match_direct_sums(self, d, n, band):
+        spec = GridSpec(d, n)
+        real = random_band_limited(spec, band, seed=31)
+        imag = random_band_limited(spec, band, seed=32)
+        # cosines on the Nyquist planes of axis 1 and of the last axis, where
+        # the Riesz symbol is anti-Hermitian
+        nyquist = real.samples.copy()
+        for k in [(n // 2, 1) + (0,) * (d - 2), (0,) * (d - 2) + (1, n // 2)]:
+            nyquist += _single_mode(spec, k).samples.real
+        fields = [real, SpatialField(spec, real.samples + 1j * imag.samples),
+                  SpatialField(spec, nyquist)]
+        points = np.random.default_rng(33).integers(0, n, size=(300, d))
+        flat = np.ravel_multi_index(tuple(points.T), spec.shape)
+        for f in fields:
+            for axis in [None, *range(1, d + 1)]:
+                bundle = radial_bundle(f, axis)
+                classes = np.rint((bundle.radii * spec.period) ** 2).astype(int)
+                got = bundle.components[flat]
+                want = np.zeros(got.shape, dtype=complex)
+                for c, values in _class_components_at(f, axis, points).items():
+                    want[:, np.flatnonzero(classes == c)[0]] = values
+                assert np.max(np.abs(got - want)) \
+                    <= 1e-13 * np.max(np.abs(want))
+
+
 class TestBundleMemory:
     def test_build_temporaries_stay_below_two_class_buffers(self):
         # one class in flight: its complex half-spectrum buffer and the
@@ -666,7 +718,7 @@ class TestLatticeBudgets:
                                    poisson_projection_sum(f, -3, 3)),
         "rotation_reconstruct_3d": (SPEC, _lattice_arrays(6), lambda f, k:
                                     rotation_reconstruct(f, 1, 0.1, 16)),
-        "rotation_reconstruct_2d": (GridSpec(2, 64), _lattice_arrays(13),
+        "rotation_reconstruct_2d": (GridSpec(2, 64), _lattice_arrays(5),
                                     lambda f, k:
                                     rotation_reconstruct(f, 1, 0.1, 16)),
         "random_band_limited": (SPEC, _band_field, lambda f, k:
@@ -897,6 +949,95 @@ class TestSlabRoute:
         assert spectrum._kept is None
 
 
+def _weighted_reference(spectrum, axes, profiles, weights):
+    """sqrt(sum_c weights[c] sum over axes |P_c . u|^2), column by column,
+    from each axis's radial bundle, over sample blocks."""
+    n_samples = spectrum.spec.n_samples
+    out = np.zeros(n_samples)
+    for axis in axes:
+        components = radial_bundle(spectrum, axis).components
+        for lo in range(0, n_samples, 4096):
+            values = components[lo:lo + 4096] @ profiles
+            out[lo:lo + 4096] += np.abs(values) ** 2 @ weights
+    return np.sqrt(out).reshape(spectrum.spec.shape)
+
+
+class TestWeightedReduction:
+    """Weights over more columns than classes are reduced over the n_r
+    columns of R, the triangular factor of diag(sqrt(w)) P^T; fewer columns
+    are reduced as given, bit for bit."""
+
+    T_NODES = np.geomspace(1e-3, 1e2, 400)
+
+    @staticmethod
+    def _fields():
+        spec = GridSpec(4, 8)
+        real = random_band_limited(spec, 3.0, seed=41).samples
+        imag = random_band_limited(spec, 3.0, seed=42).samples
+        noise = np.random.default_rng(43).standard_normal(GridSpec(3, 8).shape)
+        return {"real": SpatialField(spec, real),
+                "complex": SpatialField(spec, real + 1j * imag),
+                "white_noise": SpatialField(GridSpec(3, 8), noise)}
+
+    @pytest.mark.parametrize("kind", ["real", "complex", "white_noise"])
+    def test_bundle_route_matches_the_direct_sum(self, kind, monkeypatch):
+        from test_experiments import _count_calls
+        spectrum = half_spectrum(self._fields()[kind])
+        d = spectrum.spec.dimension
+        profiles = operators.profile_matrix(d, spectrum.radii, self.T_NODES,
+                                            "poisson")
+        weights = np.linspace(0.5, 2.0, self.T_NODES.size)
+        assert spectrum.radii.size < self.T_NODES.size
+        routed = _count_calls(monkeypatch, operators, "_bundle_route")
+        got = operators._reduce(spectrum, [None], profiles, weights).samples
+        want = _weighted_reference(spectrum, [None], profiles, weights)
+        assert len(routed) == 1
+        assert np.max(np.abs(got - want) / want) <= 1e-13
+
+    def test_slab_route_matches_the_direct_sum(self):
+        spectrum = half_spectrum(random_band_limited(GridSpec(3, 16), 3.0,
+                                                     seed=44))
+        ts = default_truncation_grid().values()
+        profiles = operators.profile_matrix(3, spectrum.radii, ts,
+                                            "truncated_riesz")
+        weights = np.linspace(0.5, 2.0, ts.size)
+        got = operators._reduce(spectrum, [1, 2], profiles, weights).samples
+        want = _weighted_reference(spectrum, [1, 2], profiles, weights)
+        assert np.max(np.abs(got - want) / want) <= 1e-13
+
+    def test_fewer_columns_than_classes_are_unchanged(self):
+        # 116 white-noise classes take the column route for 4 columns, and
+        # 9 band-limited classes the bundle route for 9
+        noise = SpatialField(GridSpec(3, 16), np.random.default_rng(45)
+                             .standard_normal((16, 16, 16)))
+        band = random_band_limited(GridSpec(4, 8), 3.0, seed=41)
+        for field, n_cols, route in [(noise, 4, operators._column_route),
+                                     (band, 9, operators._bundle_route)]:
+            spectrum = half_spectrum(field)
+            assert spectrum.radii.size >= n_cols
+            ts = np.geomspace(0.05, 0.4, n_cols)
+            profiles = operators.profile_matrix(
+                spectrum.spec.dimension, spectrum.radii, ts, "poisson")
+            weights = np.linspace(0.5, 2.0, n_cols)
+            want = route(spectrum, [None], profiles, weights)
+            want = np.sqrt(np.maximum(want, 0.0)).reshape(spectrum.spec.shape)
+            got = operators._reduce(spectrum, [None], profiles, weights)
+            assert np.array_equal(got.samples, want)
+
+    def test_square_function_reduces_over_n_r_columns(self, monkeypatch):
+        f = random_band_limited(GridSpec(4, 16), 3.0, seed=8)
+        shapes = []
+        route = operators._bundle_route
+
+        def spy(spectrum, axes, profiles, weights):
+            shapes.append(profiles.shape)
+            return route(spectrum, axes, profiles, weights)
+
+        monkeypatch.setattr(operators, "_bundle_route", spy)
+        square_function(f, self.T_NODES)
+        assert shapes == [(9, 9)]
+
+
 class TestHalfSpectrumBundle:
     def test_keeps_the_last_bundle_per_axis(self):
         spec = GridSpec(4, 8)
@@ -1076,6 +1217,79 @@ class TestRotations:
         f = random_band_limited(spec, 2.0, seed=0)
         with pytest.raises(UnsupportedDimensionError):
             rotation_reconstruct(f, 1, 0.1, 64)
+
+
+def _rotation_symbol_2d_full(spec, j, t, n_angles):
+    """The 2-d rotation quadrature evaluated at every lattice mode, with no
+    use of its parity."""
+    xi1 = spec.freq_component(1).ravel()
+    xi2 = spec.freq_component(2).ravel()
+    radius = np.hypot(xi1, xi2)
+    active = radius > 0
+    r = radius[active]
+    beta = np.arctan2(xi2[active], xi1[active])
+
+    def integrand(alpha):
+        comp = np.cos(alpha) if j == 1 else np.sin(alpha)
+        dot = r * np.cos(alpha - beta)
+        si, _ = sici(2.0 * math.pi * t * np.abs(dot))
+        return comp * (-1j) * np.sign(dot) * (2.0 / math.pi) \
+            * (math.pi / 2.0 - si)
+
+    h = 2.0 * math.pi / n_angles
+    mids = h * (np.arange(n_angles) + 0.5)
+    acc = np.zeros(r.shape, dtype=complex)
+    for alpha in mids:
+        acc += integrand(np.full(r.shape, alpha))
+    acc *= h
+    for shift in (0.5 * math.pi, 1.5 * math.pi):
+        s = np.mod(beta + shift, 2.0 * math.pi)
+        panel = np.minimum((s / h).astype(int), n_angles - 1)
+        lo, hi = panel * h, (panel + 1) * h
+        acc -= h * integrand(mids[panel])
+        left, right = s - lo, hi - s
+        acc += left * integrand(lo + 0.5 * left)
+        acc += right * integrand(s + 0.5 * right)
+    sym = np.zeros(radius.shape, dtype=complex)
+    sym[active] = acc / (2.0 * math.pi) * math.pi / 2.0     # c_2 = 1/(2 pi)
+    return sym.reshape(spec.shape)
+
+
+class TestRotationSymbol2d:
+    """The 2-d symbol is evaluated on a quarter of the lattice and mirrored."""
+
+    @pytest.mark.parametrize("j", [1, 2])
+    @pytest.mark.parametrize("n_angles", [16, 17, 33, 256])
+    @pytest.mark.parametrize("n", [16, 32, 64])
+    def test_matches_the_full_lattice_quadrature(self, n, n_angles, j):
+        spec = GridSpec(2, n)
+        got = operators._rotation_symbol_2d(spec, j, 0.1, n_angles)
+        want = _rotation_symbol_2d_full(spec, j, 0.1, n_angles)
+        assert np.max(np.abs(got - want)) <= 4e-15
+
+    @pytest.mark.parametrize("j", [1, 2])
+    @pytest.mark.parametrize("n_angles", [16, 17])
+    def test_mirrored_entries_are_exact(self, n_angles, j):
+        n = 32
+        sym = operators._rotation_symbol_2d(GridSpec(2, n), j, 0.1, n_angles)
+        along_j = sym if j == 1 else sym.T          # axis j first
+        m = np.arange(1, n // 2)                    # index -m is n - m
+        # odd along axis j, even along the other axis
+        assert np.array_equal(along_j[n - m], -along_j[m])
+        assert np.array_equal(along_j[:, n - m], along_j[:, m])
+
+    def test_sici_sees_a_quarter_of_the_lattice(self, monkeypatch):
+        n, n_angles = 64, 16
+        sizes = []
+
+        def counting(x):
+            sizes.append(np.size(x))
+            return sici(x)
+
+        monkeypatch.setattr(operators, "sici", counting)
+        operators._rotation_symbol_2d(GridSpec(2, n), 1, 0.1, n_angles)
+        # every midpoint, then three per split panel; the zero mode is skipped
+        assert sizes == [(n // 2 + 1) ** 2 - 1] * (n_angles + 6)
 
 
 class TestSphereMoment:
