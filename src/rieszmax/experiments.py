@@ -23,7 +23,8 @@ import numpy as np
 
 from . import operators as op
 from .errors import DomainError, IntegrityError
-from .fields import GridSpec, SpatialField, l2_norm, random_band_limited
+from .fields import (GridSpec, SpatialField, _inverse_in_place,
+                     forward_transform, l2_norm, random_band_limited)
 from .multiplier import check_derivative, check_large_arg, check_small_arg
 from .operators import (MultiplierSymbol, TruncationGrid, apply_symbol,
                         kernel_convolve, kernel_transform, maximal_over,
@@ -131,8 +132,9 @@ def factorization_residual(d: int, n: int, t_list, band: float, trials: int,
     """Relative L2 residual between the spatial (periodized kernel) and
     spectral (factorized symbol) truncated Riesz transform, axis 1.
 
-    The kernel does not depend on the field, so it is sampled and
-    transformed once per t and shared by every trial.
+    The kernel and the symbol do not depend on the field, so each t's
+    kernel transform and symbol values are made once and shared by every
+    trial, and each trial transforms its field once for both routes.
     """
     spec = GridSpec(d, n)
     band = _capped_band(band, spec)
@@ -140,15 +142,25 @@ def factorization_residual(d: int, n: int, t_list, band: float, trials: int,
         "factorization", seed,
         {"d": d, "N": n, "t_list": list(map(float, t_list)), "band": band,
          "trials": trials, "image_radius": image_radius})
+    # each t's kernel transform and symbol, and a trial's field transform,
+    # its coefficients, one product and the two routes' samples
+    op._require_memory(16 * (2 * len(t_list) + 5) * spec.n_samples,
+                       "the factorization's transforms")
+    symbols = [MultiplierSymbol.truncated_riesz(1, float(t)).values(spec)
+               for t in t_list]
     k_hats = [kernel_transform(spec, 1, float(t), image_radius) for t in t_list]
 
     def trial_values(f: SpatialField) -> dict:
         norm_f = l2_norm(f)
+        f_hat = np.fft.fftn(f.samples)
+        coefficients = forward_transform(f, f_hat).coefficients
         values = {}
-        for t, k_hat in zip(t_list, k_hats):
-            spatial = kernel_convolve(f, k_hat)
-            spectral = apply_symbol(f, MultiplierSymbol.truncated_riesz(1, float(t)))
-            diff = SpatialField(spec, spatial.samples - spectral.samples)
+        for t, k_hat, symbol in zip(t_list, k_hats, symbols):
+            spatial = kernel_convolve(f, k_hat, f_hat).samples
+            # apply_symbol's arithmetic, in its operand order
+            spectral = _inverse_in_place(coefficients * symbol, spec)
+            diff = SpatialField(spec, np.subtract(spatial, spectral,
+                                                  out=spectral))
             values[f"residual_t={float(t):g}"] = l2_norm(diff) / norm_f
         return values
 
@@ -179,18 +191,17 @@ def norm_ratio_sweep(dims, n_of_d: dict, grid: TruncationGrid, band: float,
 
 def _sweep_trial(f: SpatialField, grid: TruncationGrid) -> dict:
     norm_f = l2_norm(f)
-    # One forward transform per trial.  The spectrum keeps the bundle it
-    # built last, so R_1 f, r2 and r4 share one axis-1 bundle; r3 releases
-    # it and builds no bundle.
+    # One forward transform per trial.  R_1 f, r2 and r4 come from one pass
+    # over the axis-1 classes: through the axis-1 bundle where it is built
+    # in one group of axis-0 indices, streamed on larger grids (d = 6,
+    # N = 10), where r1 streams too.  r3 streams and releases the bundle.
     spectrum = op.half_spectrum(f)
     r1 = l2_norm(maximal_over(spectrum, "factor_m", grid)) / norm_f
-    axis1 = spectrum.bundle(1)
-    norm_r = l2_norm(SpatialField(
-        f.spec, axis1.combine(np.ones(len(axis1.radii)))))
-    del axis1           # the spectrum holds it for as long as needed
-    r2 = l2_norm(maximal_over(spectrum, "truncated_riesz", grid, j=1)) / norm_r
-    r4 = l2_norm(maximal_over(spectrum, "conjugate_poisson", grid, j=1)) \
-        / norm_r
+    riesz, maxima = op.riesz_maximals(
+        spectrum, grid, ("truncated_riesz", "conjugate_poisson"), j=1)
+    norm_r = l2_norm(riesz)
+    r2, r4 = (l2_norm(m) / norm_r for m in maxima)
+    del riesz, maxima   # before r3's buffers
     r3 = l2_norm(vector_maximal(spectrum, grid)) / norm_f
     return {"r1": r1, "r2": r2, "r4": r4, "r3": r3}
 

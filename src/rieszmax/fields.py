@@ -117,11 +117,14 @@ class SpectralField:
                 f"{self.spec.shape}")
 
 
-def forward_transform(f: SpatialField) -> SpectralField:
-    """Unitary DFT: coefficients approximating the continuum transform at xi=k/L."""
+def forward_transform(f: SpatialField,
+                      f_hat: np.ndarray | None = None) -> SpectralField:
+    """Unitary DFT: coefficients approximating the continuum transform at
+    xi=k/L.  f_hat, np.fft.fftn of f's samples, may be given to share it."""
     spec = f.spec
     scale = spec.period ** (spec.dimension / 2.0) / spec.n_samples
-    return SpectralField(spec, np.fft.fftn(f.samples) * scale)
+    return SpectralField(spec, (np.fft.fftn(f.samples) if f_hat is None
+                                else f_hat) * scale)
 
 
 def inverse_transform(F: SpectralField) -> SpatialField:

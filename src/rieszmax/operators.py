@@ -10,13 +10,17 @@ Each maximal and square operator has a symbol angular(xi) * profile(t |xi|)
 and is one reduction, by a max or a weighted sum over the columns c of a
 profile matrix P, of s_c = sum over angular symbols of |sum_i P[i, c] u_i|^2,
 where u_i is the field's class of equal integer |k|^2 under the symbol.
-The route is picked before any transform: bundles for one angular symbol
-(an inverse FFT per class, then a product over the columns), slabs for
-several (each class's inverse FFT finished and reduced one axis-0 index at
-a time), or, past max(64, 2 n_columns) classes or physical memory, one
-inverse FFT per column and symbol, whose estimate must fit or ResourceError
-is raised.  No kept bundle or call history enters it.  Every inverse FFT
-runs irfftn's passes over the lines its bins occupy only, bit for bit.
+The route is picked before any transform: a bundle for one angular symbol
+on a grid whose bundle is built in one group of axis-0 indices (an inverse
+FFT per class, then a product over the columns); streaming for several
+symbols, or for one on a larger grid (each class's inverse FFT finished and
+reduced one axis-0 slab at a time, or, for several symbols, one axis-1
+sub-slab at a time when a slab exceeds _BLOCK_VALUES samples); or, past
+max(64, 2 n_columns) classes or physical memory, one inverse FFT per column
+and symbol, whose estimate must fit or ResourceError is raised.  No kept
+bundle or call history enters it, and a streamed reduction of one symbol
+is bit for bit the bundle's.  Every inverse FFT runs irfftn's passes over
+the lines its bins occupy only, bit for bit.
 """
 
 from __future__ import annotations
@@ -46,6 +50,7 @@ __all__ = [
     "kernel_transform",
     "kernel_convolve",
     "maximal_over",
+    "riesz_maximals",
     "vector_maximal",
     "square_function",
     "projection_square_function",
@@ -307,14 +312,17 @@ def kernel_transform(spec: GridSpec, j: int, t: float,
     return np.fft.fftn(kernel.sample(spec))
 
 
-def kernel_convolve(f: SpatialField, k_hat: np.ndarray) -> SpatialField:
+def kernel_convolve(f: SpatialField, k_hat: np.ndarray,
+                    f_hat: np.ndarray | None = None) -> SpatialField:
     """Discrete periodic convolution of f with the kernel whose
-    kernel_transform is k_hat, executed through the transform pair."""
+    kernel_transform is k_hat, executed through the transform pair.
+    f_hat, np.fft.fftn of f's samples, may be given to share it."""
     spec = f.spec
     _require_memory(16 * 4 * spec.n_samples, "the kernel convolution")
     # f_hat is named, not a temporary: numpy would multiply into a
     # temporary in place with the operands swapped, which moves the last bit
-    f_hat = np.fft.fftn(f.samples)
+    if f_hat is None:
+        f_hat = np.fft.fftn(f.samples)
     return SpatialField(spec, np.fft.ifftn(k_hat * f_hat) * spec.cell_volume)
 
 
@@ -335,6 +343,31 @@ def _sample_blocks(n_samples: int, n_rows: int):
     step = max(1, _BLOCK_VALUES // max(n_rows, 1))
     for lo in range(0, n_samples, step):
         yield slice(lo, min(lo + step, n_samples))
+
+
+def _group(spec: GridSpec) -> int:
+    """Axis-0 indices per tail of a radial bundle's class: about
+    _BLOCK_VALUES samples, or all of them at d = 1, where a row of the head
+    is a frequency and a tail over some rows gives no samples."""
+    n = spec.points_per_axis
+    return max(1, _BLOCK_VALUES // (spec.n_samples // n)) \
+        if spec.dimension > 1 else n
+
+
+def _streams(spec: GridSpec) -> bool:
+    """Whether a reduction of one symbol streams: its bundle would be built
+    in more than one group of axis-0 indices."""
+    return _group(spec) < spec.points_per_axis
+
+
+def _piece(spec: GridSpec, axes: list) -> int:
+    """Samples per tail of the streamed route: an axis-0 slab, or, for
+    several axes at d >= 3, an axis-1 sub-slab of it when the slab exceeds
+    _BLOCK_VALUES.  One axis keeps whole slabs: its buffer is a few slabs,
+    and a tenth of the tail calls is the faster of the two."""
+    n, slab = spec.points_per_axis, spec.n_samples // spec.points_per_axis
+    return (slab // n if len(axes) > 1 and spec.dimension >= 3
+            and slab > _BLOCK_VALUES else slab)
 
 
 def _physical_memory() -> int:
@@ -413,7 +446,7 @@ class HalfSpectrum:
         """The field's radial bundle under the axis-th Riesz symbol, or
         under the identity when axis is None.  The bundle built last is
         returned again for the same axis; a different axis releases it
-        before building its own, and so does vector_maximal's slab route."""
+        before building its own, and so does the streamed route."""
         if self._kept is None or self._kept[0] != axis:
             self._kept = None
             self._kept = (axis, radial_bundle(self, axis))
@@ -488,6 +521,11 @@ def _inverse_transformer(spec: GridSpec, bins: np.ndarray):
     axis-0 pass, a row per axis-0 index), then transform.tail(rows,
     out=None), which may overwrite rows of a head: the later passes act
     within one axis-0 index, so for d >= 2 it gives those rows' samples.
+    values may stack several inputs on leading axes; their heads and tails
+    stack the same way, and each line is transformed as it would be alone.
+    For d >= 3 a tail may also stop after transform.widened(rows, 1), the
+    axis-1 pass, and go on from one axis-1 index of its output with
+    transform.tail(x, out, start=2), which gives that index's samples.
     """
     n, half = spec.points_per_axis, _half_shape(spec)
     last = len(half) - 1
@@ -528,22 +566,30 @@ def _inverse_transformer(spec: GridSpec, bins: np.ndarray):
         return x
 
     def head(values: np.ndarray) -> np.ndarray:
-        x = np.zeros(stride, dtype=complex)
-        x[places] = values
-        return widened(x, 0).reshape(half[0], -1)
+        lead = values.shape[:-1]
+        x = np.zeros(lead + (stride,), dtype=complex)
+        x[..., places] = values
+        return widened(x, 0).reshape(lead + (half[0], -1))
 
-    def tail(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        for a in range(1, last):
+    def tail(x: np.ndarray, out: np.ndarray | None = None,
+             start: int = 1) -> np.ndarray:
+        for a in range(start, last):
             x = widened(x, a)
         samples = sfft.irfftn(x.reshape(-1, half[last]), s=(n,), axes=(1,),
-                              norm="forward", workers=1).reshape(-1)
-        return np.multiply(samples, scale, out=samples if out is None else out)
+                              norm="forward", workers=1)
+        if out is None:
+            out = samples = samples.reshape(-1)
+        return np.multiply(samples.reshape(out.shape), scale, out=out)
 
     def transform(values: np.ndarray, out: np.ndarray | None = None):
         return tail(head(values), out)
 
-    transform.head, transform.tail = head, tail
+    transform.head, transform.tail, transform.widened = head, tail, widened
+    # per stacked input: a head, and the axis-1 pass of one axis-0 index
     transform.head_bytes = 16 * half[0] * (half[1] if last == 1 else widen[0][2])
+    transform.pass_bytes = (16 * half[1] * (half[2] if last == 2
+                                            else widen[1][2])
+                            if last >= 2 else 0)
     return transform
 
 
@@ -571,11 +617,7 @@ class RadialBundle:
             block = self.components.T[:, cols]          # (n_r, block)
             parts = ((block,) if self.is_real
                      else (block.real.copy(), block.imag.copy()))
-            s = by_t @ parts[0]
-            np.square(s, out=s)
-            for u in parts[1:]:
-                s += np.square(by_t @ u)
-            yield cols, s
+            yield cols, _column_sums(by_t, [parts])
 
     def sup_abs(self, profiles: np.ndarray) -> np.ndarray:
         """sup over columns tau of |sum_i u_i P[i, tau]|, flattened samples."""
@@ -599,6 +641,8 @@ def radial_bundle(f: SpatialField | HalfSpectrum,
     lines the class occupies, at most 2 floor(sqrt(|k|^2)) + 1 indices per
     axis; for d >= 2 its tails run over groups of axis-0 indices of about
     _BLOCK_VALUES samples, so one head and one group's tail are in flight.
+    The reductions build a bundle only where it takes one group (d = 4,
+    N = 16 or d = 8, N = 4, say); on larger grids they stream (_reduce).
     """
     spectrum = _as_spectrum(f)
     spec = spectrum.spec
@@ -607,8 +651,7 @@ def radial_bundle(f: SpatialField | HalfSpectrum,
     _require_memory(_bundle_bytes(spec, n_r, len(parts)), "the radial bundle")
     is_real = len(parts) == 1
     n, slab = spec.points_per_axis, spec.n_samples // spec.points_per_axis
-    # a tail over some axis-0 indices gives their samples only for d >= 2
-    group = max(1, _BLOCK_VALUES // slab) if spec.dimension > 1 else n
+    group = _group(spec)
     # row i of by_class is u_i; the bundle's components are its transpose
     by_class = np.empty((n_r, spec.n_samples), dtype=float if is_real else complex)
     rows = (by_class,) if is_real else (by_class.real, by_class.imag)
@@ -635,148 +678,262 @@ def _reduce(spectrum: HalfSpectrum, axes: list, profiles: np.ndarray,
             weights: np.ndarray | None = None) -> SpatialField:
     """sqrt(max_c s_c), or sqrt(sum_c weights[c] s_c) when weights are
     given, with s_c = sum over axes of |sum_i profiles[i, c] u_i|^2 and u_i
-    the radius classes under the axis's angular symbol.  The route is
-    chosen here, before any transform (see the module docstring).
+    the radius classes under the axis's angular symbol, by the route that
+    _route picks: the bundle, streaming or one transform per column."""
+    return _root(spectrum.spec, _route(spectrum, axes, profiles, weights))
+
+
+def _root(spec: GridSpec, sums: np.ndarray) -> SpatialField:
+    np.sqrt(np.maximum(sums, 0.0, out=sums), out=sums)
+    return SpatialField(spec, sums.reshape(spec.shape))
+
+
+def _route(spectrum: HalfSpectrum, axes: list, profiles: np.ndarray,
+           weights: np.ndarray | None = None, combine: bool = False):
+    """The sums of _reduce, before the square root.  On a grid that
+    streams, profiles may stack several (n_r, n_cols) matrices on leading
+    axes, reduced in one pass over the classes into sums of the same leading
+    shape, and with combine (one axis) the pass also returns sum_i u_i, the
+    field under the symbol.  The route is chosen here, before any transform
+    (see the module docstring).
 
     Nonnegative weights over more columns than classes are compressed first:
     sum_c weights[c] s_c = sum over axes of |R u|^2, where R (n_r x n_r) is
     the triangular factor of diag(sqrt(weights)) P^T = Q R, so the n_r rows
     of R become the columns, each of weight 1.  Like the sum it replaces,
     this takes one dot product per column and then a sum of squares."""
-    if weights is not None and profiles.shape[1] > profiles.shape[0]:
-        profiles = np.linalg.qr(np.sqrt(weights)[:, None] * profiles.T,
-                                mode="r").T
-        weights = np.ones(profiles.shape[1])
-    spec, (n_r, n_cols) = spectrum.spec, profiles.shape
-    if n_r <= max(64, 2 * n_cols) and (
-            _bundle_bytes(spec, n_r, len(spectrum.filtered(axes[0])))
-            if len(axes) == 1 else _slab_route_bytes(spectrum, axes, n_cols)
-    ) <= _physical_memory():
-        out = _bundle_route(spectrum, axes, profiles, weights)
-    else:
-        _require_memory(_column_route_bytes(spectrum, axes), "the column route")
-        out = _column_route(spectrum, axes, profiles, weights)
-    np.sqrt(np.maximum(out, 0.0, out=out), out=out)
-    return SpatialField(spec, out.reshape(spec.shape))
+    if weights is not None and profiles.shape[-1] > profiles.shape[-2]:
+        profiles = np.swapaxes(np.linalg.qr(
+            np.sqrt(weights)[:, None] * np.swapaxes(profiles, -1, -2),
+            mode="r"), -1, -2)
+        weights = np.ones(profiles.shape[-1])
+    spec, (n_r, n_cols) = spectrum.spec, profiles.shape[-2:]
+    parts = len(spectrum.filtered(axes[0]))
+    # float64 outputs: one per profile matrix, and the combined parts
+    n_out = math.prod(profiles.shape[:-2]) + (parts if combine else 0)
+    streams = len(axes) > 1 or _streams(spec)
+    need = (_slab_route_bytes(spectrum, axes, n_cols, n_out) if streams
+            else _bundle_bytes(spec, n_r, parts))
+    if n_r > max(64, 2 * n_cols) or need > _physical_memory():
+        _require_memory(_column_route_bytes(spectrum, axes, n_out),
+                        "the column route")
+        return _column_route(spectrum, axes, profiles, weights, combine)
+    if streams:
+        return _stream_route(spectrum, axes, profiles, weights, combine)
+    return _bundle_route(spectrum, axes, profiles, weights)
 
 
-def _column_route_bytes(spectrum: HalfSpectrum, axes: list) -> int:
+def _column_route_bytes(spectrum: HalfSpectrum, axes: list,
+                        n_out: int = 1) -> int:
     """One transform's work array and samples, the column's sum and the
-    running reduction, every axis's filtered coefficients plus a copy, and
-    the transform's places of the active bins."""
+    n_out float64 outputs, every axis's filtered coefficients plus a copy,
+    and the transform's places of the active bins."""
     spec = spectrum.spec
-    return (_class_buffer_bytes(spec) + 16 * spec.n_samples
+    return (_class_buffer_bytes(spec) + 8 * (1 + n_out) * spec.n_samples
             + (24 + 32 * len(axes)) * spectrum.active.size)
 
 
 def _slab_chunk(n_samples: int, n_r: int, n_cols: int) -> int:
-    """The slab route's chunk: whole blocks, about _BLOCK_VALUES / n_r."""
+    """The streamed route's chunk: about _BLOCK_VALUES / n_r samples in
+    whole blocks of _sample_blocks(n_samples, n_cols), and a multiple of 4
+    samples, the rows a BLAS matrix-vector kernel takes at once, so the
+    combined field of a chunk rounds as in one product over all samples."""
     step = max(1, _BLOCK_VALUES // max(n_cols, 1))
-    return min(n_samples, step * max(1, _BLOCK_VALUES // max(n_r, 1) // step))
+    unit = step * 4 // math.gcd(step, 4)
+    return min(n_samples, unit * max(1, _BLOCK_VALUES // max(n_r, 1) // unit))
 
 
-def _slab_route_bytes(spectrum: HalfSpectrum, axes: list, n_cols: int) -> int:
-    """Every axis, part and class's head, the slab buffer (a slab of each,
-    and a carry of up to a chunk), a chunk's accumulator, a tail in flight."""
+def _slab_route_bytes(spectrum: HalfSpectrum, axes: list, n_cols: int,
+                      n_out: int = 1) -> int:
+    """The streamed route's bytes: the heads of every class, axis and part
+    (a row), the axis-1 passes of one axis-0 index when slabs split into
+    sub-slabs, the buffer (a piece of every row and class, and a carry of up
+    to a chunk), a chunk's Gram accumulator and one of its products, or a
+    block's column sums, a block's reduced sums, one stacked tail in flight
+    (a pass's input and output), the rows' filtered values and n_out
+    float64 outputs."""
     spec, n_r = spectrum.spec, spectrum.radii.size
-    n = spec.points_per_axis
+    n_samples, piece = spec.n_samples, _piece(spec, axes)
     rows = sum(len(spectrum.filtered(axis)) for axis in axes)
-    chunk = _slab_chunk(spec.n_samples, n_r, n_cols)
-    return (rows * sum(t.head_bytes for _, t in spectrum.class_transforms)
-            + 8 * (rows * n_r * (spec.n_samples // n + chunk)
-                   + min(n_r * (n_r + 1) // 2, n_cols) * chunk)
-            + _class_buffer_bytes(spec) // n)
+    chunk = _slab_chunk(n_samples, n_r, n_cols)
+    block = n_cols * max(1, _BLOCK_VALUES // max(n_cols, 1))
+    pairs = n_r * (n_r + 1) // 2
+    sums = ((pairs + n_r) * chunk + 2 * block
+            if len(axes) > 1 and pairs <= n_cols else 3 * block)
+    split = piece < n_samples // spec.points_per_axis
+    return (rows * sum(t.head_bytes + split * t.pass_bytes
+                       for _, t in spectrum.class_transforms)
+            + 8 * (rows * n_r * min(piece + chunk, n_samples) + sums
+                   + n_out * n_samples)
+            + 2 * rows * _class_buffer_bytes(spec) * piece // n_samples
+            + 16 * rows * spectrum.active.size)
 
 
 def _bundle_route(spectrum: HalfSpectrum, axes: list, profiles: np.ndarray,
                   weights: np.ndarray | None) -> np.ndarray:
-    """The sums of _reduce, before the square root, from the radial bundle
-    of one axis, or for several by slabs: the tails of every head finish one
-    axis-0 index at a time into a buffer, reduced in chunks of whole blocks
-    of _sample_blocks(n_samples, n_cols).  With few classes s_c = P_c^T G P_c
-    (G the per-point Gram matrix of the classes): 2-5x less work."""
-    spec, (n_r, n_cols) = spectrum.spec, profiles.shape
+    """The sums of _route from the radial bundle of one axis, which the
+    spectrum keeps; several axes are streamed."""
+    if len(axes) > 1:
+        return _stream_route(spectrum, axes, profiles, weights)
+    out = np.empty(spectrum.spec.n_samples)
     by_t = np.ascontiguousarray(profiles.T)
-    out = np.empty(spec.n_samples)
-    if len(axes) == 1:
-        for cols, s in spectrum.bundle(axes[0])._column_sums(by_t):
-            out[cols] = s.max(axis=0) if weights is None else weights @ s
-        return out
-    slab = spec.n_samples // spec.points_per_axis
-    chunk = _slab_chunk(spec.n_samples, n_r, n_cols)
-    _require_memory(_slab_route_bytes(spectrum, axes, n_cols), "the slabs")
-    spectrum._kept = None               # not live beside the heads
-    # groups[k]: the rows of axes[k]; column sums add within one, then across
-    transforms, heads, groups = spectrum.class_transforms, [], []
-    for axis in axes:
-        parts = spectrum.filtered(axis)
-        groups.append(range(len(heads), len(heads) + len(parts)))
-        heads += [[t.head(part[c]) for c, t in transforms] for part in parts]
-    # Gram entries (a, b), a <= b, row by row: row a holds pairs[a]:pairs[a+1]
-    pairs = np.concatenate([[0], np.cumsum(np.arange(n_r, 0, -1))])
-    gram = pairs[-1] <= n_cols
-    if gram:
-        rows_i, cols_i = np.triu_indices(n_r)
-        # off-diagonal pairs stand for both (a, b) and (b, a): weight 2
-        pair_weights = by_t[:, rows_i] * by_t[:, cols_i]
-        pair_weights[:, rows_i != cols_i] *= 2.0
-    buf = np.empty((len(heads), n_r, min(slab + chunk, spec.n_samples)))
+    for cols, s in spectrum.bundle(axes[0])._column_sums(by_t):
+        out[cols] = s.max(axis=0) if weights is None else weights @ s
+    return out
+
+
+def _stacked(profiles: np.ndarray) -> np.ndarray:
+    """profiles as a stack (k, n_r, n_cols), k = 1 for one matrix."""
+    return profiles.reshape((math.prod(profiles.shape[:-2]),)
+                            + profiles.shape[-2:])
+
+
+def _column_sums(by_t: np.ndarray, groups) -> np.ndarray:
+    """s = sum over groups of sum over its parts u of (by_t @ u)^2, the
+    squares taken in place and added in order."""
+    total = None
+    for parts in groups:
+        s = by_t @ parts[0]
+        np.square(s, out=s)
+        for u in parts[1:]:
+            s += np.square(by_t @ u)
+        total = s if total is None else np.add(total, s, out=total)
+    return total
+
+
+def _class_chunks(spectrum: HalfSpectrum, rows: list, chunk: int,
+                  piece: int):
+    """Yield (lo, u) over consecutive chunks of the samples, u[q, i] the
+    samples lo:lo + chunk of class i of the inverse transform of rows[q]
+    (values at the active bins, see HalfSpectrum.filtered).
+
+    Each class's heads of all rows are taken first, stacked.  Their tails
+    then finish one piece at a time (an axis-0 slab, or an axis-1 sub-slab
+    after the axis-0 index's shared axis-1 pass, see _piece), every row of a
+    class in one call, into a buffer of a piece plus a chunk per row and
+    class, and whatever of the last piece a chunk leaves over is carried to
+    the buffer's front."""
+    spec, transforms = spectrum.spec, spectrum.class_transforms
+    n_samples = spec.n_samples
+    per_slab = n_samples // spec.points_per_axis // piece
+    heads = [t.head(np.stack([row[c] for row in rows]))
+             for c, t in transforms]
+    buf = np.empty((len(rows), len(transforms),
+                    min(piece + chunk, n_samples)))
     start = end = 0                     # buf[..., :end - start] is start:end
-    for lo in range(0, spec.n_samples, chunk):
-        hi = min(lo + chunk, spec.n_samples)
+    for lo in range(0, n_samples, chunk):
+        hi = min(lo + chunk, n_samples)
         if end < hi and lo > start:     # carry lo:end to the front
             buf[:, :, :end - lo] = buf[:, :, lo - start:end - start]
             start = lo
-        for index in range(end // slab, -(-hi // slab)):
-            at = index * slab - start
-            for row, head in zip(buf, heads):
-                for i, (_, t) in enumerate(transforms):
-                    t.tail(head[i][index:index + 1], out=row[i, at:at + slab])
-            end = (index + 1) * slab
-        u = buf[:, :, lo - start:hi - start]
+        for p in range(end // piece, -(-hi // piece)):
+            at = p * piece - start
+            index, m = divmod(p, per_slab)
+            if per_slab > 1 and m == 0:
+                passed = None
+                passed = [t.widened(head[:, index], 1)
+                          for head, (_, t) in zip(heads, transforms)]
+            for i, (_, t) in enumerate(transforms):
+                if per_slab == 1:
+                    t.tail(heads[i][:, index], out=buf[:, i, at:at + piece])
+                else:
+                    t.tail(passed[i][:, m], out=buf[:, i, at:at + piece],
+                           start=2)
+            end = (p + 1) * piece
+        yield lo, buf[:, :, lo - start:hi - start]
+
+
+def _stream_route(spectrum: HalfSpectrum, axes: list, profiles: np.ndarray,
+                  weights: np.ndarray | None, combine: bool = False):
+    """The sums of _route with no bundle: the classes of every axis and
+    part come in chunks of whole blocks of _sample_blocks(n_samples, n_cols)
+    (_class_chunks), each reduced as it is done.  One axis takes the bundle
+    route's block sums, bit for bit; several axes with few classes take
+    s_c = P_c^T G P_c (G the per-point Gram matrix of the classes), 2-5x
+    less work.  combine takes RadialBundle.combine's product over each
+    chunk's rows, which round as in one product over all of them."""
+    spec, (n_r, n_cols) = spectrum.spec, profiles.shape[-2:]
+    by_ts = [np.ascontiguousarray(p.T) for p in _stacked(profiles)]
+    spectrum._kept = None               # not live beside the heads
+    # groups[k]: the rows of axes[k]; column sums add within one, then across
+    rows, groups = [], []
+    for axis in axes:
+        parts = spectrum.filtered(axis)
+        groups.append(slice(len(rows), len(rows) + len(parts)))
+        rows += parts
+    # Gram entries (a, b), a <= b, row by row: row a holds pairs[a]:pairs[a+1]
+    pairs = np.concatenate([[0], np.cumsum(np.arange(n_r, 0, -1))])
+    gram = len(axes) > 1 and pairs[-1] <= n_cols
+    if gram:
+        rows_i, cols_i = np.triu_indices(n_r)
+        # off-diagonal pairs stand for both (a, b) and (b, a): weight 2
+        pair_weights = [by_t[:, rows_i] * by_t[:, cols_i] for by_t in by_ts]
+        for w in pair_weights:
+            w[:, rows_i != cols_i] *= 2.0
+    out = np.empty((len(by_ts), spec.n_samples))
+    if combine:
+        ones = np.ones(n_r)
+        field = np.empty(spec.n_samples, float if len(rows) == 1 else complex)
+    chunk = _slab_chunk(spec.n_samples, n_r, n_cols)
+    for lo, u in _class_chunks(spectrum, rows, chunk, _piece(spec, axes)):
+        hi = lo + u.shape[-1]
         if gram:
             acc = np.zeros((pairs[-1], hi - lo))
             for part in u:
                 for a in range(n_r):
                     acc[pairs[a]:pairs[a + 1]] += part[a] * part[a:]
-        for cols in _sample_blocks(hi - lo, n_cols):
-            s = pair_weights @ acc[:, cols] if gram else sum(
-                sum(np.square(by_t @ u[q, :, cols]) for q in group)
-                for group in groups)
-            out[lo + cols.start:lo + cols.stop] = (
-                s.max(axis=0) if weights is None else weights @ s)
-    return out
+        for k, sums in enumerate(out):
+            for cols in _sample_blocks(hi - lo, n_cols):
+                s = (pair_weights[k] @ acc[:, cols] if gram else _column_sums(
+                    by_ts[k], [u[g, :, cols] for g in groups]))
+                sums[lo + cols.start:lo + cols.stop] = (
+                    s.max(axis=0) if weights is None else weights @ s)
+        if combine:
+            block = u[0]
+            if len(rows) > 1:
+                block = np.empty((n_r, hi - lo), complex)
+                block.real, block.imag = u
+            field[lo:hi] = block.T @ ones
+    out = out.reshape(profiles.shape[:-2] + (-1,))
+    return (out, field) if combine else out
 
 
 def _column_route(spectrum: HalfSpectrum, axes: list, profiles: np.ndarray,
-                  weights: np.ndarray | None) -> np.ndarray:
-    """The sums of _reduce, before the square root, one column at a time:
-    each column and part of an axis takes one inverse transform of its
-    coefficients scaled by the column's profile at the active bins."""
+                  weights: np.ndarray | None, combine: bool = False):
+    """The sums of _route one column at a time: each column and part of an
+    axis takes one inverse transform of its coefficients scaled by the
+    column's profile at the active bins.  combine takes one transform per
+    part of the coefficients as they are."""
     transform = _inverse_transformer(spectrum.spec, spectrum.active)
     parts = [part for axis in axes for part in spectrum.filtered(axis)]
-    out = np.zeros(spectrum.spec.n_samples)
-    for c in range(profiles.shape[1]):
-        at_bins = profiles[spectrum.class_of_bin, c]
-        s = np.zeros_like(out)
-        for part in parts:
-            u = transform(at_bins * part)
-            s += np.square(u, out=u)
-        if weights is None:
-            np.maximum(out, s, out=out)
-        else:
-            out += np.multiply(s, weights[c], out=s)
-    return out
+    stack = _stacked(profiles)
+    out = np.zeros((len(stack), spectrum.spec.n_samples))
+    for sums, p in zip(out, stack):
+        for c in range(p.shape[1]):
+            at_bins = p[spectrum.class_of_bin, c]
+            s = np.zeros_like(sums)
+            for part in parts:
+                u = transform(at_bins * part)
+                s += np.square(u, out=u)
+            if weights is None:
+                np.maximum(sums, s, out=sums)
+            else:
+                sums += np.multiply(s, weights[c], out=s)
+    out = out.reshape(profiles.shape[:-2] + (-1,))
+    if not combine:
+        return out
+    real, *imag = [transform(part) for part in parts]
+    return out, (real + 1j * imag[0] if imag else real)
 
 
 def maximal_over(f: SpatialField | HalfSpectrum, family: str,
                  grid: TruncationGrid, j: int = 1) -> SpatialField:
     """Pointwise sup over the grid's truncation values of |op_t f|.
 
-    f is a field or its half_spectrum; a half_spectrum reuses the bundle
-    it built last when that one has the family's angular symbol (the
-    axis-j Riesz symbol for truncated_riesz and conjugate_poisson, the
-    identity otherwise).
+    f is a field or its half_spectrum; where the reduction takes a bundle,
+    a half_spectrum reuses the bundle it built last when that one has the
+    family's angular symbol (the axis-j Riesz symbol for truncated_riesz and
+    conjugate_poisson, the identity otherwise).
     """
     ts = grid.values()
     spectrum = _as_spectrum(f)
@@ -785,11 +942,39 @@ def maximal_over(f: SpatialField | HalfSpectrum, family: str,
     return _reduce(spectrum, [_family_axis(family, j)], profiles)
 
 
+def riesz_maximals(f: SpatialField | HalfSpectrum, grid: TruncationGrid,
+                   families, j: int = 1
+                   ) -> tuple[SpatialField, list[SpatialField]]:
+    """R_j f, and maximal_over(f, family, grid, j) for each family with the
+    axis-j Riesz symbol (truncated_riesz, conjugate_poisson), bit for bit,
+    from one pass over the field's axis-j classes: the axis-j bundle, which
+    the spectrum keeps, where a reduction of one symbol takes a bundle, and
+    otherwise one streamed pass (or column by column)."""
+    spectrum = _as_spectrum(f)
+    spec = spectrum.spec
+    if any(_family_axis(family, j) != j for family in families):
+        raise DomainError(f"riesz_maximals takes families with a Riesz "
+                          f"symbol, got {tuple(families)}")
+    if not _streams(spec):
+        maxima = [maximal_over(spectrum, family, grid, j)
+                  for family in families]
+        bundle = spectrum.bundle(j)
+        return (SpatialField(spec, bundle.combine(np.ones(bundle.radii.size))),
+                maxima)
+    ts = grid.values()
+    profiles = np.stack([profile_matrix(spec.dimension, spectrum.radii, ts,
+                                        family) for family in families])
+    sums, riesz = _route(spectrum, [j], profiles, combine=True)
+    return (SpatialField(spec, riesz.reshape(spec.shape)),
+            [_root(spec, s) for s in sums])
+
+
 def vector_maximal(f: SpatialField | HalfSpectrum,
                    grid: TruncationGrid) -> SpatialField:
     """sup_t (sum_j |R_j^t f|^2)^(1/2) over the grid.
 
-    f is a field or its half_spectrum, whose kept bundle the slabs release.
+    f is a field or its half_spectrum, whose kept bundle the streamed route
+    releases.
     """
     ts = grid.values()
     spectrum = _as_spectrum(f)
@@ -886,8 +1071,10 @@ def rotation_reconstruct(f: SpatialField, j: int, t: float,
     if n_angles < 16:
         raise DomainError(f"n_angles must be >= 16, got {n_angles}")
     # complex lattice arrays at the traced peak; the 2-d symbol's work is
-    # about 12 complex arrays over a quarter of the lattice
-    _require_memory(16 * (5 if d == 2 else 6) * spec.n_samples,
+    # a quarter of the lattice, and at most 64 bytes per value of a block
+    # of angles (_rotation_symbol_2d)
+    _require_memory(16 * 5 * spec.n_samples + 64 * _BLOCK_VALUES if d == 2
+                    else 16 * 6 * spec.n_samples,
                     "the rotation reconstruction")
     if d == 2:
         sym_total = _rotation_symbol_2d(spec, j, t, n_angles)
@@ -952,18 +1139,25 @@ def _rotation_symbol_2d(spec: GridSpec, j: int, t: float,
     beta = np.arctan2(xi2[active], xi1[active])
 
     def integrand(alpha):
-        """theta_j(alpha) sigma_theta(xi) at per-mode angles alpha."""
+        """theta_j(alpha) sigma_theta(xi) at per-mode angles alpha, or at a
+        column of angles, a row of modes each."""
         comp = np.cos(alpha) if j == 1 else np.sin(alpha)
         dot = r * np.cos(alpha - beta)
-        si, _ = sici(2.0 * math.pi * t * np.abs(dot))
-        return comp * (-1j) * np.sign(dot) * (2.0 / math.pi) \
-            * (math.pi / 2.0 - si)
+        sign = np.sign(dot)
+        si = sici(2.0 * math.pi * t * np.abs(dot))[0]
+        del dot
+        np.subtract(math.pi / 2.0, si, out=si)
+        return comp * (-1j) * sign * (2.0 / math.pi) * si
 
     h = 2.0 * math.pi / n_angles
     mids = h * (np.arange(n_angles) + 0.5)
     acc = np.zeros(r.shape, dtype=complex)
-    for alpha in mids:
-        acc += integrand(np.full(r.shape, alpha))
+    # the midpoints, a block of about _BLOCK_VALUES values per call, each
+    # angle's row added in angle order
+    per_block = max(1, _BLOCK_VALUES // r.size)
+    for lo in range(0, n_angles, per_block):
+        for row in integrand(mids[lo:lo + per_block, None]):
+            acc += row
     acc *= h
 
     for shift in (0.5 * math.pi, 1.5 * math.pi):

@@ -702,6 +702,12 @@ def _band_field(spec):
     return 8 * (3 * spec.n_samples + (2 * spec.dimension + 6) * n_bins)
 
 
+def _rotation_2d_bytes(spec):
+    """Five complex lattice arrays, and 64 bytes per value of a block of
+    _BLOCK_VALUES angle-mode pairs of the 2-d rotation symbol."""
+    return _lattice_arrays(5)(spec) + 64 * operators._BLOCK_VALUES
+
+
 class TestLatticeBudgets:
     """Every full-lattice operator refuses an estimate over the budget
     before it allocates, runs at the estimate, and stays within it."""
@@ -718,7 +724,7 @@ class TestLatticeBudgets:
                                    poisson_projection_sum(f, -3, 3)),
         "rotation_reconstruct_3d": (SPEC, _lattice_arrays(6), lambda f, k:
                                     rotation_reconstruct(f, 1, 0.1, 16)),
-        "rotation_reconstruct_2d": (GridSpec(2, 64), _lattice_arrays(5),
+        "rotation_reconstruct_2d": (GridSpec(2, 64), _rotation_2d_bytes,
                                     lambda f, k:
                                     rotation_reconstruct(f, 1, 0.1, 16)),
         "random_band_limited": (SPEC, _band_field, lambda f, k:
@@ -947,6 +953,163 @@ class TestSlabRoute:
         spectrum.bundle(1)
         vector_maximal(spectrum, TruncationGrid(-3, 1, depth=1))
         assert spectrum._kept is None
+
+
+def _split_fields(spec, seed):
+    """A real and a complex band-limited field, and the real one with
+    cosines on the Nyquist planes of axis 1 and of the last axis, where a
+    Riesz symbol is anti-Hermitian and its classes have two parts."""
+    d, n = spec.dimension, spec.points_per_axis
+    band = min(3.0, 0.49 * n)
+    real = random_band_limited(spec, band, seed=seed).samples
+    imag = random_band_limited(spec, band, seed=seed + 1).samples
+    nyquist = real.copy()
+    for k in [(n // 2, 1) + (0,) * (d - 2), (0,) * (d - 2) + (1, n // 2)]:
+        nyquist += _single_mode(spec, k).samples.real
+    return {"real": real, "complex": real + 1j * imag, "nyquist": nyquist}
+
+
+class TestStreamedRoute:
+    """With _BLOCK_VALUES at half an axis-0 slab, a bundle would be built
+    one axis-0 index per group and, for d >= 3, the vector maximal's tails
+    split into axis-1 sub-slabs.  One symbol then streams, bit for bit as
+    its bundle route; several stream as the old per-axis bundles did; and
+    R_1 f shares its pass with its maximal functions."""
+
+    GRIDS = [(2, 32), (3, 16), (4, 8), (5, 6)]
+
+    @staticmethod
+    def _split(spec, monkeypatch):
+        n, slab = spec.points_per_axis, spec.n_samples // spec.points_per_axis
+        monkeypatch.setattr(operators, "_BLOCK_VALUES", slab // 2)
+        assert operators._streams(spec)
+        assert operators._piece(spec, [1]) == slab
+        assert operators._piece(spec, [1, 2]) == (
+            slab if spec.dimension == 2 else slab // n)
+
+    @pytest.mark.parametrize("d, n", GRIDS)
+    def test_one_axis_is_bit_identical_to_the_bundle_route(self, d, n,
+                                                           monkeypatch):
+        from test_experiments import _count_calls
+        spec = GridSpec(d, n)
+        self._split(spec, monkeypatch)
+        grid = TruncationGrid(-3, 1, depth=1)
+        ts = grid.values()
+        weights = np.linspace(0.5, 2.0, ts.size)
+        two_parts = False
+        for kind, samples in _split_fields(spec, 51).items():
+            spectrum = half_spectrum(SpatialField(spec, samples))
+            for axis, family in [(None, "factor_m"), (1, "truncated_riesz"),
+                                 (d, "conjugate_poisson")]:
+                two_parts |= len(spectrum.filtered(axis)) == 2
+                profiles = operators.profile_matrix(d, spectrum.radii, ts,
+                                                    family)
+                for w in (weights, None):
+                    want = operators._bundle_route(spectrum, [axis],
+                                                   profiles, w)
+                    got = operators._stream_route(spectrum, [axis],
+                                                  profiles, w)
+                    assert np.array_equal(got, want), (kind, axis, w)
+            # the last maxima, through the public route
+            built = _count_calls(monkeypatch, operators, "radial_bundle")
+            got = maximal_over(spectrum, "conjugate_poisson", grid, j=d)
+            assert len(built) == 0
+            assert np.array_equal(got.samples.reshape(-1), np.sqrt(want))
+        assert two_parts
+
+    @pytest.mark.parametrize("d, n", GRIDS)
+    def test_all_axes_are_bit_identical_to_the_bundle_reduction(
+            self, d, n, monkeypatch):
+        # the default grid takes the Gram form, the 10-value grid the
+        # per-column sums
+        spec = GridSpec(d, n)
+        self._split(spec, monkeypatch)
+        axes = list(range(1, d + 1))
+        branches = set()
+        for kind, samples in _split_fields(spec, 61).items():
+            spectrum = half_spectrum(SpatialField(spec, samples))
+            for grid in (default_truncation_grid(),
+                         TruncationGrid(-3, 1, depth=1)):
+                n_r, ts = spectrum.radii.size, grid.values()
+                branches.add(n_r * (n_r + 1) // 2 <= ts.size)
+                profiles = operators.profile_matrix(d, spectrum.radii, ts,
+                                                    "truncated_riesz")
+                want = _bundle_reduction(spectrum, axes, profiles)
+                got = vector_maximal(spectrum, grid).samples
+                assert np.array_equal(got, want.reshape(spec.shape)), kind
+        assert branches == {True, False}
+
+    @pytest.mark.parametrize("d, n", GRIDS)
+    def test_shared_axis_1_pass_matches_three_calls(self, d, n, monkeypatch):
+        spec = GridSpec(d, n)
+        self._split(spec, monkeypatch)
+        grid = default_truncation_grid()
+        families = ("truncated_riesz", "conjugate_poisson")
+        bundle_of = operators.radial_bundle
+        for kind, samples in _split_fields(spec, 71).items():
+            spectrum = half_spectrum(SpatialField(spec, samples))
+            built = []
+            monkeypatch.setattr(operators, "radial_bundle",
+                                lambda *a: built.append(a) or bundle_of(*a))
+            riesz, maxima = operators.riesz_maximals(spectrum, grid,
+                                                     families, j=1)
+            assert built == []
+            bundle = bundle_of(spectrum, 1)
+            assert np.array_equal(
+                riesz.samples,
+                bundle.combine(np.ones(bundle.radii.size))), kind
+            for family, got in zip(families, maxima):
+                want = maximal_over(spectrum, family, grid, j=1)
+                assert np.array_equal(got.samples, want.samples), kind
+
+    def test_shared_axis_1_pass_on_the_column_route(self, monkeypatch):
+        # white noise has 116 classes at (3, 16), more than max(64, 2 n_t):
+        # the pass takes one transform per column, which rounds differently
+        from test_experiments import _count_calls
+        spec = GridSpec(3, 16)
+        self._split(spec, monkeypatch)
+        grid = TruncationGrid(-3, 0, depth=0)
+        families = ("truncated_riesz", "conjugate_poisson")
+        spectrum = half_spectrum(SpatialField(
+            spec, np.random.default_rng(21).standard_normal(spec.shape)))
+        routed = _count_calls(monkeypatch, operators, "_column_route")
+        riesz, got = operators.riesz_maximals(spectrum, grid, families)
+        assert len(routed) == 1
+        bundle = radial_bundle(spectrum, 1)
+        pairs = [(riesz.samples.reshape(-1),
+                  bundle.combine(np.ones(bundle.radii.size)).reshape(-1))]
+        for family, maxima in zip(families, got):
+            profiles = operators.profile_matrix(3, spectrum.radii,
+                                                grid.values(), family)
+            want = operators._bundle_route(spectrum, [1], profiles, None)
+            pairs.append((maxima.samples.reshape(-1), np.sqrt(want)))
+        for a, b in pairs:
+            assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))
+
+    def test_peak_is_within_its_estimate_and_below_a_bundle(self):
+        # (6, 10), the sweep's middle grid, streams unpatched: its slabs of
+        # 10^5 samples exceed _BLOCK_VALUES, so the vector maximal's split
+        # into sub-slabs
+        spec = GridSpec(6, 10)
+        spectrum = half_spectrum(random_band_limited(spec, 3.0, seed=42))
+        grid = default_truncation_grid()
+        n_cols = grid.values().size
+        assert operators._streams(spec)
+        assert operators._piece(spec, [1, 2]) == 10 ** 4
+        bundle = operators._bundle_bytes(spec, spectrum.radii.size, 1)
+        for run, axes in [
+                (lambda: maximal_over(spectrum, "factor_m", grid), [None]),
+                (lambda: vector_maximal(spectrum, grid), list(range(1, 7)))]:
+            run()                            # warm up caches, plans and m
+            tracemalloc.start()
+            try:
+                run()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            need = operators._slab_route_bytes(spectrum, axes, n_cols)
+            assert peak <= need + _HEADERS
+            assert need < bundle
 
 
 def _weighted_reference(spectrum, axes, profiles, weights):
@@ -1279,7 +1442,8 @@ class TestRotationSymbol2d:
         assert np.array_equal(along_j[:, n - m], along_j[:, m])
 
     def test_sici_sees_a_quarter_of_the_lattice(self, monkeypatch):
-        n, n_angles = 64, 16
+        n, n_angles = 64, 128
+        quarter = (n // 2 + 1) ** 2 - 1          # the zero mode is skipped
         sizes = []
 
         def counting(x):
@@ -1288,8 +1452,23 @@ class TestRotationSymbol2d:
 
         monkeypatch.setattr(operators, "sici", counting)
         operators._rotation_symbol_2d(GridSpec(2, n), 1, 0.1, n_angles)
-        # every midpoint, then three per split panel; the zero mode is skipped
-        assert sizes == [(n // 2 + 1) ** 2 - 1] * (n_angles + 6)
+        # the midpoints in blocks of 60 angles, 65,280 values; then three
+        # calls per split panel
+        per_block = operators._BLOCK_VALUES // quarter
+        assert (quarter, per_block) == (1088, 60)
+        assert sizes == [60 * quarter, 60 * quarter, 8 * quarter] \
+            + [quarter] * 6
+
+    @pytest.mark.parametrize("j", [1, 2])
+    @pytest.mark.parametrize("n, n_angles", [(16, 17), (34, 256), (64, 33),
+                                             (64, 1024)])
+    def test_angle_blocks_are_bit_identical_to_one_angle_per_call(
+            self, n, n_angles, j, monkeypatch):
+        spec = GridSpec(2, n)
+        blocks = operators._rotation_symbol_2d(spec, j, 0.1, n_angles)
+        monkeypatch.setattr(operators, "_BLOCK_VALUES", 1)
+        single = operators._rotation_symbol_2d(spec, j, 0.1, n_angles)
+        assert np.array_equal(blocks, single)
 
 
 class TestSphereMoment:
