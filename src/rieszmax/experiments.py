@@ -191,17 +191,17 @@ def norm_ratio_sweep(dims, n_of_d: dict, grid: TruncationGrid, band: float,
 
 def _sweep_trial(f: SpatialField, grid: TruncationGrid) -> dict:
     norm_f = l2_norm(f)
-    # One forward transform per trial.  R_1 f, r2 and r4 come from one pass
-    # over the axis-1 classes: through the axis-1 bundle where it is built
-    # in one group of axis-0 indices, streamed on larger grids (d = 6,
-    # N = 10), where r1 streams too.  r3 streams and releases the bundle.
+    # One forward transform per trial; ||R_1 f|| is its axis-1 energy.  r2
+    # and r4 share one pass over the axis-1 classes: the axis-1 bundle, or
+    # streamed where r1 streams too (d = 6, N = 10).  r3 streams and
+    # releases the bundle.
     spectrum = op.half_spectrum(f)
     r1 = l2_norm(maximal_over(spectrum, "factor_m", grid)) / norm_f
-    riesz, maxima = op.riesz_maximals(
+    norm_r = math.sqrt(np.sum(spectrum.energies(1)))
+    maxima = op.riesz_maximals(
         spectrum, grid, ("truncated_riesz", "conjugate_poisson"), j=1)
-    norm_r = l2_norm(riesz)
     r2, r4 = (l2_norm(m) / norm_r for m in maxima)
-    del riesz, maxima   # before r3's buffers
+    del maxima  # before r3's buffers
     r3 = l2_norm(vector_maximal(spectrum, grid)) / norm_f
     return {"r1": r1, "r2": r2, "r4": r4, "r3": r3}
 
@@ -217,7 +217,8 @@ def decomposition_diagnostics(d: int, n: int, grid: TruncationGrid, band: float,
         c = ||sup_n |M^(2^n) f - P_(2^n) f|||_2 / ||f||_2
 
     together with r1 over the full grid and the triangle check r1 <= a + b.
-    Every quantity of a trial comes from one identity bundle.
+    The sups come from one identity bundle, and sum_dyadic_poisson_gap_sq,
+    sum_n ||M^(2^n) f - P_(2^n) f||^2 / ||f||^2, from its class energies.
     """
     spec = GridSpec(d, n)
     band = _capped_band(band, spec)
@@ -263,10 +264,8 @@ def _decomposition_trial(f: SpatialField, grid: TruncationGrid) -> dict:
 
     gap = prof_dyadic - op.profile_matrix(d, radii, dyadic, "poisson")
     c = norm_ratio(bundle.sup_abs(gap))
-    sum_mp_sq = 0.0
-    for column in gap.T:
-        gap_field = bundle.combine(column)
-        sum_mp_sq += np.sum(np.abs(gap_field) ** 2) * spec.cell_volume
+    # the classes have disjoint supports, so each adds ||u_i||^2 per column
+    sum_mp_sq = np.sum(np.square(gap), axis=1) @ spectrum.energies(None)
 
     r1 = l2_norm(maximal_over(spectrum, "factor_m", grid)) / norm_f
     return {"a": a, "b": b, "c": c, "r1": r1,

@@ -19,8 +19,9 @@ sub-slab at a time when a slab exceeds _BLOCK_VALUES samples); or, past
 max(64, 2 n_columns) classes or physical memory, one inverse FFT per column
 and symbol, whose estimate must fit or ResourceError is raised.  No kept
 bundle or call history enters it, and a streamed reduction of one symbol
-is bit for bit the bundle's.  Every inverse FFT runs irfftn's passes over
-the lines its bins occupy only, bit for bit.
+is bit for bit the bundle's.  Routes return sums, never fields; a norm
+under a symbol is read from HalfSpectrum.energies.  Every inverse FFT runs
+irfftn's passes over the lines its bins occupy only, bit for bit.
 """
 
 from __future__ import annotations
@@ -492,6 +493,17 @@ class HalfSpectrum:
             imag_part = imag_part + fb * gh
         return [real_part, imag_part] if np.any(imag_part) else [real_part]
 
+    def energies(self, axis: int | None) -> np.ndarray:
+        """||u_i||_2^2 of each radius class u_i of f under the axis-th Riesz
+        symbol (the identity when axis is None), by Parseval from filtered
+        (axis).  A bin off the planes k_d = 0, -N/2 (the multiples of N/2) of
+        the half spectrum stands for k and -k, so it counts twice."""
+        spec = self.spec
+        power = sum(np.square(np.abs(part)) for part in self.filtered(axis))
+        power[self._k(spec.dimension - 1) % (spec.points_per_axis // 2) != 0] *= 2
+        return (np.bincount(self.class_of_bin, power, self.radii.size)
+                * spec.period ** spec.dimension / spec.n_samples ** 2)
+
 
 def half_spectrum(f: SpatialField) -> HalfSpectrum:
     """Forward transform of f on the half spectrum, to share between the
@@ -610,25 +622,25 @@ class RadialBundle:
     components: np.ndarray              # (n_samples, n_r), real or complex
     is_real: bool
 
-    def _column_sums(self, by_t: np.ndarray):
-        """Yield (samples slice, s) over sample blocks, where
-        s[tau] = |sum_i by_t[tau, i] u_i|^2 on the block's samples."""
-        for cols in _sample_blocks(self.components.shape[0], by_t.shape[0]):
+    def sums(self, profiles: np.ndarray,
+             weights: np.ndarray | None = None) -> np.ndarray:
+        """max_c s_c, or sum_c weights[c] s_c when weights are given, with
+        s_c = |sum_i profiles[i, c] u_i|^2, over flattened samples, one
+        block of _sample_blocks at a time."""
+        by_t = np.ascontiguousarray(profiles.T)
+        out = np.empty(self.components.shape[0])
+        for cols in _sample_blocks(out.size, by_t.shape[0]):
             block = self.components.T[:, cols]          # (n_r, block)
             parts = ((block,) if self.is_real
                      else (block.real.copy(), block.imag.copy()))
-            yield cols, _column_sums(by_t, [parts])
+            s = _column_sums(by_t, [parts])
+            out[cols] = s.max(axis=0) if weights is None else weights @ s
+        return out
 
     def sup_abs(self, profiles: np.ndarray) -> np.ndarray:
         """sup over columns tau of |sum_i u_i P[i, tau]|, flattened samples."""
-        out = np.empty(self.components.shape[0])
-        for cols, s in self._column_sums(np.ascontiguousarray(profiles.T)):
-            out[cols] = s.max(axis=0)
+        out = self.sums(profiles)
         return np.sqrt(out, out=out)
-
-    def combine(self, profile: np.ndarray) -> np.ndarray:
-        """Spatial samples of the operator with radial values profile (n_r,)."""
-        return (self.components @ profile).reshape(self.spec.shape)
 
 
 def radial_bundle(f: SpatialField | HalfSpectrum,
@@ -642,7 +654,8 @@ def radial_bundle(f: SpatialField | HalfSpectrum,
     axis; for d >= 2 its tails run over groups of axis-0 indices of about
     _BLOCK_VALUES samples, so one head and one group's tail are in flight.
     The reductions build a bundle only where it takes one group (d = 4,
-    N = 16 or d = 8, N = 4, say); on larger grids they stream (_reduce).
+    N = 16 or d = 8, N = 4, say), and reduce it by RadialBundle.sums; on
+    larger grids they stream (_reduce).
     """
     spectrum = _as_spectrum(f)
     spec = spectrum.spec
@@ -689,13 +702,13 @@ def _root(spec: GridSpec, sums: np.ndarray) -> SpatialField:
 
 
 def _route(spectrum: HalfSpectrum, axes: list, profiles: np.ndarray,
-           weights: np.ndarray | None = None, combine: bool = False):
+           weights: np.ndarray | None = None) -> np.ndarray:
     """The sums of _reduce, before the square root.  On a grid that
     streams, profiles may stack several (n_r, n_cols) matrices on leading
     axes, reduced in one pass over the classes into sums of the same leading
-    shape, and with combine (one axis) the pass also returns sum_i u_i, the
-    field under the symbol.  The route is chosen here, before any transform
-    (see the module docstring).
+    shape.  The route is chosen here, before any transform (see the module
+    docstring): the kept bundle's RadialBundle.sums for one axis on a grid
+    that does not stream, _stream_route, or _column_route.
 
     Nonnegative weights over more columns than classes are compressed first:
     sum_c weights[c] s_c = sum over axes of |R u|^2, where R (n_r x n_r) is
@@ -708,19 +721,17 @@ def _route(spectrum: HalfSpectrum, axes: list, profiles: np.ndarray,
             mode="r"), -1, -2)
         weights = np.ones(profiles.shape[-1])
     spec, (n_r, n_cols) = spectrum.spec, profiles.shape[-2:]
-    parts = len(spectrum.filtered(axes[0]))
-    # float64 outputs: one per profile matrix, and the combined parts
-    n_out = math.prod(profiles.shape[:-2]) + (parts if combine else 0)
+    n_out = math.prod(profiles.shape[:-2])  # one per profile matrix
     streams = len(axes) > 1 or _streams(spec)
     need = (_slab_route_bytes(spectrum, axes, n_cols, n_out) if streams
-            else _bundle_bytes(spec, n_r, parts))
+            else _bundle_bytes(spec, n_r, len(spectrum.filtered(axes[0]))))
     if n_r > max(64, 2 * n_cols) or need > _physical_memory():
         _require_memory(_column_route_bytes(spectrum, axes, n_out),
                         "the column route")
-        return _column_route(spectrum, axes, profiles, weights, combine)
+        return _column_route(spectrum, axes, profiles, weights)
     if streams:
-        return _stream_route(spectrum, axes, profiles, weights, combine)
-    return _bundle_route(spectrum, axes, profiles, weights)
+        return _stream_route(spectrum, axes, profiles, weights)
+    return spectrum.bundle(axes[0]).sums(profiles, weights)
 
 
 def _column_route_bytes(spectrum: HalfSpectrum, axes: list,
@@ -735,12 +746,9 @@ def _column_route_bytes(spectrum: HalfSpectrum, axes: list,
 
 def _slab_chunk(n_samples: int, n_r: int, n_cols: int) -> int:
     """The streamed route's chunk: about _BLOCK_VALUES / n_r samples in
-    whole blocks of _sample_blocks(n_samples, n_cols), and a multiple of 4
-    samples, the rows a BLAS matrix-vector kernel takes at once, so the
-    combined field of a chunk rounds as in one product over all samples."""
+    whole blocks of _sample_blocks(n_samples, n_cols)."""
     step = max(1, _BLOCK_VALUES // max(n_cols, 1))
-    unit = step * 4 // math.gcd(step, 4)
-    return min(n_samples, unit * max(1, _BLOCK_VALUES // max(n_r, 1) // unit))
+    return min(n_samples, step * max(1, _BLOCK_VALUES // max(n_r, 1) // step))
 
 
 def _slab_route_bytes(spectrum: HalfSpectrum, axes: list, n_cols: int,
@@ -767,19 +775,6 @@ def _slab_route_bytes(spectrum: HalfSpectrum, axes: list, n_cols: int,
                    + n_out * n_samples)
             + 2 * rows * _class_buffer_bytes(spec) * piece // n_samples
             + 16 * rows * spectrum.active.size)
-
-
-def _bundle_route(spectrum: HalfSpectrum, axes: list, profiles: np.ndarray,
-                  weights: np.ndarray | None) -> np.ndarray:
-    """The sums of _route from the radial bundle of one axis, which the
-    spectrum keeps; several axes are streamed."""
-    if len(axes) > 1:
-        return _stream_route(spectrum, axes, profiles, weights)
-    out = np.empty(spectrum.spec.n_samples)
-    by_t = np.ascontiguousarray(profiles.T)
-    for cols, s in spectrum.bundle(axes[0])._column_sums(by_t):
-        out[cols] = s.max(axis=0) if weights is None else weights @ s
-    return out
 
 
 def _stacked(profiles: np.ndarray) -> np.ndarray:
@@ -844,14 +839,13 @@ def _class_chunks(spectrum: HalfSpectrum, rows: list, chunk: int,
 
 
 def _stream_route(spectrum: HalfSpectrum, axes: list, profiles: np.ndarray,
-                  weights: np.ndarray | None, combine: bool = False):
+                  weights: np.ndarray | None) -> np.ndarray:
     """The sums of _route with no bundle: the classes of every axis and
     part come in chunks of whole blocks of _sample_blocks(n_samples, n_cols)
-    (_class_chunks), each reduced as it is done.  One axis takes the bundle
-    route's block sums, bit for bit; several axes with few classes take
-    s_c = P_c^T G P_c (G the per-point Gram matrix of the classes), 2-5x
-    less work.  combine takes RadialBundle.combine's product over each
-    chunk's rows, which round as in one product over all of them."""
+    (_class_chunks), each reduced as it is done.  One axis takes
+    RadialBundle.sums's block sums, bit for bit; several axes with few
+    classes take s_c = P_c^T G P_c (G the per-point Gram matrix of the
+    classes), 2-5x less work."""
     spec, (n_r, n_cols) = spectrum.spec, profiles.shape[-2:]
     by_ts = [np.ascontiguousarray(p.T) for p in _stacked(profiles)]
     spectrum._kept = None               # not live beside the heads
@@ -871,9 +865,6 @@ def _stream_route(spectrum: HalfSpectrum, axes: list, profiles: np.ndarray,
         for w in pair_weights:
             w[:, rows_i != cols_i] *= 2.0
     out = np.empty((len(by_ts), spec.n_samples))
-    if combine:
-        ones = np.ones(n_r)
-        field = np.empty(spec.n_samples, float if len(rows) == 1 else complex)
     chunk = _slab_chunk(spec.n_samples, n_r, n_cols)
     for lo, u in _class_chunks(spectrum, rows, chunk, _piece(spec, axes)):
         hi = lo + u.shape[-1]
@@ -888,22 +879,15 @@ def _stream_route(spectrum: HalfSpectrum, axes: list, profiles: np.ndarray,
                     by_ts[k], [u[g, :, cols] for g in groups]))
                 sums[lo + cols.start:lo + cols.stop] = (
                     s.max(axis=0) if weights is None else weights @ s)
-        if combine:
-            block = u[0]
-            if len(rows) > 1:
-                block = np.empty((n_r, hi - lo), complex)
-                block.real, block.imag = u
-            field[lo:hi] = block.T @ ones
-    out = out.reshape(profiles.shape[:-2] + (-1,))
-    return (out, field) if combine else out
+        acc = s = None      # not live beside the next carry or accumulator
+    return out.reshape(profiles.shape[:-2] + (-1,))
 
 
 def _column_route(spectrum: HalfSpectrum, axes: list, profiles: np.ndarray,
-                  weights: np.ndarray | None, combine: bool = False):
+                  weights: np.ndarray | None) -> np.ndarray:
     """The sums of _route one column at a time: each column and part of an
     axis takes one inverse transform of its coefficients scaled by the
-    column's profile at the active bins.  combine takes one transform per
-    part of the coefficients as they are."""
+    column's profile at the active bins."""
     transform = _inverse_transformer(spectrum.spec, spectrum.active)
     parts = [part for axis in axes for part in spectrum.filtered(axis)]
     stack = _stacked(profiles)
@@ -919,11 +903,7 @@ def _column_route(spectrum: HalfSpectrum, axes: list, profiles: np.ndarray,
                 np.maximum(sums, s, out=sums)
             else:
                 sums += np.multiply(s, weights[c], out=s)
-    out = out.reshape(profiles.shape[:-2] + (-1,))
-    if not combine:
-        return out
-    real, *imag = [transform(part) for part in parts]
-    return out, (real + 1j * imag[0] if imag else real)
+    return out.reshape(profiles.shape[:-2] + (-1,))
 
 
 def maximal_over(f: SpatialField | HalfSpectrum, family: str,
@@ -943,30 +923,24 @@ def maximal_over(f: SpatialField | HalfSpectrum, family: str,
 
 
 def riesz_maximals(f: SpatialField | HalfSpectrum, grid: TruncationGrid,
-                   families, j: int = 1
-                   ) -> tuple[SpatialField, list[SpatialField]]:
-    """R_j f, and maximal_over(f, family, grid, j) for each family with the
-    axis-j Riesz symbol (truncated_riesz, conjugate_poisson), bit for bit,
-    from one pass over the field's axis-j classes: the axis-j bundle, which
-    the spectrum keeps, where a reduction of one symbol takes a bundle, and
-    otherwise one streamed pass (or column by column)."""
+                   families, j: int = 1) -> list[SpatialField]:
+    """maximal_over(f, family, grid, j) for each family with the axis-j
+    Riesz symbol (truncated_riesz, conjugate_poisson), bit for bit, from
+    one pass over the field's axis-j classes: the axis-j bundle, which the
+    spectrum keeps, where a reduction of one symbol takes a bundle, and
+    otherwise one streamed pass (or column by column).  ||R_j f||_2 takes
+    no pass (HalfSpectrum.energies)."""
     spectrum = _as_spectrum(f)
     spec = spectrum.spec
     if any(_family_axis(family, j) != j for family in families):
         raise DomainError(f"riesz_maximals takes families with a Riesz "
                           f"symbol, got {tuple(families)}")
     if not _streams(spec):
-        maxima = [maximal_over(spectrum, family, grid, j)
-                  for family in families]
-        bundle = spectrum.bundle(j)
-        return (SpatialField(spec, bundle.combine(np.ones(bundle.radii.size))),
-                maxima)
+        return [maximal_over(spectrum, family, grid, j) for family in families]
     ts = grid.values()
     profiles = np.stack([profile_matrix(spec.dimension, spectrum.radii, ts,
                                         family) for family in families])
-    sums, riesz = _route(spectrum, [j], profiles, combine=True)
-    return (SpatialField(spec, riesz.reshape(spec.shape)),
-            [_root(spec, s) for s in sums])
+    return [_root(spec, s) for s in _route(spectrum, [j], profiles)]
 
 
 def vector_maximal(f: SpatialField | HalfSpectrum,

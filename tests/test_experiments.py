@@ -124,7 +124,7 @@ class TestNormRatioSweep:
 
     def test_streamed_trial_builds_no_bundle(self, monkeypatch):
         # at d = 6, N = 10 a bundle would be built in ten groups of axis-0
-        # indices: r1 streams, R_1 f, r2 and r4 share one streamed pass,
+        # indices: r1 streams, r2 and r4 share one streamed pass,
         # and r3 streams too
         built = _count_calls(monkeypatch, operators, "radial_bundle")
         rep = norm_ratio_sweep([6], {6: 10}, default_truncation_grid(), 3.0,
