@@ -13,6 +13,7 @@ Reports carry plain (d, N, trial, quantity, value) rows; identical
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -112,12 +113,14 @@ def _capped_band(band: float, spec: GridSpec) -> float:
 
 def _run_trials(report: ExperimentReport, spec: GridSpec, band: float,
                 trials: int, trial_values) -> None:
-    """Add the rows trial_values(f) -> {quantity: value} gives for each
-    trial's field f, then sort the rows once."""
+    """Add the rows trial_values(draw) -> {quantity: value} gives for each
+    trial, then sort the rows once.  draw() returns the trial's field, so
+    the trial holds the only reference to it and can release it once it is
+    transformed: an argument a lambda or partial passes on stays bound in
+    the wrapper's frame until the call returns."""
     for trial in range(trials):
-        # a trial's field, and whatever trial_values builds from it, is
-        # released with its call, before the next trial draws its own
-        values = trial_values(_trial_field(spec, band, report.seed, trial))
+        values = trial_values(functools.partial(_trial_field, spec, band,
+                                                report.seed, trial))
         for quantity, value in values.items():
             report.add(spec.dimension, spec.points_per_axis, trial, quantity,
                        value)
@@ -150,7 +153,8 @@ def factorization_residual(d: int, n: int, t_list, band: float, trials: int,
                for t in t_list]
     k_hats = [kernel_transform(spec, 1, float(t), image_radius) for t in t_list]
 
-    def trial_values(f: SpatialField) -> dict:
+    def trial_values(draw) -> dict:
+        f = draw()
         norm_f = l2_norm(f)
         f_hat = np.fft.fftn(f.samples)
         coefficients = forward_transform(f, f_hat).coefficients
@@ -185,17 +189,19 @@ def norm_ratio_sweep(dims, n_of_d: dict, grid: TruncationGrid, band: float,
     for d in dims:
         spec = GridSpec(d, n_of_d[d])
         _run_trials(report, spec, _capped_band(band, spec), trials,
-                    lambda f: _sweep_trial(f, grid))
+                    lambda draw: _sweep_trial(draw, grid))
     return report
 
 
-def _sweep_trial(f: SpatialField, grid: TruncationGrid) -> dict:
+def _sweep_trial(draw, grid: TruncationGrid) -> dict:
+    f = draw()
     norm_f = l2_norm(f)
-    # One forward transform per trial; ||R_1 f|| is its axis-1 energy.  r2
-    # and r4 share one pass over the axis-1 classes: the axis-1 bundle, or
-    # streamed where r1 streams too (d = 6, N = 10).  r3 streams and
-    # releases the bundle.
+    # One forward transform per trial, after which the field is released;
+    # ||R_1 f|| is its axis-1 energy.  r2 and r4 share one pass over the
+    # axis-1 classes: the axis-1 bundle, or streamed where r1 streams too
+    # (d = 6, N = 10).  r3 streams and releases the bundle.
     spectrum = op.half_spectrum(f)
+    del f
     r1 = l2_norm(maximal_over(spectrum, "factor_m", grid)) / norm_f
     norm_r = math.sqrt(np.sum(spectrum.energies(1)))
     maxima = op.riesz_maximals(
@@ -227,16 +233,18 @@ def decomposition_diagnostics(d: int, n: int, grid: TruncationGrid, band: float,
         {"d": d, "N": n, "grid": [grid.n_min, grid.n_max, grid.depth],
          "band": band, "trials": trials})
     _run_trials(report, spec, band, trials,
-                lambda f: _decomposition_trial(f, grid))
+                lambda draw: _decomposition_trial(draw, grid))
     return report
 
 
-def _decomposition_trial(f: SpatialField, grid: TruncationGrid) -> dict:
+def _decomposition_trial(draw, grid: TruncationGrid) -> dict:
+    f = draw()
     spec = f.spec
     d = spec.dimension
     dyadic = grid.dyadic_values()
     norm_f = l2_norm(f)
     spectrum = op.half_spectrum(f)
+    del f
     bundle = spectrum.bundle(None)
     radii = spectrum.radii
 
@@ -298,17 +306,19 @@ def poisson_suite(d: int, n: int, band: float, trials: int,
          "t_nodes": [float(_G_NODES[0]), float(_G_NODES[-1]), len(_G_NODES)],
          "n_range": [n_min, n_max]})
     _run_trials(report, spec, band, trials,
-                lambda f: _poisson_trial(f, grid, n_min, n_max))
+                lambda draw: _poisson_trial(draw, grid, n_min, n_max))
     return report
 
 
-def _poisson_trial(f: SpatialField, grid: TruncationGrid, n_min: int,
+def _poisson_trial(draw, grid: TruncationGrid, n_min: int,
                    n_max: int) -> dict:
+    f = draw()
     norm_f = l2_norm(f)
     rec = poisson_projection_sum(f, n_min, n_max).samples
     telescope = l2_norm(SpatialField(f.spec, f.samples - rec)) / norm_f
     del rec
     spectrum = op.half_spectrum(f)
+    del f
     return {
         "poisson_max_ratio":
             l2_norm(maximal_over(spectrum, "poisson", grid)) / norm_f,

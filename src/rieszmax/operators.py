@@ -407,14 +407,15 @@ def _half_shape(spec: GridSpec) -> tuple[int, ...]:
 
 @dataclass
 class HalfSpectrum:
-    """A field with the unnormalized real-to-complex DFTs of its real and
-    imaginary parts at the active bins (imag is None for a real field), and
-    the bookkeeping its transforms share: the active bins (flat half-spectrum
-    indices), each radius class's integer |k|^2, each active bin's class and
-    the class radii |k| / L.  It keeps the bundle it built last for reuse.
+    """A field's grid with the unnormalized real-to-complex DFTs of its real
+    and imaginary parts at the active bins (imag is None for a real field),
+    and the bookkeeping its transforms share: the active bins (flat
+    half-spectrum indices), each radius class's integer |k|^2, each active
+    bin's class and the class radii |k| / L.  It keeps no samples of the
+    field, and the bundle it built last for reuse.
     """
 
-    field: SpatialField
+    spec: GridSpec
     real: np.ndarray                    # half spectrum, then active bins
     imag: np.ndarray | None
     _kept = None                        # (axis, RadialBundle) built last
@@ -438,10 +439,6 @@ class HalfSpectrum:
         n, half = self.spec.points_per_axis, _half_shape(self.spec)
         index = self.active // math.prod(half[a + 1:]) % half[a]
         return np.where(index < n // 2, index, index - n)
-
-    @property
-    def spec(self) -> GridSpec:
-        return self.field.spec
 
     def bundle(self, axis: int | None) -> RadialBundle:
         """The field's radial bundle under the axis-th Riesz symbol, or
@@ -507,11 +504,12 @@ class HalfSpectrum:
 
 def half_spectrum(f: SpatialField) -> HalfSpectrum:
     """Forward transform of f on the half spectrum, to share between the
-    radial bundles of one field."""
+    radial bundles of one field.  It keeps no reference to f's samples, so
+    a caller that drops f releases them."""
     samples = f.samples
     imag = (sfft.rfftn(samples.imag, workers=-1)
             if np.iscomplexobj(samples) and np.any(samples.imag) else None)
-    return HalfSpectrum(f, sfft.rfftn(samples.real, workers=-1), imag)
+    return HalfSpectrum(f.spec, sfft.rfftn(samples.real, workers=-1), imag)
 
 
 def _as_spectrum(f: SpatialField | HalfSpectrum) -> HalfSpectrum:
@@ -532,9 +530,11 @@ def _inverse_transformer(spec: GridSpec, bins: np.ndarray):
     _class_buffer_bytes(spec).  The function is transform.head(values) (the
     axis-0 pass, a row per axis-0 index), then transform.tail(rows,
     out=None), which may overwrite rows of a head: the later passes act
-    within one axis-0 index, so for d >= 2 it gives those rows' samples.
+    within one axis-0 index, so for d >= 2 it gives those rows' samples,
+    and a copy of some of a head's rows serves as well as the head.
     values may stack several inputs on leading axes; their heads and tails
-    stack the same way, and each line is transformed as it would be alone.
+    stack the same way, and each line is transformed as it would be alone,
+    so heads taken one input at a time and stacked give the same tails.
     For d >= 3 a tail may also stop after transform.widened(rows, 1), the
     axis-1 pass, and go on from one axis-1 index of its output with
     transform.tail(x, out, start=2), which gives that index's samples.
@@ -751,30 +751,51 @@ def _slab_chunk(n_samples: int, n_r: int, n_cols: int) -> int:
     return min(n_samples, step * max(1, _BLOCK_VALUES // max(n_r, 1) // step))
 
 
+def _head_group(spectrum: HalfSpectrum, n_rows: int, buffer: int) -> int:
+    """Axis-0 indices per group of the streamed route's heads: as many as
+    keep one group's heads of n_rows rows and every class within the bytes
+    of the route's buffer, and at least one."""
+    n = spectrum.spec.points_per_axis
+    per_index = n_rows * sum(t.head_bytes
+                             for _, t in spectrum.class_transforms) // n
+    return max(1, min(n, buffer // max(per_index, 1)))
+
+
 def _slab_route_bytes(spectrum: HalfSpectrum, axes: list, n_cols: int,
                       n_out: int = 1) -> int:
-    """The streamed route's bytes: the heads of every class, axis and part
-    (a row), the axis-1 passes of one axis-0 index when slabs split into
-    sub-slabs, the buffer (a piece of every row and class, and a carry of up
-    to a chunk), a chunk's Gram accumulator and one of its products, or a
-    block's column sums, a block's reduced sums, one stacked tail in flight
-    (a pass's input and output), the rows' filtered values and n_out
-    float64 outputs."""
+    """The streamed route's bytes: those of its _class_chunks, a chunk's
+    Gram accumulator and one of its products, or a block's column sums, a
+    block's reduced sums, the rows' filtered values and n_out float64
+    outputs."""
     spec, n_r = spectrum.spec, spectrum.radii.size
-    n_samples, piece = spec.n_samples, _piece(spec, axes)
     rows = sum(len(spectrum.filtered(axis)) for axis in axes)
-    chunk = _slab_chunk(n_samples, n_r, n_cols)
+    chunk = _slab_chunk(spec.n_samples, n_r, n_cols)
     block = n_cols * max(1, _BLOCK_VALUES // max(n_cols, 1))
     pairs = n_r * (n_r + 1) // 2
     sums = ((pairs + n_r) * chunk + 2 * block
             if len(axes) > 1 and pairs <= n_cols else 3 * block)
-    split = piece < n_samples // spec.points_per_axis
-    return (rows * sum(t.head_bytes + split * t.pass_bytes
-                       for _, t in spectrum.class_transforms)
-            + 8 * (rows * n_r * min(piece + chunk, n_samples) + sums
-                   + n_out * n_samples)
-            + 2 * rows * _class_buffer_bytes(spec) * piece // n_samples
+    return (_class_chunks_bytes(spectrum, rows, chunk, _piece(spec, axes))
+            + 8 * (sums + n_out * spec.n_samples)
             + 16 * rows * spectrum.active.size)
+
+
+def _class_chunks_bytes(spectrum: HalfSpectrum, n_rows: int, chunk: int,
+                        piece: int) -> int:
+    """The bytes _class_chunks holds for n_rows rows: one group's heads of
+    every class and row, with one row's full head in flight while they are
+    built, the axis-1 passes of one axis-0 index when pieces are sub-slabs,
+    the buffer (a piece of every row and class, and a carry of up to a
+    chunk), and one stacked tail in flight (a pass's input and output)."""
+    spec = spectrum.spec
+    n, n_samples = spec.points_per_axis, spec.n_samples
+    transforms = [t for _, t in spectrum.class_transforms]
+    buffer = 8 * n_rows * len(transforms) * min(piece + chunk, n_samples)
+    group = _head_group(spectrum, n_rows, buffer)
+    split = piece < n_samples // n
+    return (n_rows * sum(t.head_bytes // n * group + split * t.pass_bytes
+                         for t in transforms)
+            + max((t.head_bytes for t in transforms), default=0) + buffer
+            + 2 * n_rows * _class_buffer_bytes(spec) * piece // n_samples)
 
 
 def _stacked(profiles: np.ndarray) -> np.ndarray:
@@ -796,41 +817,68 @@ def _column_sums(by_t: np.ndarray, groups) -> np.ndarray:
     return total
 
 
+def _group_heads(transform, rows: list, chosen: np.ndarray, first: int,
+                 group: int) -> np.ndarray:
+    """The heads of one class at axis-0 indices first:first + group, stacked
+    over rows, built one row at a time: one row's full head is in flight."""
+    heads = None
+    for q, row in enumerate(rows):
+        head = transform.head(row[chosen])[first:first + group]
+        if heads is None:
+            heads = np.empty((len(rows),) + head.shape, dtype=complex)
+        heads[q] = head
+        del head                        # before the next row's full head
+    return heads
+
+
 def _class_chunks(spectrum: HalfSpectrum, rows: list, chunk: int,
                   piece: int):
     """Yield (lo, u) over consecutive chunks of the samples, u[q, i] the
     samples lo:lo + chunk of class i of the inverse transform of rows[q]
     (values at the active bins, see HalfSpectrum.filtered).
 
-    Each class's heads of all rows are taken first, stacked.  Their tails
-    then finish one piece at a time (an axis-0 slab, or an axis-1 sub-slab
-    after the axis-0 index's shared axis-1 pass, see _piece), every row of a
-    class in one call, into a buffer of a piece plus a chunk per row and
-    class, and whatever of the last piece a chunk leaves over is carried to
-    the buffer's front."""
+    Heads are kept for one group of axis-0 indices at a time (_head_group):
+    when the stream reaches a group, each class's heads of all rows are
+    rebuilt, one row at a time, and only the group's indices kept, so the
+    axis-0 pass runs once per row and group.  Their tails then finish one
+    piece at a time (an axis-0 slab, or an axis-1 sub-slab after the axis-0
+    index's shared axis-1 pass, see _piece), every row of a class in one
+    call, into a buffer of a piece plus a chunk per row and class, and
+    whatever of the last piece a chunk leaves over is carried to the
+    buffer's front one line at a time: numpy moves a line forward within
+    itself in place, where it would copy a strided block through a
+    temporary it cannot prove disjoint."""
     spec, transforms = spectrum.spec, spectrum.class_transforms
     n_samples = spec.n_samples
     per_slab = n_samples // spec.points_per_axis // piece
-    heads = [t.head(np.stack([row[c] for row in rows]))
-             for c, t in transforms]
     buf = np.empty((len(rows), len(transforms),
                     min(piece + chunk, n_samples)))
+    group = _head_group(spectrum, len(rows), buf.nbytes)
+    heads = passed = None
+    first = 0                           # heads hold first:first + group
     start = end = 0                     # buf[..., :end - start] is start:end
     for lo in range(0, n_samples, chunk):
         hi = min(lo + chunk, n_samples)
         if end < hi and lo > start:     # carry lo:end to the front
-            buf[:, :, :end - lo] = buf[:, :, lo - start:end - start]
+            for line in buf.reshape(-1, buf.shape[-1]):
+                line[:end - lo] = line[lo - start:end - start]
             start = lo
         for p in range(end // piece, -(-hi // piece)):
             at = p * piece - start
             index, m = divmod(p, per_slab)
+            if heads is None or index >= first + group:
+                heads = passed = None
+                first = index
+                heads = [_group_heads(t, rows, c, first, group)
+                         for c, t in transforms]
             if per_slab > 1 and m == 0:
                 passed = None
-                passed = [t.widened(head[:, index], 1)
+                passed = [t.widened(head[:, index - first], 1)
                           for head, (_, t) in zip(heads, transforms)]
             for i, (_, t) in enumerate(transforms):
                 if per_slab == 1:
-                    t.tail(heads[i][:, index], out=buf[:, i, at:at + piece])
+                    t.tail(heads[i][:, index - first],
+                           out=buf[:, i, at:at + piece])
                 else:
                     t.tail(passed[i][:, m], out=buf[:, i, at:at + piece],
                            start=2)

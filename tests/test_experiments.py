@@ -163,8 +163,9 @@ def test_sweep_trial_peak_is_accumulator_plus_one_bundle():
 def test_sweep_trial_peak_is_one_bundle_plus_the_slab_route():
     # r1, r2 and r4 hold one bundle at a time; r3 holds its heads, slab
     # buffer and chunk accumulator, and its output, which is no larger
-    # than a bundle; the trial's field and half spectrum stay live, and a
-    # class or tail in flight adds at most two class buffers on top
+    # than a bundle; the trial's field and half spectrum are live together
+    # while the field is transformed, and a class or tail in flight adds at
+    # most two class buffers on top
     d, n, band, seed = 4, 16, 3.0, 42
     spec = GridSpec(d, n)
     grid = default_truncation_grid()
@@ -174,7 +175,7 @@ def test_sweep_trial_peak_is_one_bundle_plus_the_slab_route():
                                         grid.values().size)
     half = 16 * spec.n_samples // n * (n // 2 + 1)
     class_bytes = half + 8 * spec.n_samples
-    inputs = spectrum.field.samples.nbytes + half
+    inputs = 8 * spectrum.spec.n_samples + half
     del spectrum
     norm_ratio_sweep([d], {d: n}, grid, band, 1, seed)    # warm caches
     tracemalloc.start()
@@ -184,6 +185,37 @@ def test_sweep_trial_peak_is_one_bundle_plus_the_slab_route():
     finally:
         tracemalloc.stop()
     assert peak < bundle + slabs + inputs + 2 * class_bytes
+
+
+def test_streamed_sweep_peak_holds_no_field_and_one_group_of_heads():
+    # at d = 6, N = 10 every reduction streams, and the trial's peak is
+    # below the largest of their estimates, which have no term for the
+    # trial's field, released once transformed, and count the vector
+    # maximal's heads for 3 of the 10 axis-0 indices.  The field held over
+    # r2 and r4 (7.6 MB), or all 10 indices' heads held over r3 (17.8 MB
+    # in place of 5.3 MB), goes over it.
+    d, n, band, seed = 6, 10, 3.0, 42
+    spec = GridSpec(d, n)
+    grid = default_truncation_grid()
+    n_cols = grid.values().size
+    spectrum = operators.half_spectrum(_trial_field(spec, band, seed, 0))
+    axes = list(range(1, d + 1))
+    n_r = spectrum.radii.size
+    buffer = 8 * d * n_r * (operators._piece(spec, axes)
+                            + operators._slab_chunk(spec.n_samples, n_r,
+                                                    n_cols))
+    assert operators._head_group(spectrum, d, buffer) == 3
+    need = max(operators._slab_route_bytes(spectrum, axes, n_cols, n_out)
+               for axes, n_out in [([None], 1), ([1], 2), (axes, 1)])
+    del spectrum
+    norm_ratio_sweep([d], {d: n}, grid, band, 1, seed)    # warm caches
+    tracemalloc.start()
+    try:
+        norm_ratio_sweep([d], {d: n}, grid, band, 1, seed)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < need
 
 
 class TestDecomposition:

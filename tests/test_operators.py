@@ -4,6 +4,7 @@ Poisson projections, method of rotations."""
 import itertools
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -614,6 +615,23 @@ class TestBundleMemory:
         with pytest.raises(ResourceError):
             vector_maximal(f, grid)
 
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    def test_half_spectrum_keeps_no_reference_to_the_samples(self, kind):
+        # a trial drops its field once transformed: the spectrum must not
+        # keep the samples alive
+        spec = GridSpec(4, 8)
+        samples = random_band_limited(spec, 3.0, seed=42).samples
+        if kind == "complex":
+            samples = samples + 1j * samples[::-1]
+        f = SpatialField(spec, samples)
+        held = weakref.ref(f.samples)
+        del samples
+        spectrum = half_spectrum(f)
+        del f
+        assert held() is None
+        assert spectrum.spec == spec
+        assert (spectrum.imag is None) == (kind == "real")
+
     def test_half_spectrum_holds_only_the_active_bins(self):
         # the half spectrum's transforms are dropped once the active bins
         # are found: what stays is far below one half-lattice array
@@ -1184,6 +1202,35 @@ class TestStreamedRoute:
             need = operators._slab_route_bytes(spectrum, axes, n_cols, n_out)
             assert peak <= need + _HEADERS
             assert need < bundle
+
+    @pytest.mark.parametrize("d, n, split", [(4, 16, False), (5, 10, False),
+                                             (6, 10, True)])
+    def test_carry_stays_within_the_chunk_stream_estimate(self, d, n, split):
+        # a chunk one sample longer than a piece carries piece - 1 samples
+        # of every row and class to the buffer's front at every other
+        # chunk; moved as one strided block, numpy would copy them through
+        # a temporary of that size and go over the estimate
+        spec = GridSpec(d, n)
+        spectrum = half_spectrum(random_band_limited(spec, 3.0, seed=42))
+        rows = [part for axis in range(1, d + 1)
+                for part in spectrum.filtered(axis)]
+        slab = spec.n_samples // n
+        piece = slab // n if split else slab
+        chunks = lambda: operators._class_chunks(spectrum, rows, piece + 1,
+                                                 piece)
+        for _ in chunks():                   # warm up caches and plans
+            pass
+        tracemalloc.start()
+        try:
+            held = tracemalloc.get_traced_memory()[0]
+            for _ in chunks():
+                pass
+            peak = tracemalloc.get_traced_memory()[1] - held
+        finally:
+            tracemalloc.stop()
+        need = operators._class_chunks_bytes(spectrum, len(rows), piece + 1,
+                                             piece)
+        assert peak <= need + _HEADERS
 
     def test_peak_is_within_its_estimate_and_below_a_bundle(self):
         self._peaks_are_within_their_estimates_and_below_a_bundle()
