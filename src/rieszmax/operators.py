@@ -19,7 +19,11 @@ sub-slab at a time when a slab exceeds _BLOCK_VALUES samples); or, past
 max(64, 2 n_columns) classes or physical memory, one inverse FFT per column
 and symbol, whose estimate must fit or ResourceError is raised.  No kept
 bundle or call history enters it, and a streamed reduction of one symbol
-is bit for bit the bundle's.  Routes return sums, never fields; a norm
+is bit for bit the bundle's.  Several symbols with no more pairs of
+classes than columns reduce by the per-point Gram matrix of the classes,
+accumulated over a chunk of a few blocks and taken through the columns by
+one product per chunk (per block when the pairs are few).  Routes return
+sums, never fields; a norm
 under a symbol is read from HalfSpectrum.energies.  Every inverse FFT runs
 irfftn's passes over the lines its bins occupy only, bit for bit.
 """
@@ -336,7 +340,8 @@ def kernel_convolve(f: SpatialField, k_hat: np.ndarray,
 _REL_TOL = 1e-13
 
 # Sample blocks of the reductions hold about this many float64 values per
-# (n_t, block) temporary: 512 kB, which stays in a core's L2 cache.
+# (n_t, block) temporary: 512 kB, which stays in a core's L2 cache.  The
+# Gram form's accumulator over a chunk of whole blocks holds as many.
 _BLOCK_VALUES = 1 << 16
 
 
@@ -744,11 +749,34 @@ def _column_route_bytes(spectrum: HalfSpectrum, axes: list,
             + (24 + 32 * len(axes)) * spectrum.active.size)
 
 
-def _slab_chunk(n_samples: int, n_r: int, n_cols: int) -> int:
-    """The streamed route's chunk: about _BLOCK_VALUES / n_r samples in
-    whole blocks of _sample_blocks(n_samples, n_cols)."""
+def _slab_chunk(n_samples: int, n_r: int, n_cols: int, gram: bool) -> int:
+    """The streamed route's chunk in whole blocks of _sample_blocks(n_samples,
+    n_cols): about _BLOCK_VALUES / n_r samples, or, for the Gram form, as
+    many as keep its accumulator of n_r (n_r + 1) / 2 pairs within
+    _BLOCK_VALUES values (4 blocks of 315 samples for 9 classes and 208
+    columns)."""
     step = max(1, _BLOCK_VALUES // max(n_cols, 1))
-    return min(n_samples, step * max(1, _BLOCK_VALUES // max(n_r, 1) // step))
+    per_sample = n_r * (n_r + 1) // 2 if gram else n_r
+    return min(n_samples,
+               step * max(1, _BLOCK_VALUES // max(per_sample, 1) // step))
+
+
+def _gram_span(chunk: int, n_r: int, n_cols: int) -> int:
+    """Samples per product of the Gram form's chunk with the pair weights:
+    the whole chunk when it holds at most n_r blocks of _BLOCK_VALUES /
+    n_cols samples, else one block.  With few pairs a block's product is
+    bound by memory and fastest in cache; with many, by arithmetic, which
+    BLAS shares among cores only once a product spans a few blocks (a
+    9-class chunk of 4 blocks takes one product, a 3-class chunk of 34
+    blocks one per block)."""
+    step = max(1, _BLOCK_VALUES // max(n_cols, 1))
+    return chunk if chunk <= n_r * step else step
+
+
+def _takes_gram(axes: list, n_r: int, n_cols: int) -> bool:
+    """Whether the streamed route reduces by the Gram form: several axes,
+    and no more pairs of classes than columns."""
+    return len(axes) > 1 and n_r * (n_r + 1) // 2 <= n_cols
 
 
 def _head_group(spectrum: HalfSpectrum, n_rows: int, buffer: int) -> int:
@@ -764,16 +792,16 @@ def _head_group(spectrum: HalfSpectrum, n_rows: int, buffer: int) -> int:
 def _slab_route_bytes(spectrum: HalfSpectrum, axes: list, n_cols: int,
                       n_out: int = 1) -> int:
     """The streamed route's bytes: those of its _class_chunks, a chunk's
-    Gram accumulator and one of its products, or a block's column sums, a
-    block's reduced sums, the rows' filtered values and n_out float64
-    outputs."""
+    Gram accumulator (pairs x chunk) and product (n_cols x chunk), or a
+    block's column sums and reduced sums, the rows' filtered values and
+    n_out float64 outputs."""
     spec, n_r = spectrum.spec, spectrum.radii.size
     rows = sum(len(spectrum.filtered(axis)) for axis in axes)
-    chunk = _slab_chunk(spec.n_samples, n_r, n_cols)
+    gram = _takes_gram(axes, n_r, n_cols)
+    chunk = _slab_chunk(spec.n_samples, n_r, n_cols, gram)
     block = n_cols * max(1, _BLOCK_VALUES // max(n_cols, 1))
-    pairs = n_r * (n_r + 1) // 2
-    sums = ((pairs + n_r) * chunk + 2 * block
-            if len(axes) > 1 and pairs <= n_cols else 3 * block)
+    sums = (n_r * (n_r + 1) // 2 * chunk
+            + n_cols * _gram_span(chunk, n_r, n_cols) if gram else 3 * block)
     return (_class_chunks_bytes(spectrum, rows, chunk, _piece(spec, axes))
             + 8 * (sums + n_out * spec.n_samples)
             + 16 * rows * spectrum.active.size)
@@ -892,8 +920,10 @@ def _stream_route(spectrum: HalfSpectrum, axes: list, profiles: np.ndarray,
     part come in chunks of whole blocks of _sample_blocks(n_samples, n_cols)
     (_class_chunks), each reduced as it is done.  One axis takes
     RadialBundle.sums's block sums, bit for bit; several axes with few
-    classes take s_c = P_c^T G P_c (G the per-point Gram matrix of the
-    classes), 2-5x less work."""
+    classes take s_c = P_c^T G P_c, with G the per-point Gram matrix of the
+    classes (_gram_sums) over a chunk of a few blocks (_slab_chunk), taken
+    through the pair weights in one product per chunk, or per block when
+    the pairs are few (_gram_span)."""
     spec, (n_r, n_cols) = spectrum.spec, profiles.shape[-2:]
     by_ts = [np.ascontiguousarray(p.T) for p in _stacked(profiles)]
     spectrum._kept = None               # not live beside the heads
@@ -903,32 +933,58 @@ def _stream_route(spectrum: HalfSpectrum, axes: list, profiles: np.ndarray,
         parts = spectrum.filtered(axis)
         groups.append(slice(len(rows), len(rows) + len(parts)))
         rows += parts
-    # Gram entries (a, b), a <= b, row by row: row a holds pairs[a]:pairs[a+1]
-    pairs = np.concatenate([[0], np.cumsum(np.arange(n_r, 0, -1))])
-    gram = len(axes) > 1 and pairs[-1] <= n_cols
+    gram = _takes_gram(axes, n_r, n_cols)
+    chunk = _slab_chunk(spec.n_samples, n_r, n_cols, gram)
     if gram:
         rows_i, cols_i = np.triu_indices(n_r)
-        # off-diagonal pairs stand for both (a, b) and (b, a): weight 2
+        # pairs a <= b in _gram_sums's order; off-diagonal pairs stand for
+        # both (a, b) and (b, a): weight 2
         pair_weights = [by_t[:, rows_i] * by_t[:, cols_i] for by_t in by_ts]
         for w in pair_weights:
             w[:, rows_i != cols_i] *= 2.0
+        span = _gram_span(chunk, n_r, n_cols)
     out = np.empty((len(by_ts), spec.n_samples))
-    chunk = _slab_chunk(spec.n_samples, n_r, n_cols)
     for lo, u in _class_chunks(spectrum, rows, chunk, _piece(spec, axes)):
         hi = lo + u.shape[-1]
         if gram:
-            acc = np.zeros((pairs[-1], hi - lo))
-            for part in u:
-                for a in range(n_r):
-                    acc[pairs[a]:pairs[a + 1]] += part[a] * part[a:]
-        for k, sums in enumerate(out):
-            for cols in _sample_blocks(hi - lo, n_cols):
-                s = (pair_weights[k] @ acc[:, cols] if gram else _column_sums(
-                    by_ts[k], [u[g, :, cols] for g in groups]))
-                sums[lo + cols.start:lo + cols.stop] = (
-                    s.max(axis=0) if weights is None else weights @ s)
+            acc = _gram_sums(u)
+            for w, sums in zip(pair_weights, out[:, lo:hi]):
+                for at in range(0, hi - lo, span):
+                    _pair_sums(w, acc[:, at:at + span], weights,
+                               sums[at:at + span])
+        else:
+            for by_t, sums in zip(by_ts, out):
+                for cols in _sample_blocks(hi - lo, n_cols):
+                    s = _column_sums(by_t, [u[g, :, cols] for g in groups])
+                    sums[lo + cols.start:lo + cols.stop] = (
+                        s.max(axis=0) if weights is None else weights @ s)
         acc = s = None      # not live beside the next carry or accumulator
     return out.reshape(profiles.shape[:-2] + (-1,))
+
+
+def _pair_sums(pair_weights: np.ndarray, acc: np.ndarray,
+               weights: np.ndarray | None, out: np.ndarray) -> None:
+    """out = max_c s_c, or sum_c weights[c] s_c when weights are given, of
+    the Gram form's column sums s = pair_weights @ acc, one product."""
+    s = pair_weights @ acc
+    if weights is None:
+        np.max(s, axis=0, out=out)
+    else:
+        np.matmul(weights, s, out=out)
+
+
+def _gram_sums(u: np.ndarray) -> np.ndarray:
+    """The per-point Gram matrix of u's classes summed over its rows:
+    u[q, a] u[q, b] for pairs a <= b, class a's pairs in one einsum, which
+    adds the rows in their order, bit for bit as one product per row and
+    class added in place would."""
+    n_r = u.shape[1]
+    acc = np.empty((n_r * (n_r + 1) // 2, u.shape[-1]))
+    at = 0
+    for a in range(n_r):
+        np.einsum("qs,qks->ks", u[:, a], u[:, a:], out=acc[at:at + n_r - a])
+        at += n_r - a
+    return acc
 
 
 def _column_route(spectrum: HalfSpectrum, axes: list, profiles: np.ndarray,

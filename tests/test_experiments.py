@@ -191,9 +191,9 @@ def test_streamed_sweep_peak_holds_no_field_and_one_group_of_heads():
     # at d = 6, N = 10 every reduction streams, and the trial's peak is
     # below the largest of their estimates, which have no term for the
     # trial's field, released once transformed, and count the vector
-    # maximal's heads for 3 of the 10 axis-0 indices.  The field held over
+    # maximal's heads for 2 of the 10 axis-0 indices.  The field held over
     # r2 and r4 (7.6 MB), or all 10 indices' heads held over r3 (17.8 MB
-    # in place of 5.3 MB), goes over it.
+    # in place of 3.6 MB), goes over it.
     d, n, band, seed = 6, 10, 3.0, 42
     spec = GridSpec(d, n)
     grid = default_truncation_grid()
@@ -203,8 +203,8 @@ def test_streamed_sweep_peak_holds_no_field_and_one_group_of_heads():
     n_r = spectrum.radii.size
     buffer = 8 * d * n_r * (operators._piece(spec, axes)
                             + operators._slab_chunk(spec.n_samples, n_r,
-                                                    n_cols))
-    assert operators._head_group(spectrum, d, buffer) == 3
+                                                    n_cols, True))
+    assert operators._head_group(spectrum, d, buffer) == 2
     need = max(operators._slab_route_bytes(spectrum, axes, n_cols, n_out)
                for axes, n_out in [([None], 1), ([1], 2), (axes, 1)])
     del spectrum

@@ -3,8 +3,12 @@ Poisson projections, method of rotations."""
 
 import itertools
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -939,7 +943,8 @@ class TestColumnRoute:
 def _bundle_reduction(spectrum, axes, profiles, weights=None):
     """_reduce of several axes as computed before the slab route: one radial
     bundle per axis, a Gram (or per-column) accumulator over every sample,
-    then the reduction over the blocks of _sample_blocks."""
+    then the reduction over the blocks of _sample_blocks, or, for the Gram
+    form, one product per span of the streamed route's chunks."""
     n_r, n_cols = profiles.shape
     n_samples = spectrum.spec.n_samples
     by_t = np.ascontiguousarray(profiles.T)
@@ -968,8 +973,12 @@ def _bundle_reduction(spectrum, axes, profiles, weights=None):
         rows_i, cols_i = np.triu_indices(n_r)
         pair_weights = by_t[:, rows_i] * by_t[:, cols_i]
         pair_weights[:, rows_i != cols_i] *= 2.0
+        chunk = operators._slab_chunk(n_samples, n_r, n_cols, True)
+        span = operators._gram_span(chunk, n_r, n_cols)
+        spans = [slice(lo, lo + span) for lo in range(0, n_samples, span)]
     out = np.empty(n_samples)
-    for cols in operators._sample_blocks(n_samples, n_cols):
+    for cols in (spans if gram
+                 else operators._sample_blocks(n_samples, n_cols)):
         s = pair_weights @ acc[:, cols] if gram else acc[:, cols]
         out[cols] = s.max(axis=0) if weights is None else weights @ s
     return np.sqrt(np.maximum(out, 0.0, out=out), out=out)
@@ -1244,6 +1253,95 @@ class TestStreamedRoute:
         monkeypatch.setattr(operators, "_slab_chunk",
                             lambda n, *a: min(n, 2 * chunk(n, *a)))
         self._peaks_are_within_their_estimates_and_below_a_bundle()
+
+
+class TestGramForm:
+    """The streamed route's Gram form: its accumulator adds the rows in
+    their order, its products follow the chunk, and BLAS's thread count
+    does not move its results."""
+
+    @pytest.mark.parametrize("d, n", [(3, 16), (5, 6), (8, 4)])
+    def test_einsum_is_the_row_by_row_accumulation(self, d, n):
+        # every chunk of the route, and the first of a short odd chunk and
+        # of a one-sample chunk; complex fields have two parts on every
+        # axis (2 d rows), the Nyquist field on axes 1 and d
+        spec = GridSpec(d, n)
+        axes = list(range(1, d + 1))
+        n_cols = default_truncation_grid().values().size
+        for kind, samples in _split_fields(spec, 81).items():
+            spectrum = half_spectrum(SpatialField(spec, samples))
+            rows = [part for axis in axes for part in spectrum.filtered(axis)]
+            assert len(rows) == {"real": d, "complex": 2 * d,
+                                 "nyquist": d + 2}[kind]
+            n_r = spectrum.radii.size
+            assert operators._takes_gram(axes, n_r, n_cols)
+            pairs = np.concatenate([[0], np.cumsum(np.arange(n_r, 0, -1))])
+            route = operators._slab_chunk(spec.n_samples, n_r, n_cols, True)
+            for chunk, count in [(route, None), (7, 3), (1, 3)]:
+                chunks = operators._class_chunks(
+                    spectrum, rows, chunk, operators._piece(spec, axes))
+                for _, u in itertools.islice(chunks, count):
+                    want = np.zeros((pairs[-1], u.shape[-1]))
+                    for part in u:
+                        for a in range(n_r):
+                            want[pairs[a]:pairs[a + 1]] += part[a] * part[a:]
+                    assert np.array_equal(operators._gram_sums(u), want), \
+                        (kind, chunk)
+
+    @pytest.mark.parametrize("d, n, blocks, per_chunk", [(6, 10, 4, True),
+                                                         (8, 4, 34, False)])
+    def test_products_per_chunk(self, d, n, blocks, per_chunk, monkeypatch):
+        # 9 classes (45 pairs) keep 4 blocks of 315 samples per chunk and
+        # take one product per chunk; 3 classes (6 pairs) keep 34 blocks
+        # and take one product per block
+        from test_experiments import _count_calls
+        spec = GridSpec(d, n)
+        spectrum = half_spectrum(random_band_limited(
+            spec, min(3.0, 0.49 * n), seed=42))
+        grid = default_truncation_grid()
+        n_r, n_cols = spectrum.radii.size, grid.values().size
+        step = operators._BLOCK_VALUES // n_cols
+        chunk = operators._slab_chunk(spec.n_samples, n_r, n_cols, True)
+        assert (n_r, step, chunk) == ((9 if per_chunk else 3), 315,
+                                      blocks * step)
+        chunks = _count_calls(monkeypatch, operators, "_gram_sums")
+        products = _count_calls(monkeypatch, operators, "_pair_sums")
+        vector_maximal(spectrum, grid)
+        assert len(chunks) == math.ceil(spec.n_samples / chunk)
+        assert len(products) == (len(chunks) if per_chunk
+                                 else math.ceil(spec.n_samples / step))
+
+    def test_same_at_one_and_two_blas_threads(self):
+        # the golden configs never take the Gram form (14 columns against
+        # 45 pairs); the sweep's d = 4, N = 16 and d = 8, N = 4 trials do
+        child = (
+            "import hashlib\n"
+            "from rieszmax import operators\n"
+            "from rieszmax.experiments import (_capped_band, _trial_field,\n"
+            "                                  default_truncation_grid)\n"
+            "from rieszmax.fields import GridSpec\n"
+            "grid = default_truncation_grid()\n"
+            "for d, n in [(4, 16), (8, 4)]:\n"
+            "    spec = GridSpec(d, n)\n"
+            "    f = _trial_field(spec, _capped_band(3.0, spec), 42, 0)\n"
+            "    spectrum = operators.half_spectrum(f)\n"
+            "    assert operators._takes_gram(list(range(1, d + 1)),\n"
+            "                                 spectrum.radii.size,\n"
+            "                                 grid.values().size)\n"
+            "    got = operators.vector_maximal(spectrum, grid).samples\n"
+            "    print(d, n, hashlib.sha256(got.tobytes()).hexdigest())\n")
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        printed = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       OMP_NUM_THREADS=threads)
+            env["PYTHONPATH"] = src + (os.pathsep + env["PYTHONPATH"]
+                                       if env.get("PYTHONPATH") else "")
+            printed.append(subprocess.run(
+                [sys.executable, "-c", child], env=env, check=True,
+                capture_output=True, text=True, timeout=300).stdout)
+        assert printed[0].count("\n") == 2
+        assert printed[0] == printed[1]
 
 
 def _weighted_reference(spectrum, axes, profiles, weights):
