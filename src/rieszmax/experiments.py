@@ -106,20 +106,27 @@ def _trial_field(spec: GridSpec, band: float, seed: int, trial: int) -> SpatialF
     return random_band_limited(spec, band, seed=seed * 100_003 + trial)
 
 
+def _trial_spectrum(spec: GridSpec, band: float, seed: int,
+                    trial: int) -> op.HalfSpectrum:
+    """The half spectrum of _trial_field's field, drawn at the band's bins."""
+    return op._band_spectrum(spec, band, seed * 100_003 + trial)
+
+
 def _capped_band(band: float, spec: GridSpec) -> float:
     nyquist = spec.points_per_axis / (2.0 * spec.period)
     return min(band, 0.98 * nyquist)
 
 
 def _run_trials(report: ExperimentReport, spec: GridSpec, band: float,
-                trials: int, trial_values) -> None:
+                trials: int, trial_values, draw=_trial_field) -> None:
     """Add the rows trial_values(draw) -> {quantity: value} gives for each
     trial, then sort the rows once.  draw() returns the trial's field, so
     the trial holds the only reference to it and can release it once it is
     transformed: an argument a lambda or partial passes on stays bound in
-    the wrapper's frame until the call returns."""
+    the wrapper's frame until the call returns.  The sweep's draw
+    (_trial_spectrum) returns the field's half spectrum, with no field."""
     for trial in range(trials):
-        values = trial_values(functools.partial(_trial_field, spec, band,
+        values = trial_values(functools.partial(draw, spec, band,
                                                 report.seed, trial))
         for quantity, value in values.items():
             report.add(spec.dimension, spec.points_per_axis, trial, quantity,
@@ -189,27 +196,35 @@ def norm_ratio_sweep(dims, n_of_d: dict, grid: TruncationGrid, band: float,
     for d in dims:
         spec = GridSpec(d, n_of_d[d])
         _run_trials(report, spec, _capped_band(band, spec), trials,
-                    lambda draw: _sweep_trial(draw, grid))
+                    lambda draw: _sweep_trial(draw, grid), _trial_spectrum)
     return report
 
 
 def _sweep_trial(draw, grid: TruncationGrid) -> dict:
-    f = draw()
-    norm_f = l2_norm(f)
-    # One forward transform per trial, after which the field is released;
-    # ||R_1 f|| is its axis-1 energy.  r2 and r4 share one pass over the
-    # axis-1 classes: the axis-1 bundle, or streamed where r1 streams too
-    # (d = 6, N = 10).  r3 streams and releases the bundle.
-    spectrum = op.half_spectrum(f)
-    del f
-    r1 = l2_norm(maximal_over(spectrum, "factor_m", grid)) / norm_f
+    # The trial's half spectrum is drawn at the band's bins, with no field;
+    # ||f|| and ||R_1 f|| are its class energies.  Where a reduction of one
+    # symbol streams (d = 6, N = 10), the four maxima come from one pass
+    # over the identity's and every axis's classes, summing their squares
+    # chunk by chunk; elsewhere from the kept bundles (r2 and r4 share the
+    # axis-1 bundle), and r3 streams.
+    spectrum = draw()
+    d = spectrum.spec.dimension
+    norm_f = math.sqrt(np.sum(spectrum.energies(None)))
     norm_r = math.sqrt(np.sum(spectrum.energies(1)))
-    maxima = op.riesz_maximals(
-        spectrum, grid, ("truncated_riesz", "conjugate_poisson"), j=1)
-    r2, r4 = (l2_norm(m) / norm_r for m in maxima)
-    del maxima  # before r3's buffers
-    r3 = l2_norm(vector_maximal(spectrum, grid)) / norm_f
-    return {"r1": r1, "r2": r2, "r4": r4, "r3": r3}
+    if op._streams(spectrum.spec):
+        # r3 first: a chunk's block sums run faster after its Gram product
+        # has been taken and released than before it
+        r3, r1, r2, r4 = op._maximal_norms(spectrum, grid, [
+            ("truncated_riesz", list(range(1, d + 1))),
+            ("factor_m", [None]), ("truncated_riesz", [1]),
+            ("conjugate_poisson", [1])])
+    else:
+        r1, r2, r4 = (l2_norm(maximal_over(spectrum, family, grid, j=1))
+                      for family in ("factor_m", "truncated_riesz",
+                                     "conjugate_poisson"))
+        r3 = l2_norm(vector_maximal(spectrum, grid))
+    return {"r1": r1 / norm_f, "r2": r2 / norm_r, "r4": r4 / norm_r,
+            "r3": r3 / norm_f}
 
 
 def decomposition_diagnostics(d: int, n: int, grid: TruncationGrid, band: float,

@@ -150,24 +150,66 @@ def random_band_limited(spec: GridSpec, band_radius: float,
                         seed: int) -> SpatialField:
     """Real (float64) mean-zero field with i.i.d. Gaussian coefficients on
     0 < |xi| <= band_radius, conjugate-symmetrized; deterministic per seed.
-    The full-lattice draws are kept at the band's bins, where the Hermitian
-    average 0.5 (c(k) + conj(c(-k))) is formed (the band is symmetric); one
-    complex lattice array takes it and is inverse transformed in place."""
+    The coefficients at the band's bins (_band_coefficients) fill one
+    complex lattice array, which is inverse transformed in place."""
     from .operators import _require_memory      # operators imports fields
+    bins, coeff = _band_coefficients(spec, band_radius, seed)
+    # a complex lattice array and the real copy, with 2 d + 6 values per bin
+    _require_memory(8 * (3 * spec.n_samples + (2 * spec.dimension + 6)
+                         * bins.size), "the band-limited field")
+    lattice = np.zeros(spec.shape, dtype=complex)
+    lattice.ravel()[bins] = coeff
+    lattice = _inverse_in_place(lattice, spec).real.copy()  # frees the complex
+    return SpatialField(spec, lattice)
+
+
+def _band_coefficients(spec: GridSpec, band_radius: float,
+                       seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """The band's bins 0 < |xi| <= band_radius (flat lattice indices, in
+    order) and random_band_limited's coefficients there: the Hermitian
+    average 0.5 (c(k) + conj(c(-k))) of c = a + i b, with a and b the
+    generator's two standard normal streams over the whole lattice.
+
+    The lattice is walked in blocks of whole axis-0 indices of about
+    _BLOCK_VALUES samples: |xi|^2 is summed per block in freq_radius's
+    order, and each stream is drawn block by block, which continues the
+    same stream, so only the values at the bins are kept."""
+    from .operators import _BLOCK_VALUES, _require_memory
     nyquist = spec.points_per_axis / (2.0 * spec.period)
     if not 0 < band_radius < nyquist:
         raise DomainError(
             f"band_radius must lie in (0, N/(2L)) = (0, {nyquist}), got {band_radius}")
-    bins = np.flatnonzero(spec.freq_radius() <= band_radius)[1:]  # not k = 0
-    # a complex lattice array and the real copy, with 2 d + 6 values per bin
-    _require_memory(8 * (3 * spec.n_samples + (2 * spec.dimension + 6)
-                         * bins.size), "the band-limited field")
+    n, d = spec.points_per_axis, spec.dimension
+    slab = spec.n_samples // n
+    step = max(1, _BLOCK_VALUES // slab) * slab
+    axis_sq = spec.freq_axis() ** 2
+    starts = range(0, spec.n_samples, step)
+    found = []
+    for lo in starts:
+        first = lo // slab
+        total = np.zeros((min(step, spec.n_samples - lo) // slab,)
+                         + (n,) * (d - 1))
+        for j in range(d):
+            shape = [1] * d
+            shape[j] = n
+            term = axis_sq.reshape(shape)
+            total += term[first:first + len(total)] if j == 0 else term
+        found.append(lo + np.flatnonzero(np.sqrt(total, out=total)
+                                         <= band_radius))
+    bins = np.concatenate(found)[1:]                        # not k = 0
+    # two blocks of draws, and 2 d + 6 values per bin
+    _require_memory(8 * (2 * min(step, spec.n_samples) + (2 * d + 6)
+                         * bins.size), "the band's coefficients")
+    edges = np.searchsorted(bins, [*starts, spec.n_samples])
     rng = np.random.default_rng(seed)
-    coeff = rng.standard_normal(spec.shape).ravel()[bins] \
-        + 1j * rng.standard_normal(spec.shape).ravel()[bins]
+    parts = []
+    for _ in range(2):
+        part = np.empty(bins.size)
+        for lo, a, b in zip(starts, edges[:-1], edges[1:]):
+            block = rng.standard_normal(min(step, spec.n_samples - lo))
+            part[a:b] = block[bins[a:b] - lo]
+        parts.append(part)
+    coeff = parts[0] + 1j * parts[1]
     partner = np.searchsorted(bins, np.ravel_multi_index(
         [-k for k in np.unravel_index(bins, spec.shape)], spec.shape, mode="wrap"))
-    lattice = np.zeros(spec.shape, dtype=complex)
-    lattice.ravel()[bins] = 0.5 * (coeff + np.conj(coeff[partner]))
-    lattice = _inverse_in_place(lattice, spec).real.copy()  # frees the complex
-    return SpatialField(spec, lattice)
+    return bins, 0.5 * (coeff + np.conj(coeff[partner]))

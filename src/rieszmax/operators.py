@@ -23,16 +23,20 @@ is bit for bit the bundle's.  Several symbols with no more pairs of
 classes than columns reduce by the per-point Gram matrix of the classes,
 accumulated over a chunk of a few blocks and taken through the columns by
 one product per chunk (per block when the pairs are few).  Routes return
-sums, never fields; a norm
-under a symbol is read from HalfSpectrum.energies.  Every inverse FFT runs
-irfftn's passes over the lines its bins occupy only, bit for bit.
+sums, never fields; a norm under a symbol is read from
+HalfSpectrum.energies.  One streamed pass over one row list (the
+identity's parts, then each axis's) serves several reductions, each
+reducing every chunk as it would alone: the sweep's four maxima come from
+one pass that sums each sup's square chunk by chunk (_maximal_norms), so
+no array of the lattice's size is built.  Every inverse FFT runs irfftn's
+passes over the lines its bins occupy only, bit for bit.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from functools import cached_property
 
 import numpy as np
@@ -42,8 +46,9 @@ from scipy.special import (gammaln, j0 as bessel_j0, j1 as bessel_j1, sici,
 
 from . import multiplier
 from .errors import DomainError, ResourceError, UnsupportedDimensionError
-from .fields import (GridSpec, SpatialField, SpectralField, _inverse_in_place,
-                     forward_transform, inverse_transform)
+from .fields import (GridSpec, SpatialField, SpectralField,
+                     _band_coefficients, _inverse_in_place, forward_transform,
+                     inverse_transform)
 
 __all__ = [
     "MultiplierSymbol",
@@ -55,7 +60,6 @@ __all__ = [
     "kernel_transform",
     "kernel_convolve",
     "maximal_over",
-    "riesz_maximals",
     "vector_maximal",
     "square_function",
     "projection_square_function",
@@ -417,23 +421,28 @@ class HalfSpectrum:
     and the bookkeeping its transforms share: the active bins (flat
     half-spectrum indices), each radius class's integer |k|^2, each active
     bin's class and the class radii |k| / L.  It keeps no samples of the
-    field, and the bundle it built last for reuse.
+    field, and the bundle it built last for reuse.  The DFTs are given over
+    the whole half spectrum, or at the flat half-spectrum indices bins, and
+    kept where their power exceeds _REL_TOL^2 of its peak.
     """
 
     spec: GridSpec
     real: np.ndarray                    # half spectrum, then active bins
     imag: np.ndarray | None
+    bins: InitVar[np.ndarray | None] = None  # flat bins of real, if not all
     _kept = None                        # (axis, RadialBundle) built last
 
-    def __post_init__(self):
+    def __post_init__(self, bins):
         power = np.square(np.abs(self.real))
         if self.imag is not None:
             power += np.square(np.abs(self.imag))
-        self.active = np.flatnonzero(power > _REL_TOL ** 2 * np.max(power))
+        keep = np.flatnonzero(power > _REL_TOL ** 2
+                              * np.max(power, initial=0.0))
         del power
-        self.real = self.real.ravel()[self.active]
+        self.active = keep if bins is None else bins[keep]
+        self.real = self.real.ravel()[keep]
         if self.imag is not None:
-            self.imag = self.imag.ravel()[self.active]
+            self.imag = self.imag.ravel()[keep]
         self.classes, self.class_of_bin = np.unique(
             sum(np.square(self._k(a)) for a in range(self.spec.dimension)),
             return_inverse=True)
@@ -515,6 +524,22 @@ def half_spectrum(f: SpatialField) -> HalfSpectrum:
     imag = (sfft.rfftn(samples.imag, workers=-1)
             if np.iscomplexobj(samples) and np.any(samples.imag) else None)
     return HalfSpectrum(f.spec, sfft.rfftn(samples.real, workers=-1), imag)
+
+
+def _band_spectrum(spec: GridSpec, band_radius: float,
+                   seed: int) -> HalfSpectrum:
+    """half_spectrum(random_band_limited(spec, band_radius, seed)), up to
+    rounding, with no field and no forward transform: the coefficients at
+    the band's bins (fields._band_coefficients) that lie in the half
+    spectrum (k_d in 0..N/2), each scaled by N^d / L^(d/2), which takes the
+    unitary coefficient to the unnormalized DFT of the field."""
+    bins, coeff = _band_coefficients(spec, band_radius, seed)
+    n = spec.points_per_axis
+    lead, last = np.divmod(bins, n)
+    half = last <= n // 2
+    scale = spec.n_samples / spec.period ** (spec.dimension / 2.0)
+    return HalfSpectrum(spec, coeff[half] * scale, None,
+                        lead[half] * (n // 2 + 1) + last[half])
 
 
 def _as_spectrum(f: SpatialField | HalfSpectrum) -> HalfSpectrum:
@@ -708,44 +733,40 @@ def _root(spec: GridSpec, sums: np.ndarray) -> SpatialField:
 
 def _route(spectrum: HalfSpectrum, axes: list, profiles: np.ndarray,
            weights: np.ndarray | None = None) -> np.ndarray:
-    """The sums of _reduce, before the square root.  On a grid that
-    streams, profiles may stack several (n_r, n_cols) matrices on leading
-    axes, reduced in one pass over the classes into sums of the same leading
-    shape.  The route is chosen here, before any transform (see the module
-    docstring): the kept bundle's RadialBundle.sums for one axis on a grid
-    that does not stream, _stream_route, or _column_route.
+    """The sums of _reduce, before the square root.  The route is chosen
+    here, before any transform (see the module docstring): the kept
+    bundle's RadialBundle.sums for one axis on a grid that does not stream,
+    _stream_route, or _column_route.
 
     Nonnegative weights over more columns than classes are compressed first:
     sum_c weights[c] s_c = sum over axes of |R u|^2, where R (n_r x n_r) is
     the triangular factor of diag(sqrt(weights)) P^T = Q R, so the n_r rows
     of R become the columns, each of weight 1.  Like the sum it replaces,
     this takes one dot product per column and then a sum of squares."""
-    if weights is not None and profiles.shape[-1] > profiles.shape[-2]:
-        profiles = np.swapaxes(np.linalg.qr(
-            np.sqrt(weights)[:, None] * np.swapaxes(profiles, -1, -2),
-            mode="r"), -1, -2)
-        weights = np.ones(profiles.shape[-1])
-    spec, (n_r, n_cols) = spectrum.spec, profiles.shape[-2:]
-    n_out = math.prod(profiles.shape[:-2])  # one per profile matrix
+    if weights is not None and profiles.shape[1] > profiles.shape[0]:
+        profiles = np.linalg.qr(np.sqrt(weights)[:, None] * profiles.T,
+                                mode="r").T
+        weights = np.ones(profiles.shape[1])
+    spec, (n_r, n_cols) = spectrum.spec, profiles.shape
+    reduction = (axes, profiles, weights)
     streams = len(axes) > 1 or _streams(spec)
-    need = (_slab_route_bytes(spectrum, axes, n_cols, n_out) if streams
+    need = (_slab_route_bytes(spectrum, [reduction]) if streams
             else _bundle_bytes(spec, n_r, len(spectrum.filtered(axes[0]))))
     if n_r > max(64, 2 * n_cols) or need > _physical_memory():
-        _require_memory(_column_route_bytes(spectrum, axes, n_out),
+        _require_memory(_column_route_bytes(spectrum, axes),
                         "the column route")
         return _column_route(spectrum, axes, profiles, weights)
     if streams:
-        return _stream_route(spectrum, axes, profiles, weights)
+        return _stream_route(spectrum, [reduction])[0]
     return spectrum.bundle(axes[0]).sums(profiles, weights)
 
 
-def _column_route_bytes(spectrum: HalfSpectrum, axes: list,
-                        n_out: int = 1) -> int:
+def _column_route_bytes(spectrum: HalfSpectrum, axes: list) -> int:
     """One transform's work array and samples, the column's sum and the
-    n_out float64 outputs, every axis's filtered coefficients plus a copy,
-    and the transform's places of the active bins."""
+    float64 output, every axis's filtered coefficients plus a copy, and the
+    transform's places of the active bins."""
     spec = spectrum.spec
-    return (_class_buffer_bytes(spec) + 8 * (1 + n_out) * spec.n_samples
+    return (_class_buffer_bytes(spec) + 16 * spec.n_samples
             + (24 + 32 * len(axes)) * spectrum.active.size)
 
 
@@ -789,22 +810,52 @@ def _head_group(spectrum: HalfSpectrum, n_rows: int, buffer: int) -> int:
     return max(1, min(n, buffer // max(per_index, 1)))
 
 
-def _slab_route_bytes(spectrum: HalfSpectrum, axes: list, n_cols: int,
-                      n_out: int = 1) -> int:
-    """The streamed route's bytes: those of its _class_chunks, a chunk's
-    Gram accumulator (pairs x chunk) and product (n_cols x chunk), or a
-    block's column sums and reduced sums, the rows' filtered values and
-    n_out float64 outputs."""
+def _stream_rows(spectrum: HalfSpectrum, reductions: list):
+    """The rows of a streamed pass over reductions (axes, profiles,
+    weights): the parts (HalfSpectrum.filtered) of the identity, then of
+    each axis in ascending order, of every axis some reduction takes, once
+    each; with the pass's axes, in that order, and each reduction's groups,
+    a slice of the rows per axis of its own."""
+    axes = sorted({axis for red in reductions for axis in red[0]},
+                  key=lambda axis: 0 if axis is None else axis)
+    rows, at = [], {}
+    for axis in axes:
+        parts = spectrum.filtered(axis)
+        at[axis] = slice(len(rows), len(rows) + len(parts))
+        rows += parts
+    return axes, rows, [[at[axis] for axis in red[0]] for red in reductions]
+
+
+def _pass_chunk(spectrum: HalfSpectrum, reductions: list) -> int:
+    """The streamed pass's chunk: the shortest of its reductions' chunks."""
+    n_samples, n_r = spectrum.spec.n_samples, spectrum.radii.size
+    return min(_slab_chunk(n_samples, n_r, p.shape[1],
+                           _takes_gram(axes, n_r, p.shape[1]))
+               for axes, p, _ in reductions)
+
+
+def _slab_route_bytes(spectrum: HalfSpectrum, reductions: list,
+                      norms: bool = False) -> int:
+    """The streamed pass's bytes: those of its _class_chunks, the largest
+    of one reduction's temporaries over a chunk (the Gram form's
+    accumulator, pairs x chunk, and product, n_cols x its span, or a
+    block's column sums and reduced sums), the rows' filtered values, and
+    each reduction's float64 sums: n_samples of them, or, when norms are
+    summed, one chunk's."""
     spec, n_r = spectrum.spec, spectrum.radii.size
-    rows = sum(len(spectrum.filtered(axis)) for axis in axes)
-    gram = _takes_gram(axes, n_r, n_cols)
-    chunk = _slab_chunk(spec.n_samples, n_r, n_cols, gram)
-    block = n_cols * max(1, _BLOCK_VALUES // max(n_cols, 1))
-    sums = (n_r * (n_r + 1) // 2 * chunk
-            + n_cols * _gram_span(chunk, n_r, n_cols) if gram else 3 * block)
-    return (_class_chunks_bytes(spectrum, rows, chunk, _piece(spec, axes))
-            + 8 * (sums + n_out * spec.n_samples)
-            + 16 * rows * spectrum.active.size)
+    axes, rows, _ = _stream_rows(spectrum, reductions)
+    chunk = _pass_chunk(spectrum, reductions)
+    temps = 0
+    for red_axes, profiles, _ in reductions:
+        n_cols = profiles.shape[1]
+        temps = max(temps, (
+            n_r * (n_r + 1) // 2 * chunk
+            + n_cols * _gram_span(chunk, n_r, n_cols)
+            if _takes_gram(red_axes, n_r, n_cols)
+            else 3 * n_cols * max(1, _BLOCK_VALUES // max(n_cols, 1))))
+    sums = len(reductions) * (chunk if norms else spec.n_samples)
+    return (_class_chunks_bytes(spectrum, len(rows), chunk, _piece(spec, axes))
+            + 8 * (temps + sums) + 16 * len(rows) * spectrum.active.size)
 
 
 def _class_chunks_bytes(spectrum: HalfSpectrum, n_rows: int, chunk: int,
@@ -826,12 +877,6 @@ def _class_chunks_bytes(spectrum: HalfSpectrum, n_rows: int, chunk: int,
             + 2 * n_rows * _class_buffer_bytes(spec) * piece // n_samples)
 
 
-def _stacked(profiles: np.ndarray) -> np.ndarray:
-    """profiles as a stack (k, n_r, n_cols), k = 1 for one matrix."""
-    return profiles.reshape((math.prod(profiles.shape[:-2]),)
-                            + profiles.shape[-2:])
-
-
 def _column_sums(by_t: np.ndarray, groups) -> np.ndarray:
     """s = sum over groups of sum over its parts u of (by_t @ u)^2, the
     squares taken in place and added in order."""
@@ -846,14 +891,15 @@ def _column_sums(by_t: np.ndarray, groups) -> np.ndarray:
 
 
 def _group_heads(transform, rows: list, chosen: np.ndarray, first: int,
-                 group: int) -> np.ndarray:
+                 group: int, heads: np.ndarray | None) -> np.ndarray:
     """The heads of one class at axis-0 indices first:first + group, stacked
-    over rows, built one row at a time: one row's full head is in flight."""
-    heads = None
+    over rows, built one row at a time: one row's full head is in flight.
+    They are written into heads, the previous group's, when it is given."""
     for q, row in enumerate(rows):
         head = transform.head(row[chosen])[first:first + group]
         if heads is None:
             heads = np.empty((len(rows),) + head.shape, dtype=complex)
+        heads = heads[:, :len(head)]
         heads[q] = head
         del head                        # before the next row's full head
     return heads
@@ -868,7 +914,10 @@ def _class_chunks(spectrum: HalfSpectrum, rows: list, chunk: int,
     Heads are kept for one group of axis-0 indices at a time (_head_group):
     when the stream reaches a group, each class's heads of all rows are
     rebuilt, one row at a time, and only the group's indices kept, so the
-    axis-0 pass runs once per row and group.  Their tails then finish one
+    axis-0 pass runs once per row and group.  A group's heads overwrite the
+    arrays of the group before: freed arrays of their size go back to the
+    system, and the next group would fault their pages in again (about
+    12,000 page faults a pass at d = 6, N = 10).  Their tails then finish one
     piece at a time (an axis-0 slab, or an axis-1 sub-slab after the axis-0
     index's shared axis-1 pass, see _piece), every row of a class in one
     call, into a buffer of a piece plus a chunk per row and class, and
@@ -895,10 +944,11 @@ def _class_chunks(spectrum: HalfSpectrum, rows: list, chunk: int,
             at = p * piece - start
             index, m = divmod(p, per_slab)
             if heads is None or index >= first + group:
-                heads = passed = None
+                passed = None
                 first = index
-                heads = [_group_heads(t, rows, c, first, group)
-                         for c, t in transforms]
+                kept = heads or [None] * len(transforms)
+                heads = [_group_heads(t, rows, c, first, group, h)
+                         for (c, t), h in zip(transforms, kept)]
             if per_slab > 1 and m == 0:
                 passed = None
                 passed = [t.widened(head[:, index - first], 1)
@@ -914,52 +964,71 @@ def _class_chunks(spectrum: HalfSpectrum, rows: list, chunk: int,
         yield lo, buf[:, :, lo - start:hi - start]
 
 
-def _stream_route(spectrum: HalfSpectrum, axes: list, profiles: np.ndarray,
-                  weights: np.ndarray | None) -> np.ndarray:
-    """The sums of _route with no bundle: the classes of every axis and
-    part come in chunks of whole blocks of _sample_blocks(n_samples, n_cols)
-    (_class_chunks), each reduced as it is done.  One axis takes
-    RadialBundle.sums's block sums, bit for bit; several axes with few
-    classes take s_c = P_c^T G P_c, with G the per-point Gram matrix of the
-    classes (_gram_sums) over a chunk of a few blocks (_slab_chunk), taken
-    through the pair weights in one product per chunk, or per block when
-    the pairs are few (_gram_span)."""
-    spec, (n_r, n_cols) = spectrum.spec, profiles.shape[-2:]
-    by_ts = [np.ascontiguousarray(p.T) for p in _stacked(profiles)]
+def _stream_route(spectrum: HalfSpectrum, reductions: list,
+                  norms: bool = False) -> list:
+    """The sums of _route for each reduction (axes, profiles, weights),
+    with no bundle, from one pass over one row list (_stream_rows): the
+    classes of every part of the identity and the axes the reductions take
+    come in chunks of whole blocks of _sample_blocks(n_samples, n_cols)
+    (_class_chunks, _pass_chunk), and each reduction reduces each chunk as
+    it is done (_chunk_reducer).  With norms, a reduction gives the total
+    of its sums clipped at 0 in place of the sums, the square of its
+    root's L2 norm over the cell volume: each chunk's sums are totalled,
+    and the chunks' totals are added once, at the end."""
+    spec = spectrum.spec
     spectrum._kept = None               # not live beside the heads
-    # groups[k]: the rows of axes[k]; column sums add within one, then across
-    rows, groups = [], []
-    for axis in axes:
-        parts = spectrum.filtered(axis)
-        groups.append(slice(len(rows), len(rows) + len(parts)))
-        rows += parts
-    gram = _takes_gram(axes, n_r, n_cols)
-    chunk = _slab_chunk(spec.n_samples, n_r, n_cols, gram)
-    if gram:
-        rows_i, cols_i = np.triu_indices(n_r)
-        # pairs a <= b in _gram_sums's order; off-diagonal pairs stand for
-        # both (a, b) and (b, a): weight 2
-        pair_weights = [by_t[:, rows_i] * by_t[:, cols_i] for by_t in by_ts]
-        for w in pair_weights:
-            w[:, rows_i != cols_i] *= 2.0
-        span = _gram_span(chunk, n_r, n_cols)
-    out = np.empty((len(by_ts), spec.n_samples))
+    axes, rows, groups = _stream_rows(spectrum, reductions)
+    chunk = _pass_chunk(spectrum, reductions)
+    reducers = [_chunk_reducer(rows_of, profiles, weights, chunk)
+                for rows_of, (_, profiles, weights) in zip(groups, reductions)]
+    outs = [np.empty(chunk if norms else spec.n_samples) for _ in reductions]
+    totals = np.zeros((len(reductions), -(-spec.n_samples // chunk)))
     for lo, u in _class_chunks(spectrum, rows, chunk, _piece(spec, axes)):
         hi = lo + u.shape[-1]
-        if gram:
-            acc = _gram_sums(u)
-            for w, sums in zip(pair_weights, out[:, lo:hi]):
-                for at in range(0, hi - lo, span):
-                    _pair_sums(w, acc[:, at:at + span], weights,
-                               sums[at:at + span])
-        else:
-            for by_t, sums in zip(by_ts, out):
-                for cols in _sample_blocks(hi - lo, n_cols):
-                    s = _column_sums(by_t, [u[g, :, cols] for g in groups])
-                    sums[lo + cols.start:lo + cols.stop] = (
-                        s.max(axis=0) if weights is None else weights @ s)
-        acc = s = None      # not live beside the next carry or accumulator
-    return out.reshape(profiles.shape[:-2] + (-1,))
+        for reduce, out, total in zip(reducers, outs, totals):
+            sums = out[:hi - lo] if norms else out[lo:hi]
+            reduce(u, sums)
+            if norms:
+                total[lo // chunk] = np.sum(np.maximum(sums, 0.0, out=sums))
+    return [float(t) for t in totals.sum(axis=1)] if norms else outs
+
+
+def _chunk_reducer(groups: list, profiles: np.ndarray,
+                   weights: np.ndarray | None, chunk: int):
+    """A function (u, sums) that writes into sums the reduction of one
+    chunk u of _class_chunks (rows, classes, samples) whose axes have the
+    rows of groups, a slice per axis: max_c s_c, or sum_c weights[c] s_c.
+    One axis takes RadialBundle.sums's block sums, bit for bit; several
+    axes with few classes take s_c = P_c^T G P_c, with G the per-point Gram
+    matrix of the classes (_gram_sums) over the chunk (_slab_chunk), taken
+    through the pair weights in one product per chunk, or per block when
+    the pairs are few (_gram_span), over the rows of its axes, which must
+    be consecutive in the pass (vector_maximal's and the sweep's axes 1..d
+    are); other reductions of several axes take the block sums over every
+    axis.  Its temporaries are gone when it returns, before the next carry
+    or accumulator."""
+    n_r, n_cols = profiles.shape
+    by_t = np.ascontiguousarray(profiles.T)
+    if not _takes_gram(groups, n_r, n_cols):
+        def reduce(u, sums):
+            for cols in _sample_blocks(sums.size, n_cols):
+                s = _column_sums(by_t, [u[g, :, cols] for g in groups])
+                sums[cols] = s.max(axis=0) if weights is None else weights @ s
+        return reduce
+    rows = slice(groups[0].start, groups[-1].stop)
+    rows_i, cols_i = np.triu_indices(n_r)
+    # pairs a <= b in _gram_sums's order; off-diagonal pairs stand for both
+    # (a, b) and (b, a): weight 2
+    pair_weights = by_t[:, rows_i] * by_t[:, cols_i]
+    pair_weights[:, rows_i != cols_i] *= 2.0
+    span = _gram_span(chunk, n_r, n_cols)
+
+    def reduce(u, sums):
+        acc = _gram_sums(u[rows])
+        for at in range(0, sums.size, span):
+            _pair_sums(pair_weights, acc[:, at:at + span], weights,
+                       sums[at:at + span])
+    return reduce
 
 
 def _pair_sums(pair_weights: np.ndarray, acc: np.ndarray,
@@ -994,20 +1063,18 @@ def _column_route(spectrum: HalfSpectrum, axes: list, profiles: np.ndarray,
     column's profile at the active bins."""
     transform = _inverse_transformer(spectrum.spec, spectrum.active)
     parts = [part for axis in axes for part in spectrum.filtered(axis)]
-    stack = _stacked(profiles)
-    out = np.zeros((len(stack), spectrum.spec.n_samples))
-    for sums, p in zip(out, stack):
-        for c in range(p.shape[1]):
-            at_bins = p[spectrum.class_of_bin, c]
-            s = np.zeros_like(sums)
-            for part in parts:
-                u = transform(at_bins * part)
-                s += np.square(u, out=u)
-            if weights is None:
-                np.maximum(sums, s, out=sums)
-            else:
-                sums += np.multiply(s, weights[c], out=s)
-    return out.reshape(profiles.shape[:-2] + (-1,))
+    sums = np.zeros(spectrum.spec.n_samples)
+    for c in range(profiles.shape[1]):
+        at_bins = profiles[spectrum.class_of_bin, c]
+        s = np.zeros_like(sums)
+        for part in parts:
+            u = transform(at_bins * part)
+            s += np.square(u, out=u)
+        if weights is None:
+            np.maximum(sums, s, out=sums)
+        else:
+            sums += np.multiply(s, weights[c], out=s)
+    return sums
 
 
 def maximal_over(f: SpatialField | HalfSpectrum, family: str,
@@ -1026,27 +1093,6 @@ def maximal_over(f: SpatialField | HalfSpectrum, family: str,
     return _reduce(spectrum, [_family_axis(family, j)], profiles)
 
 
-def riesz_maximals(f: SpatialField | HalfSpectrum, grid: TruncationGrid,
-                   families, j: int = 1) -> list[SpatialField]:
-    """maximal_over(f, family, grid, j) for each family with the axis-j
-    Riesz symbol (truncated_riesz, conjugate_poisson), bit for bit, from
-    one pass over the field's axis-j classes: the axis-j bundle, which the
-    spectrum keeps, where a reduction of one symbol takes a bundle, and
-    otherwise one streamed pass (or column by column).  ||R_j f||_2 takes
-    no pass (HalfSpectrum.energies)."""
-    spectrum = _as_spectrum(f)
-    spec = spectrum.spec
-    if any(_family_axis(family, j) != j for family in families):
-        raise DomainError(f"riesz_maximals takes families with a Riesz "
-                          f"symbol, got {tuple(families)}")
-    if not _streams(spec):
-        return [maximal_over(spectrum, family, grid, j) for family in families]
-    ts = grid.values()
-    profiles = np.stack([profile_matrix(spec.dimension, spectrum.radii, ts,
-                                        family) for family in families])
-    return [_root(spec, s) for s in _route(spectrum, [j], profiles)]
-
-
 def vector_maximal(f: SpatialField | HalfSpectrum,
                    grid: TruncationGrid) -> SpatialField:
     """sup_t (sum_j |R_j^t f|^2)^(1/2) over the grid.
@@ -1059,6 +1105,31 @@ def vector_maximal(f: SpatialField | HalfSpectrum,
     d = spectrum.spec.dimension
     profiles = profile_matrix(d, spectrum.radii, ts, "truncated_riesz")
     return _reduce(spectrum, list(range(1, d + 1)), profiles)
+
+
+def _maximal_norms(spectrum: HalfSpectrum, grid: TruncationGrid,
+                   maxima: list) -> list[float]:
+    """The L2 norm of sup_t (sum over axes of |op_t u|^2)^(1/2) over the
+    grid's t for each (family, axes) of maxima, with u the field under
+    each axis's angular symbol: l2_norm(maximal_over(f, family, grid, j))
+    for axes [_family_axis(family, j)], and l2_norm(vector_maximal(f,
+    grid)) for truncated_riesz over axes 1..d.  One streamed pass over the
+    rows of every axis gives them all, each sup's square summed chunk by
+    chunk (_stream_route with norms), so no array of the lattice's size is
+    built; past max(64, 2 n_columns) classes each takes its column route."""
+    ts = grid.values()
+    spec = spectrum.spec
+    reductions = [(axes, profile_matrix(spec.dimension, spectrum.radii, ts,
+                                        family), None)
+                  for family, axes in maxima]
+    if spectrum.radii.size > max(64, 2 * ts.size):
+        totals = [float(np.sum(np.maximum(_route(spectrum, *red), 0.0)))
+                  for red in reductions]
+    else:
+        _require_memory(_slab_route_bytes(spectrum, reductions, norms=True),
+                        "the streamed pass")
+        totals = _stream_route(spectrum, reductions, norms=True)
+    return [math.sqrt(total * spec.cell_volume) for total in totals]
 
 
 def square_function(f: SpatialField | HalfSpectrum,

@@ -10,6 +10,7 @@ import pytest
 from rieszmax.errors import DomainError, IntegrityError
 from rieszmax import multiplier, operators
 from rieszmax.experiments import (ExperimentReport, _trial_field,
+                                  _trial_spectrum,
                                   decomposition_diagnostics,
                                   default_truncation_grid,
                                   factorization_residual, merge_reports,
@@ -122,6 +123,30 @@ class TestNormRatioSweep:
                          seed=42)
         assert len(built) == 2
 
+    def test_streamed_trial_runs_one_pass_over_d_plus_1_rows(self,
+                                                            monkeypatch):
+        # at d = 6, N = 10 the trial draws its half spectrum with no field
+        # and no forward transform, and one _class_chunks pass over the
+        # identity's row and each axis's gives all four maxima, with no
+        # maximal_over or vector_maximal call
+        from rieszmax import experiments, fields
+        passes = []
+        chunks = operators._class_chunks
+        monkeypatch.setattr(operators, "_class_chunks",
+                            lambda s, rows, *a: passes.append(len(rows))
+                            or chunks(s, rows, *a))
+        called = [_count_calls(monkeypatch, owner, name)
+                  for owner, name in [(operators, "half_spectrum"),
+                                      (fields, "random_band_limited"),
+                                      (experiments, "maximal_over"),
+                                      (experiments, "vector_maximal"),
+                                      (experiments, "l2_norm")]]
+        rep = norm_ratio_sweep([6], {6: 10}, default_truncation_grid(), 3.0,
+                               1, seed=42)
+        assert passes == [7]
+        assert called == [[]] * 5
+        assert len(rep.rows) == 4
+
     def test_streamed_trial_builds_no_bundle(self, monkeypatch):
         # at d = 6, N = 10 a bundle would be built in ten groups of axis-0
         # indices: r1 streams, r2 and r4 share one streamed pass,
@@ -163,19 +188,20 @@ def test_sweep_trial_peak_is_accumulator_plus_one_bundle():
 def test_sweep_trial_peak_is_one_bundle_plus_the_slab_route():
     # r1, r2 and r4 hold one bundle at a time; r3 holds its heads, slab
     # buffer and chunk accumulator, and its output, which is no larger
-    # than a bundle; the trial's field and half spectrum are live together
-    # while the field is transformed, and a class or tail in flight adds at
-    # most two class buffers on top
+    # than a bundle; the trial's half spectrum is drawn at the band's bins,
+    # with no field, and a class or tail in flight adds at most two class
+    # buffers on top
     d, n, band, seed = 4, 16, 3.0, 42
     spec = GridSpec(d, n)
     grid = default_truncation_grid()
-    spectrum = operators.half_spectrum(_trial_field(spec, band, seed, 0))
+    spectrum = _trial_spectrum(spec, band, seed, 0)
     bundle = operators.radial_bundle(spectrum, axis=1).components.nbytes
-    slabs = operators._slab_route_bytes(spectrum, list(range(1, d + 1)),
-                                        grid.values().size)
+    profiles = operators.profile_matrix(d, spectrum.radii, grid.values(),
+                                        "truncated_riesz")
+    slabs = operators._slab_route_bytes(
+        spectrum, [(list(range(1, d + 1)), profiles, None)])
     half = 16 * spec.n_samples // n * (n // 2 + 1)
     class_bytes = half + 8 * spec.n_samples
-    inputs = 8 * spectrum.spec.n_samples + half
     del spectrum
     norm_ratio_sweep([d], {d: n}, grid, band, 1, seed)    # warm caches
     tracemalloc.start()
@@ -184,29 +210,41 @@ def test_sweep_trial_peak_is_one_bundle_plus_the_slab_route():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < bundle + slabs + inputs + 2 * class_bytes
+    assert peak < bundle + slabs + 2 * class_bytes
+
+
+def _sweep_maxima(d):
+    """The sweep's (family, axes) of r3, r1, r2 and r4."""
+    return [("truncated_riesz", list(range(1, d + 1))), ("factor_m", [None]),
+            ("truncated_riesz", [1]), ("conjugate_poisson", [1])]
+
+
+def _sweep_reductions(spectrum, grid):
+    """The sweep's r3, r1, r2 and r4 as reductions of one streamed pass."""
+    d, ts = spectrum.spec.dimension, grid.values()
+    return [(axes, operators.profile_matrix(d, spectrum.radii, ts, family),
+             None) for family, axes in _sweep_maxima(d)]
 
 
 def test_streamed_sweep_peak_holds_no_field_and_one_group_of_heads():
-    # at d = 6, N = 10 every reduction streams, and the trial's peak is
-    # below the largest of their estimates, which have no term for the
-    # trial's field, released once transformed, and count the vector
-    # maximal's heads for 2 of the 10 axis-0 indices.  The field held over
-    # r2 and r4 (7.6 MB), or all 10 indices' heads held over r3 (17.8 MB
-    # in place of 3.6 MB), goes over it.
+    # at d = 6, N = 10 the whole trial, its draw included, stays below the
+    # estimate of its one streamed pass, which has no term for a field or
+    # any output of the lattice's size and counts the heads of the 7 rows
+    # (the identity's and 6 axes') for 2 of the 10 axis-0 indices.  A field
+    # (7.6 MB), or an output kept for l2_norm (7.6 MB each), or all 10
+    # indices' heads goes over it.
     d, n, band, seed = 6, 10, 3.0, 42
     spec = GridSpec(d, n)
     grid = default_truncation_grid()
-    n_cols = grid.values().size
-    spectrum = operators.half_spectrum(_trial_field(spec, band, seed, 0))
-    axes = list(range(1, d + 1))
-    n_r = spectrum.radii.size
-    buffer = 8 * d * n_r * (operators._piece(spec, axes)
-                            + operators._slab_chunk(spec.n_samples, n_r,
-                                                    n_cols, True))
-    assert operators._head_group(spectrum, d, buffer) == 2
-    need = max(operators._slab_route_bytes(spectrum, axes, n_cols, n_out)
-               for axes, n_out in [([None], 1), ([1], 2), (axes, 1)])
+    spectrum = _trial_spectrum(spec, band, seed, 0)
+    reductions = _sweep_reductions(spectrum, grid)
+    axes, rows, _ = operators._stream_rows(spectrum, reductions)
+    assert axes == [None, *range(1, d + 1)] and len(rows) == d + 1
+    buffer = 8 * len(rows) * spectrum.radii.size * (
+        operators._piece(spec, axes)
+        + operators._pass_chunk(spectrum, reductions))
+    assert operators._head_group(spectrum, len(rows), buffer) == 2
+    need = operators._slab_route_bytes(spectrum, reductions, norms=True)
     del spectrum
     norm_ratio_sweep([d], {d: n}, grid, band, 1, seed)    # warm caches
     tracemalloc.start()

@@ -172,8 +172,8 @@ def _full_lattice_band_limited(spec, band_radius, seed):
 
 class TestRandomBandLimited:
     @pytest.mark.parametrize("d, n", [(1, 16), (2, 32), (2, 64), (3, 6),
-                                      (3, 16), (4, 8), (4, 16), (5, 8),
-                                      (6, 10), (8, 4)])
+                                      (3, 16), (3, 32), (4, 8), (4, 16),
+                                      (5, 8), (6, 10), (8, 4)])
     @pytest.mark.parametrize("period", [1.0, 2.5])
     def test_bit_identical_to_the_full_lattice_construction(self, d, n,
                                                             period):

@@ -570,6 +570,62 @@ class TestHalfSpectrumEnergies:
                                           abs=0.0), kind
 
 
+class TestBandSpectrum:
+    """The sweep's half spectrum, drawn at the band's bins, against the
+    forward transform of random_band_limited's field."""
+
+    @pytest.mark.parametrize("d, n, period", [(1, 16, 1.0), (2, 64, 2.5),
+                                              (3, 32, 1.0), (4, 16, 0.7),
+                                              (6, 10, 1.0), (8, 4, 1.0)])
+    def test_matches_the_transformed_field(self, d, n, period):
+        spec = GridSpec(d, n, period)
+        nyquist = n / (2.0 * period)
+        for band, seed in [(min(3.0 / period, 0.98 * nyquist), 42),
+                           (0.9 * nyquist, 7)]:
+            drawn = operators._band_spectrum(spec, band, seed)
+            want = half_spectrum(random_band_limited(spec, band, seed))
+            assert drawn.imag is None and want.imag is None
+            assert np.array_equal(drawn.active, want.active)
+            assert np.array_equal(drawn.classes, want.classes)
+            assert np.array_equal(drawn.class_of_bin, want.class_of_bin)
+            assert np.max(np.abs(drawn.real - want.real)) \
+                <= 1e-14 * np.max(np.abs(want.real))
+
+    def test_an_empty_band_has_no_bins(self):
+        # at (8, 4) and period 1 the band 0.6 holds no lattice frequency
+        spectrum = operators._band_spectrum(GridSpec(8, 4), 0.6, 0)
+        assert spectrum.active.size == 0 and spectrum.radii.size == 0
+
+
+class TestMaximalNorms:
+    """The sweep's norms from one streamed pass against l2_norm of the
+    maximal_over and vector_maximal fields."""
+
+    @pytest.mark.parametrize("case", ["gram", "columns", "nyquist"])
+    def test_match_the_fields_norms(self, case):
+        # the Nyquist field has energy where the symbols of axes 1 and 6
+        # are anti-Hermitian, so those axes have two rows each
+        from test_experiments import _sweep_maxima
+        spec = GridSpec(6, 10)
+        grid = (TruncationGrid(-4, 2, depth=1) if case == "columns"
+                else default_truncation_grid())
+        spectrum = (half_spectrum(SpatialField(
+            spec, _split_fields(spec, 43)["nyquist"])) if case == "nyquist"
+                    else operators._band_spectrum(spec, 3.0, 42))
+        n_r, n_cols = spectrum.radii.size, grid.values().size
+        assert operators._takes_gram(list(range(1, 7)), n_r, n_cols) \
+            == (case != "columns")
+        rows = sum(len(spectrum.filtered(axis)) for axis in [None, 1, 6])
+        assert rows == (5 if case == "nyquist" else 3)
+        got = operators._maximal_norms(spectrum, grid, _sweep_maxima(6))
+        want = [l2_norm(vector_maximal(spectrum, grid))]
+        want += [l2_norm(maximal_over(spectrum, family, grid, j=1))
+                 for family in ("factor_m", "truncated_riesz",
+                                "conjugate_poisson")]
+        for g, w in zip(got, want):
+            assert abs(g - w) <= 1e-14 * w, case
+
+
 class TestBundleMemory:
     def test_build_temporaries_stay_below_two_class_buffers(self):
         # one class in flight: its complex half-spectrum buffer and the
@@ -925,7 +981,7 @@ class TestColumnRoute:
                                         ([None], decay, np.arange(1.0, 5.0))]:
             by_bundle = (_bundle_sums(spectrum, axes, profiles, weights)
                          if len(axes) == 1 else operators._stream_route(
-                             spectrum, axes, profiles, weights))
+                             spectrum, [(axes, profiles, weights)])[0])
             by_column = operators._column_route(spectrum, axes, profiles,
                                                 weights)
             assert np.max(np.abs(by_bundle - by_column)) \
@@ -1040,8 +1096,10 @@ class TestSlabRoute:
         grid = TruncationGrid(-3, 1, depth=1)
         want = vector_maximal(f, grid).samples
         spectrum = half_spectrum(f)
-        axes, n_cols = [1, 2, 3, 4], grid.values().size
-        slab = operators._slab_route_bytes(spectrum, axes, n_cols)
+        axes = [1, 2, 3, 4]
+        profiles = operators.profile_matrix(4, spectrum.radii, grid.values(),
+                                            "truncated_riesz")
+        slab = operators._slab_route_bytes(spectrum, [(axes, profiles, None)])
         column = operators._column_route_bytes(spectrum, axes)
         built = _count_calls(monkeypatch, operators, "radial_bundle")
         monkeypatch.setattr(operators, "_physical_memory", lambda: slab)
@@ -1079,7 +1137,8 @@ class TestStreamedRoute:
     one axis-0 index per group and, for d >= 3, the vector maximal's tails
     split into axis-1 sub-slabs.  One symbol then streams, bit for bit as
     its bundle's reduction; several stream as the old per-axis bundles did;
-    and the two Riesz maximal functions share one pass."""
+    and one pass over the identity's and every axis's rows serves the
+    sweep's four maxima, each as its own reduction would, bit for bit."""
 
     GRIDS = [(2, 32), (3, 16), (4, 8), (5, 6)]
 
@@ -1111,8 +1170,8 @@ class TestStreamedRoute:
                                                     family)
                 for w in (weights, None):
                     want = _bundle_sums(spectrum, [axis], profiles, w)
-                    got = operators._stream_route(spectrum, [axis],
-                                                  profiles, w)
+                    got = operators._stream_route(
+                        spectrum, [([axis], profiles, w)])[0]
                     assert np.array_equal(got, want), (kind, axis, w)
             # the last maxima, through the public route
             built = _count_calls(monkeypatch, operators, "radial_bundle")
@@ -1144,63 +1203,83 @@ class TestStreamedRoute:
         assert branches == {True, False}
 
     @pytest.mark.parametrize("d, n", GRIDS)
-    def test_shared_axis_1_pass_matches_three_calls(self, d, n, monkeypatch):
+    def test_one_pass_matches_the_separate_reductions(self, d, n,
+                                                      monkeypatch):
+        # the default grid takes the Gram form for r3, the 10-value grid
+        # the per-column sums; the pass's chunk is the shortest of the four
+        from test_experiments import _count_calls, _sweep_reductions
         spec = GridSpec(d, n)
         self._split(spec, monkeypatch)
-        grid = default_truncation_grid()
-        families = ("truncated_riesz", "conjugate_poisson")
-        bundle_of = operators.radial_bundle
+        built = _count_calls(monkeypatch, operators, "radial_bundle")
+        passes = _count_calls(monkeypatch, operators, "_class_chunks")
+        branches = set()
         for kind, samples in _split_fields(spec, 71).items():
             spectrum = half_spectrum(SpatialField(spec, samples))
-            built = []
-            monkeypatch.setattr(operators, "radial_bundle",
-                                lambda *a: built.append(a) or bundle_of(*a))
-            maxima = operators.riesz_maximals(spectrum, grid, families, j=1)
-            assert built == []
-            for family, got in zip(families, maxima):
-                want = maximal_over(spectrum, family, grid, j=1)
-                assert np.array_equal(got.samples, want.samples), kind
+            for grid in (default_truncation_grid(),
+                         TruncationGrid(-3, 1, depth=1)):
+                reductions = _sweep_reductions(spectrum, grid)
+                branches.add(operators._takes_gram(
+                    reductions[0][0], spectrum.radii.size, grid.values().size))
+                passes.clear()
+                sums = operators._stream_route(spectrum, reductions)
+                assert len(passes) == 1
+                for (axes, profiles, _), got in zip(reductions, sums):
+                    want = operators._stream_route(
+                        spectrum, [(axes, profiles, None)])[0]
+                    assert np.array_equal(got, want), (kind, axes)
+                want = vector_maximal(spectrum, grid).samples.reshape(-1)
+                assert np.array_equal(np.sqrt(np.maximum(sums[0], 0.0)),
+                                      want), kind
+        assert branches == {True, False} and built == []
 
-    def test_shared_axis_1_pass_on_the_column_route(self, monkeypatch):
+    def test_one_pass_on_the_column_route(self, monkeypatch):
         # white noise has 116 classes at (3, 16), more than max(64, 2 n_t):
-        # the pass takes one transform per column, which rounds differently
-        from test_experiments import _count_calls
+        # each maximum takes one transform per column, which rounds
+        # differently, and no streamed pass runs
+        from test_experiments import _count_calls, _sweep_maxima
         spec = GridSpec(3, 16)
         self._split(spec, monkeypatch)
         grid = TruncationGrid(-3, 0, depth=0)
-        families = ("truncated_riesz", "conjugate_poisson")
         spectrum = half_spectrum(SpatialField(
             spec, np.random.default_rng(21).standard_normal(spec.shape)))
         routed = _count_calls(monkeypatch, operators, "_column_route")
-        got = operators.riesz_maximals(spectrum, grid, families)
-        assert len(routed) == 1
-        for family, maxima in zip(families, got):
+        passes = _count_calls(monkeypatch, operators, "_class_chunks")
+        maxima = _sweep_maxima(3)
+        got = operators._maximal_norms(spectrum, grid, maxima)
+        assert len(routed) == 4 and len(passes) == 0
+        for norm, (family, axes) in zip(got, maxima):
             profiles = operators.profile_matrix(3, spectrum.radii,
                                                 grid.values(), family)
-            want = np.sqrt(_bundle_sums(spectrum, [1], profiles, None))
-            assert np.max(np.abs(maxima.samples.reshape(-1) - want)) \
-                <= 1e-12 * np.max(want)
+            want = math.sqrt(np.sum(_bundle_reduction(spectrum, axes,
+                                                      profiles) ** 2)
+                             * spec.cell_volume)
+            assert abs(norm - want) <= 1e-12 * want
 
     @staticmethod
     def _peaks_are_within_their_estimates_and_below_a_bundle():
         # (6, 10), the sweep's middle grid, streams unpatched: its slabs of
         # 10^5 samples exceed _BLOCK_VALUES, so the vector maximal's split
-        # into sub-slabs; the two Riesz maximal functions share a pass with
-        # two outputs
+        # into sub-slabs; the sweep's four maxima share one pass over 7
+        # rows, which sums their norms and builds no output
+        from test_experiments import _sweep_maxima, _sweep_reductions
         spec = GridSpec(6, 10)
         spectrum = half_spectrum(random_band_limited(spec, 3.0, seed=42))
         grid = default_truncation_grid()
-        n_cols = grid.values().size
-        families = ("truncated_riesz", "conjugate_poisson")
+        ts = grid.values()
         assert operators._streams(spec)
         assert operators._piece(spec, [1, 2]) == 10 ** 4
         bundle = operators._bundle_bytes(spec, spectrum.radii.size, 1)
-        for run, axes, n_out in [
-                (lambda: maximal_over(spectrum, "factor_m", grid), [None], 1),
-                (lambda: operators.riesz_maximals(spectrum, grid, families),
-                 [1], 2),
-                (lambda: vector_maximal(spectrum, grid), list(range(1, 7)),
-                 1)]:
+        riesz = operators.profile_matrix(6, spectrum.radii, ts,
+                                         "truncated_riesz")
+        sweep = _sweep_reductions(spectrum, grid)
+        for run, reductions, norms in [
+                (lambda: maximal_over(spectrum, "factor_m", grid),
+                 [([None], riesz, None)], False),
+                (lambda: operators._maximal_norms(spectrum, grid,
+                                                  _sweep_maxima(6)),
+                 sweep, True),
+                (lambda: vector_maximal(spectrum, grid),
+                 [(list(range(1, 7)), riesz, None)], False)]:
             run()                            # warm up caches, plans and m
             tracemalloc.start()
             try:
@@ -1208,7 +1287,7 @@ class TestStreamedRoute:
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            need = operators._slab_route_bytes(spectrum, axes, n_cols, n_out)
+            need = operators._slab_route_bytes(spectrum, reductions, norms)
             assert peak <= need + _HEADERS
             assert need < bundle
 
