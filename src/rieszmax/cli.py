@@ -358,7 +358,8 @@ def _parse_args(parser: argparse.ArgumentParser, commands: dict,
                 tokens: list[str]) -> argparse.Namespace:
     """Parse tokens.  With --config, the JSON file's values become the
     subcommand's defaults and the tokens are parsed again, so every flag on
-    the command line, abbreviated or not, beats the file."""
+    the command line, abbreviated or not, beats the file.  Each value is
+    given as text, which argparse parses by the option's type as a flag's."""
     args = parser.parse_args(tokens)
     if getattr(args, "config", None) is None:
         return args
@@ -373,7 +374,7 @@ def _parse_args(parser: argparse.ArgumentParser, commands: dict,
         attr = key.replace("-", "_")
         if attr == "command" or not hasattr(args, attr):
             raise DomainError(f"unknown config key {key!r}")
-        defaults[attr] = value
+        defaults[attr] = value if isinstance(value, str) else json.dumps(value)
     commands[args.command].set_defaults(**defaults)
     return parser.parse_args(tokens)
 

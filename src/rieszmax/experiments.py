@@ -29,9 +29,8 @@ from .fields import (GridSpec, SpatialField, _inverse_in_place,
 from .multiplier import check_derivative, check_large_arg, check_small_arg
 from .operators import (MultiplierSymbol, TruncationGrid, apply_symbol,
                         kernel_convolve, kernel_transform, maximal_over,
-                        poisson_projection_sum, projection_square_function,
-                        rotation_reconstruct, sphere_moment, square_function,
-                        vector_maximal)
+                        poisson_projection_sum, rotation_reconstruct,
+                        sphere_moment, vector_maximal)
 from .specfun import bessel_envelope, bessel_j
 
 __all__ = [
@@ -125,6 +124,8 @@ def _run_trials(report: ExperimentReport, spec: GridSpec, band: float,
     transformed: an argument a lambda or partial passes on stays bound in
     the wrapper's frame until the call returns.  The sweep's draw
     (_trial_spectrum) returns the field's half spectrum, with no field."""
+    if trials < 1:
+        raise DomainError(f"trials must be at least 1, got {trials}")
     for trial in range(trials):
         values = trial_values(functools.partial(draw, spec, band,
                                                 report.seed, trial))
@@ -202,11 +203,10 @@ def norm_ratio_sweep(dims, n_of_d: dict, grid: TruncationGrid, band: float,
 
 def _sweep_trial(draw, grid: TruncationGrid) -> dict:
     # The trial's half spectrum is drawn at the band's bins, with no field;
-    # ||f|| and ||R_1 f|| are its class energies.  Where a reduction of one
-    # symbol streams (d = 6, N = 10), the four maxima come from one pass
-    # over the identity's and every axis's classes, summing their squares
-    # chunk by chunk; elsewhere from the kept bundles (r2 and r4 share the
-    # axis-1 bundle), and r3 streams.
+    # ||f|| and ||R_1 f|| are its class energies.  Where a bundle would take
+    # several groups of axis-0 indices (d = 6, N = 10), the four maxima come
+    # from one norms pass over the identity's and every axis's classes;
+    # elsewhere each is one maximal_over or vector_maximal.
     spectrum = draw()
     d = spectrum.spec.dimension
     norm_f = math.sqrt(np.sum(spectrum.energies(None)))
@@ -214,10 +214,13 @@ def _sweep_trial(draw, grid: TruncationGrid) -> dict:
     if op._streams(spectrum.spec):
         # r3 first: a chunk's block sums run faster after its Gram product
         # has been taken and released than before it
-        r3, r1, r2, r4 = op._maximal_norms(spectrum, grid, [
-            ("truncated_riesz", list(range(1, d + 1))),
-            ("factor_m", [None]), ("truncated_riesz", [1]),
-            ("conjugate_poisson", [1])])
+        ts = grid.values()
+        r3, r1, r2, r4 = op._norms(spectrum, [
+            (axes, op.profile_matrix(d, spectrum.radii, ts, family), None)
+            for family, axes in [("truncated_riesz", list(range(1, d + 1))),
+                                 ("factor_m", [None]),
+                                 ("truncated_riesz", [1]),
+                                 ("conjugate_poisson", [1])]])
     else:
         r1, r2, r4 = (l2_norm(maximal_over(spectrum, family, grid, j=1))
                       for family in ("factor_m", "truncated_riesz",
@@ -238,8 +241,10 @@ def decomposition_diagnostics(d: int, n: int, grid: TruncationGrid, band: float,
         c = ||sup_n |M^(2^n) f - P_(2^n) f|||_2 / ||f||_2
 
     together with r1 over the full grid and the triangle check r1 <= a + b.
-    The sups come from one identity bundle, and sum_dyadic_poisson_gap_sq,
-    sum_n ||M^(2^n) f - P_(2^n) f||^2 / ||f||^2, from its class energies.
+    The norms of r1's, a's and c's sups and of each octave's come from one
+    streamed pass, b^2 being the sum of the octaves' squared norms, and
+    sum_dyadic_poisson_gap_sq, sum_n ||M^(2^n) f - P_(2^n) f||^2 / ||f||^2,
+    from the class energies.
     """
     spec = GridSpec(d, n)
     band = _capped_band(band, spec)
@@ -254,17 +259,15 @@ def decomposition_diagnostics(d: int, n: int, grid: TruncationGrid, band: float,
 
 def _decomposition_trial(draw, grid: TruncationGrid) -> dict:
     f = draw()
-    spec = f.spec
-    d = spec.dimension
+    d = f.spec.dimension
     dyadic = grid.dyadic_values()
     norm_f = l2_norm(f)
     spectrum = op.half_spectrum(f)
     del f
-    bundle = spectrum.bundle(None)
     radii = spectrum.radii
 
-    # m is evaluated once, on every truncation value the trial uses; the
-    # dyadic and octave profiles are columns of that one matrix
+    # m is evaluated once, on every truncation value the trial uses; r1's,
+    # the dyadic and the octave profiles are columns of that one matrix
     octaves = [grid.octave_values(grid.n_min + idx)
                for idx in range(max(len(dyadic) - 1, 1))]
     ts = np.unique(np.concatenate([grid.values(), *octaves]))
@@ -273,24 +276,16 @@ def _decomposition_trial(draw, grid: TruncationGrid) -> dict:
     def profile(values: np.ndarray) -> np.ndarray:
         return prof_all[:, np.searchsorted(ts, values)]
 
-    def norm_ratio(samples: np.ndarray) -> float:
-        return l2_norm(SpatialField(spec, samples.reshape(spec.shape))) / norm_f
-
     prof_dyadic = profile(dyadic)
-    a = norm_ratio(bundle.sup_abs(prof_dyadic))
-
-    sq_acc = np.zeros(spec.n_samples)
-    for idx, octave in enumerate(octaves):
-        sup = bundle.sup_abs(profile(octave) - prof_dyadic[:, idx:idx + 1])
-        sq_acc += sup * sup
-    b = norm_ratio(np.sqrt(sq_acc))
-
     gap = prof_dyadic - op.profile_matrix(d, radii, dyadic, "poisson")
-    c = norm_ratio(bundle.sup_abs(gap))
+    sups = [profile(grid.values()), prof_dyadic, gap] + [
+        profile(octave) - prof_dyadic[:, idx:idx + 1]
+        for idx, octave in enumerate(octaves)]
+    r1, a, c, *octave_norms = (norm / norm_f for norm in op._norms(
+        spectrum, [([None], sup, None) for sup in sups]))
+    b = math.sqrt(sum(norm * norm for norm in octave_norms))
     # the classes have disjoint supports, so each adds ||u_i||^2 per column
     sum_mp_sq = np.sum(np.square(gap), axis=1) @ spectrum.energies(None)
-
-    r1 = l2_norm(maximal_over(spectrum, "factor_m", grid)) / norm_f
     return {"a": a, "b": b, "c": c, "r1": r1,
             "sum_dyadic_poisson_gap_sq": sum_mp_sq / norm_f ** 2,
             "triangle_slack": a + b - r1}
@@ -301,10 +296,10 @@ def poisson_suite(d: int, n: int, band: float, trials: int,
     """Poisson maximal function, discretized square function, projection
     square function, and the telescoping reconstruction residual.
 
-    Each trial transforms its field once: the maximal function, the square
-    function g and the S_n square function share its identity bundle.  The
-    telescoping check keeps its own full-spectrum route, independent of the
-    bundle.
+    Each trial transforms its field once: the maximal function streams
+    over its half spectrum, and the L2 norms of the square function g and
+    the S_n square function come from its class energies.  The telescoping
+    check keeps its own full-spectrum route.
 
     The projections run over n in [n_min, 20], with n_min the largest
     integer <= -20 such that 2^(n_min-1) band / sqrt(d) <= 2^-20, which
@@ -334,12 +329,20 @@ def _poisson_trial(draw, grid: TruncationGrid, n_min: int,
     del rec
     spectrum = op.half_spectrum(f)
     del f
+    # over disjoint classes a square function of profiles P and weights w
+    # has ||.||^2 = sum_i (sum_c w_c P_ic^2) ||u_i||^2; S_n's weights are 1
+    energies = spectrum.energies(None)
+    profiles, weights = op._square_profiles(spectrum, _G_NODES)
+    rate = spectrum.radii / math.sqrt(spectrum.spec.dimension)
+    scales = 2.0 ** np.arange(n_min, n_max + 1)
+    sn = np.exp(-np.outer(rate, scales / 2.0)) - np.exp(-np.outer(rate, scales))
     return {
         "poisson_max_ratio":
             l2_norm(maximal_over(spectrum, "poisson", grid)) / norm_f,
-        "g_ratio": l2_norm(square_function(spectrum, _G_NODES)) / norm_f,
-        "sn_square_ratio": l2_norm(projection_square_function(
-            spectrum, n_min, n_max)) / norm_f,
+        "g_ratio": math.sqrt(np.square(profiles) @ weights @ energies)
+        / norm_f,
+        "sn_square_ratio": math.sqrt(np.sum(np.square(sn), axis=1)
+                                     @ energies) / norm_f,
         "telescope_residual": telescope,
     }
 

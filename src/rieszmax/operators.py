@@ -10,26 +10,24 @@ Each maximal and square operator has a symbol angular(xi) * profile(t |xi|)
 and is one reduction, by a max or a weighted sum over the columns c of a
 profile matrix P, of s_c = sum over angular symbols of |sum_i P[i, c] u_i|^2,
 where u_i is the field's class of equal integer |k|^2 under the symbol.
-The route is picked before any transform: a bundle for one angular symbol
-on a grid whose bundle is built in one group of axis-0 indices (an inverse
-FFT per class, then a product over the columns); streaming for several
-symbols, or for one on a larger grid (each class's inverse FFT finished and
-reduced one axis-0 slab at a time, or, for several symbols, one axis-1
-sub-slab at a time when a slab exceeds _BLOCK_VALUES samples); or, past
-max(64, 2 n_columns) classes or physical memory, one inverse FFT per column
-and symbol, whose estimate must fit or ResourceError is raised.  No kept
-bundle or call history enters it, and a streamed reduction of one symbol
-is bit for bit the bundle's.  Several symbols with no more pairs of
-classes than columns reduce by the per-point Gram matrix of the classes,
-accumulated over a chunk of a few blocks and taken through the columns by
-one product per chunk (per block when the pairs are few).  Routes return
-sums, never fields; a norm under a symbol is read from
-HalfSpectrum.energies.  One streamed pass over one row list (the
-identity's parts, then each axis's) serves several reductions, each
-reducing every chunk as it would alone: the sweep's four maxima come from
-one pass that sums each sup's square chunk by chunk (_maximal_norms), so
-no array of the lattice's size is built.  Every inverse FFT runs irfftn's
-passes over the lines its bins occupy only, bit for bit.
+A list of reductions takes one of two routes, picked once for the list
+before any transform (_route).  One streamed pass over one row list (the
+identity's parts, then each axis's) finishes each class's inverse FFT one
+axis-0 slab, or for several symbols one axis-1 sub-slab, at a time, and
+every reduction reduces each chunk of samples in cache as it would alone;
+one symbol's sums are bit for bit RadialBundle.sums of the field's
+radial_bundle, the reference decomposition, which no reduction builds.
+At d = 1, past max(64, 2 n_columns) classes or past physical memory, each
+reduction takes one inverse FFT per column and symbol instead, whose
+estimate must fit or ResourceError is raised.  Several symbols with no
+more pairs of classes than columns reduce by the per-point Gram matrix of
+the classes, accumulated over a chunk of a few blocks and taken through
+the columns by one product per chunk (per block when the pairs are few).
+Routes return sums, never fields: a norm is summed chunk by chunk
+(_norms), and a norm under a symbol, or of a square function, is read
+from HalfSpectrum.energies, since the classes have disjoint supports.
+Every inverse FFT runs irfftn's passes over the lines its bins occupy
+only, bit for bit.
 """
 
 from __future__ import annotations
@@ -62,7 +60,6 @@ __all__ = [
     "maximal_over",
     "vector_maximal",
     "square_function",
-    "projection_square_function",
     "poisson_projection_sum",
     "rotation_reconstruct",
     "sphere_moment",
@@ -365,8 +362,9 @@ def _group(spec: GridSpec) -> int:
 
 
 def _streams(spec: GridSpec) -> bool:
-    """Whether a reduction of one symbol streams: its bundle would be built
-    in more than one group of axis-0 indices."""
+    """Whether a radial bundle would be built in more than one group of
+    axis-0 indices: the grids on which the sweep takes its four maxima from
+    one norms pass (experiments._sweep_trial)."""
     return _group(spec) < spec.points_per_axis
 
 
@@ -421,16 +419,15 @@ class HalfSpectrum:
     and the bookkeeping its transforms share: the active bins (flat
     half-spectrum indices), each radius class's integer |k|^2, each active
     bin's class and the class radii |k| / L.  It keeps no samples of the
-    field, and the bundle it built last for reuse.  The DFTs are given over
-    the whole half spectrum, or at the flat half-spectrum indices bins, and
-    kept where their power exceeds _REL_TOL^2 of its peak.
+    field.  The DFTs are given over the whole half spectrum, or at the flat
+    half-spectrum indices bins, and kept where their power exceeds
+    _REL_TOL^2 of its peak.
     """
 
     spec: GridSpec
     real: np.ndarray                    # half spectrum, then active bins
     imag: np.ndarray | None
     bins: InitVar[np.ndarray | None] = None  # flat bins of real, if not all
-    _kept = None                        # (axis, RadialBundle) built last
 
     def __post_init__(self, bins):
         power = np.square(np.abs(self.real))
@@ -453,16 +450,6 @@ class HalfSpectrum:
         n, half = self.spec.points_per_axis, _half_shape(self.spec)
         index = self.active // math.prod(half[a + 1:]) % half[a]
         return np.where(index < n // 2, index, index - n)
-
-    def bundle(self, axis: int | None) -> RadialBundle:
-        """The field's radial bundle under the axis-th Riesz symbol, or
-        under the identity when axis is None.  The bundle built last is
-        returned again for the same axis; a different axis releases it
-        before building its own, and so does the streamed route."""
-        if self._kept is None or self._kept[0] != axis:
-            self._kept = None
-            self._kept = (axis, radial_bundle(self, axis))
-        return self._kept[1]
 
     @cached_property
     def class_transforms(self) -> list:
@@ -518,7 +505,7 @@ class HalfSpectrum:
 
 def half_spectrum(f: SpatialField) -> HalfSpectrum:
     """Forward transform of f on the half spectrum, to share between the
-    radial bundles of one field.  It keeps no reference to f's samples, so
+    reductions of one field.  It keeps no reference to f's samples, so
     a caller that drops f releases them."""
     samples = f.samples
     imag = (sfft.rfftn(samples.imag, workers=-1)
@@ -683,9 +670,8 @@ def radial_bundle(f: SpatialField | HalfSpectrum,
     lines the class occupies, at most 2 floor(sqrt(|k|^2)) + 1 indices per
     axis; for d >= 2 its tails run over groups of axis-0 indices of about
     _BLOCK_VALUES samples, so one head and one group's tail are in flight.
-    The reductions build a bundle only where it takes one group (d = 4,
-    N = 16 or d = 8, N = 4, say), and reduce it by RadialBundle.sums; on
-    larger grids they stream (_reduce).
+    No reduction builds a bundle: it is the reference decomposition, whose
+    RadialBundle.sums the streamed route's one-axis sums equal bit for bit.
     """
     spectrum = _as_spectrum(f)
     spec = spectrum.spec
@@ -708,11 +694,6 @@ def radial_bundle(f: SpatialField | HalfSpectrum,
                         is_real=is_real)
 
 
-def _family_axis(family: str, j: int) -> int | None:
-    """Riesz axis of the family's angular symbol, None for a radial family."""
-    return j if family in ("truncated_riesz", "conjugate_poisson") else None
-
-
 # ---------------------------------------------------------------------------
 # maximal and square operators
 
@@ -722,43 +703,57 @@ def _reduce(spectrum: HalfSpectrum, axes: list, profiles: np.ndarray,
     """sqrt(max_c s_c), or sqrt(sum_c weights[c] s_c) when weights are
     given, with s_c = sum over axes of |sum_i profiles[i, c] u_i|^2 and u_i
     the radius classes under the axis's angular symbol, by the route that
-    _route picks: the bundle, streaming or one transform per column."""
-    return _root(spectrum.spec, _route(spectrum, axes, profiles, weights))
-
-
-def _root(spec: GridSpec, sums: np.ndarray) -> SpatialField:
+    _route picks: streaming or one transform per column."""
+    (sums,) = _route(spectrum, [(axes, profiles, weights)])
     np.sqrt(np.maximum(sums, 0.0, out=sums), out=sums)
-    return SpatialField(spec, sums.reshape(spec.shape))
+    return SpatialField(spectrum.spec, sums.reshape(spectrum.spec.shape))
 
 
-def _route(spectrum: HalfSpectrum, axes: list, profiles: np.ndarray,
-           weights: np.ndarray | None = None) -> np.ndarray:
-    """The sums of _reduce, before the square root.  The route is chosen
-    here, before any transform (see the module docstring): the kept
-    bundle's RadialBundle.sums for one axis on a grid that does not stream,
-    _stream_route, or _column_route.
+def _norms(spectrum: HalfSpectrum, reductions: list) -> list[float]:
+    """l2_norm(_reduce(spectrum, axes, profiles, weights)) for each
+    reduction of the list, from one _route whose sums are totalled as they
+    are reduced, so no array of the lattice's size is built."""
+    cell = spectrum.spec.cell_volume
+    return [math.sqrt(total * cell)
+            for total in _route(spectrum, reductions, norms=True)]
+
+
+def _route(spectrum: HalfSpectrum, reductions: list,
+           norms: bool = False) -> list:
+    """The sums of _reduce, before the square root, for each reduction
+    (axes, profiles, weights), or with norms the total of each one's sums
+    clipped at 0.  The route is chosen here, once for the list and before
+    any transform (see the module docstring): one _stream_route pass, or
+    one _column_route per reduction at d = 1 (where a head's row is a
+    frequency, not a slab of samples), past max(64, 2 n_columns) classes
+    for the widest reduction, or past physical memory.
 
     Nonnegative weights over more columns than classes are compressed first:
     sum_c weights[c] s_c = sum over axes of |R u|^2, where R (n_r x n_r) is
     the triangular factor of diag(sqrt(weights)) P^T = Q R, so the n_r rows
     of R become the columns, each of weight 1.  Like the sum it replaces,
     this takes one dot product per column and then a sum of squares."""
-    if weights is not None and profiles.shape[1] > profiles.shape[0]:
-        profiles = np.linalg.qr(np.sqrt(weights)[:, None] * profiles.T,
-                                mode="r").T
-        weights = np.ones(profiles.shape[1])
-    spec, (n_r, n_cols) = spectrum.spec, profiles.shape
-    reduction = (axes, profiles, weights)
-    streams = len(axes) > 1 or _streams(spec)
-    need = (_slab_route_bytes(spectrum, [reduction]) if streams
-            else _bundle_bytes(spec, n_r, len(spectrum.filtered(axes[0]))))
-    if n_r > max(64, 2 * n_cols) or need > _physical_memory():
-        _require_memory(_column_route_bytes(spectrum, axes),
-                        "the column route")
-        return _column_route(spectrum, axes, profiles, weights)
-    if streams:
-        return _stream_route(spectrum, [reduction])[0]
-    return spectrum.bundle(axes[0]).sums(profiles, weights)
+    compressed = []
+    for axes, profiles, weights in reductions:
+        if weights is not None and profiles.shape[1] > profiles.shape[0]:
+            profiles = np.linalg.qr(np.sqrt(weights)[:, None] * profiles.T,
+                                    mode="r").T
+            weights = np.ones(profiles.shape[1])
+        compressed.append((axes, profiles, weights))
+    n_r = spectrum.radii.size
+    n_cols = max(profiles.shape[1] for _, profiles, _ in compressed)
+    if (spectrum.spec.dimension > 1 and n_r <= max(64, 2 * n_cols)
+            and _slab_route_bytes(spectrum, compressed, norms)
+            <= _physical_memory()):
+        return _stream_route(spectrum, compressed, norms)
+    _require_memory(max(_column_route_bytes(spectrum, axes)
+                        for axes, _, _ in compressed), "the column route")
+    out = []
+    for reduction in compressed:
+        sums = _column_route(spectrum, *reduction)
+        out.append(float(np.sum(np.maximum(sums, 0.0, out=sums))) if norms
+                   else sums)
+    return out
 
 
 def _column_route_bytes(spectrum: HalfSpectrum, axes: list) -> int:
@@ -967,7 +962,7 @@ def _class_chunks(spectrum: HalfSpectrum, rows: list, chunk: int,
 def _stream_route(spectrum: HalfSpectrum, reductions: list,
                   norms: bool = False) -> list:
     """The sums of _route for each reduction (axes, profiles, weights),
-    with no bundle, from one pass over one row list (_stream_rows): the
+    from one pass over one row list (_stream_rows): the
     classes of every part of the identity and the axes the reductions take
     come in chunks of whole blocks of _sample_blocks(n_samples, n_cols)
     (_class_chunks, _pass_chunk), and each reduction reduces each chunk as
@@ -976,7 +971,6 @@ def _stream_route(spectrum: HalfSpectrum, reductions: list,
     root's L2 norm over the cell volume: each chunk's sums are totalled,
     and the chunks' totals are added once, at the end."""
     spec = spectrum.spec
-    spectrum._kept = None               # not live beside the heads
     axes, rows, groups = _stream_rows(spectrum, reductions)
     chunk = _pass_chunk(spectrum, reductions)
     reducers = [_chunk_reducer(rows_of, profiles, weights, chunk)
@@ -1081,24 +1075,25 @@ def maximal_over(f: SpatialField | HalfSpectrum, family: str,
                  grid: TruncationGrid, j: int = 1) -> SpatialField:
     """Pointwise sup over the grid's truncation values of |op_t f|.
 
-    f is a field or its half_spectrum; where the reduction takes a bundle,
-    a half_spectrum reuses the bundle it built last when that one has the
-    family's angular symbol (the axis-j Riesz symbol for truncated_riesz and
-    conjugate_poisson, the identity otherwise).
+    f is a field or its half_spectrum; the reduction, under the axis-j
+    Riesz symbol for truncated_riesz and conjugate_poisson and the identity
+    otherwise, streams or takes one transform per truncation value (_route).
     """
     ts = grid.values()
     spectrum = _as_spectrum(f)
     profiles = profile_matrix(spectrum.spec.dimension, spectrum.radii, ts,
                               family)
-    return _reduce(spectrum, [_family_axis(family, j)], profiles)
+    axis = j if family in ("truncated_riesz", "conjugate_poisson") else None
+    return _reduce(spectrum, [axis], profiles)
 
 
 def vector_maximal(f: SpatialField | HalfSpectrum,
                    grid: TruncationGrid) -> SpatialField:
     """sup_t (sum_j |R_j^t f|^2)^(1/2) over the grid.
 
-    f is a field or its half_spectrum, whose kept bundle the streamed route
-    releases.
+    f is a field or its half_spectrum; the reduction streams over every
+    axis's classes, or takes one transform per truncation value and axis
+    (_route).
     """
     ts = grid.values()
     spectrum = _as_spectrum(f)
@@ -1107,29 +1102,22 @@ def vector_maximal(f: SpatialField | HalfSpectrum,
     return _reduce(spectrum, list(range(1, d + 1)), profiles)
 
 
-def _maximal_norms(spectrum: HalfSpectrum, grid: TruncationGrid,
-                   maxima: list) -> list[float]:
-    """The L2 norm of sup_t (sum over axes of |op_t u|^2)^(1/2) over the
-    grid's t for each (family, axes) of maxima, with u the field under
-    each axis's angular symbol: l2_norm(maximal_over(f, family, grid, j))
-    for axes [_family_axis(family, j)], and l2_norm(vector_maximal(f,
-    grid)) for truncated_riesz over axes 1..d.  One streamed pass over the
-    rows of every axis gives them all, each sup's square summed chunk by
-    chunk (_stream_route with norms), so no array of the lattice's size is
-    built; past max(64, 2 n_columns) classes each takes its column route."""
-    ts = grid.values()
-    spec = spectrum.spec
-    reductions = [(axes, profile_matrix(spec.dimension, spectrum.radii, ts,
-                                        family), None)
-                  for family, axes in maxima]
-    if spectrum.radii.size > max(64, 2 * ts.size):
-        totals = [float(np.sum(np.maximum(_route(spectrum, *red), 0.0)))
-                  for red in reductions]
-    else:
-        _require_memory(_slab_route_bytes(spectrum, reductions, norms=True),
-                        "the streamed pass")
-        totals = _stream_route(spectrum, reductions, norms=True)
-    return [math.sqrt(total * spec.cell_volume) for total in totals]
+def _square_profiles(spectrum: HalfSpectrum,
+                    t_nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The profiles at the class radii and the weights of square_function's
+    reduction: d/dt P_t at each node, and the trapezoid weights of
+    int t ... dt over at least two increasing positive nodes."""
+    t_nodes = np.asarray(t_nodes, dtype=float)
+    if t_nodes.size < 2:
+        raise DomainError("square_function requires at least two t nodes")
+    if np.any(t_nodes <= 0) or np.any(np.diff(t_nodes) <= 0):
+        raise DomainError("t_nodes must be positive and strictly increasing")
+    w = np.zeros_like(t_nodes)
+    w[:-1] += 0.5 * np.diff(t_nodes)
+    w[1:] += 0.5 * np.diff(t_nodes)
+    # d/dt P_t has radial profile -(r/sqrt(d)) exp(-t r / sqrt(d))
+    rate = spectrum.radii / math.sqrt(spectrum.spec.dimension)
+    return -rate[:, None] * np.exp(-np.outer(rate, t_nodes)), w * t_nodes
 
 
 def square_function(f: SpatialField | HalfSpectrum,
@@ -1139,42 +1127,13 @@ def square_function(f: SpatialField | HalfSpectrum,
 
         g(f)(x)^2 ~ int t |d/dt P_t f(x)|^2 dt.
 
-    f is a field or its half_spectrum; a half_spectrum shares its identity
-    bundle with maximal_over and projection_square_function.
+    f is a field or its half_spectrum; the weighted reduction streams, or
+    takes one transform per column (_route).  Its L2 norm needs no
+    reduction: the classes have disjoint supports, so ||g||^2 is
+    sum_i (sum_c w_c P_ic^2) ||u_i||^2 over _square_profiles's P and w.
     """
-    t_nodes = np.asarray(t_nodes, dtype=float)
-    if t_nodes.size == 0:
-        raise DomainError("square_function requires at least one t node")
-    if np.any(t_nodes <= 0) or np.any(np.diff(t_nodes) <= 0):
-        raise DomainError("t_nodes must be positive and strictly increasing")
     spectrum = _as_spectrum(f)
-    # trapezoid weights for int ... dt
-    w = np.zeros_like(t_nodes)
-    w[:-1] += 0.5 * np.diff(t_nodes)
-    w[1:] += 0.5 * np.diff(t_nodes)
-    # d/dt P_t has radial profile -(r/sqrt(d)) exp(-t r / sqrt(d))
-    rate = spectrum.radii / math.sqrt(spectrum.spec.dimension)
-    profiles = -rate[:, None] * np.exp(-np.outer(rate, t_nodes))
-    return _reduce(spectrum, [None], profiles, w * t_nodes)
-
-
-def projection_square_function(f: SpatialField | HalfSpectrum, n_min: int,
-                               n_max: int) -> SpatialField:
-    """(sum_{n=n_min}^{n_max} |S_n f|^2)^(1/2), S_n = P_{2^(n-1)} - P_{2^n}.
-
-    S_n has the radial profile exp(-2^(n-1) r/sqrt(d)) - exp(-2^n r/sqrt(d)),
-    so the sum is one reduction over the n_max - n_min + 1 profile columns.
-    f is a field or its half_spectrum, whose identity bundle is shared as
-    in square_function.
-    """
-    if n_min > n_max:
-        raise DomainError(f"n_min {n_min} > n_max {n_max}")
-    spectrum = _as_spectrum(f)
-    rate = spectrum.radii / math.sqrt(spectrum.spec.dimension)
-    scales = 2.0 ** np.arange(n_min, n_max + 1)
-    profiles = (np.exp(-np.outer(rate, scales / 2.0))
-                - np.exp(-np.outer(rate, scales)))
-    return _reduce(spectrum, [None], profiles, np.ones(scales.size))
+    return _reduce(spectrum, [None], *_square_profiles(spectrum, t_nodes))
 
 
 def poisson_projection_sum(f: SpatialField, n_min: int, n_max: int) -> SpatialField:

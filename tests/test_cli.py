@@ -3,6 +3,8 @@
 import csv
 import json
 
+import pytest
+
 from rieszmax import operators
 from rieszmax.cli import (EXIT_BOUND_FAIL, EXIT_PASS, EXIT_RESOURCE,
                           EXIT_USAGE, main)
@@ -205,6 +207,36 @@ def test_config_values_are_parsed_like_flags(tmp_path):
     assert main(["norm-sweep", "--config", str(cfg)]) == EXIT_PASS
     doc = json.loads((tmp_path / "out" / "norm_sweep.json").read_text())
     assert doc["parameters"]["grid"] == [-4, 2, 1]
+
+
+@pytest.mark.parametrize("command, values", [
+    ("norm-sweep", {"t_grid": [-4, 2, 1]}),
+    ("poisson", {"trials": 2.5}),
+    ("poisson", {"band": [3]}),
+    ("poisson", {"trials": True}),
+    ("norm-sweep", {"dims": [4, 6]}),
+], ids=["t_grid_list", "trials_float", "band_list", "trials_bool",
+        "dims_list"])
+def test_config_value_of_the_wrong_type_is_usage_error(tmp_path, command,
+                                                       values):
+    # each value is parsed as its flag's text would be: "[-4, 2, 1]",
+    # "2.5", "[3]", "true" and "[4, 6]" are no values of their options
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(values))
+    assert main([command, "--config", str(cfg),
+                 "--output", str(tmp_path)]) == EXIT_USAGE
+
+
+@pytest.mark.parametrize("command", ["norm-sweep", "poisson"])
+def test_zero_trials_is_usage_error(tmp_path, command):
+    assert main([command, "--trials", "0", "--output", str(tmp_path)]) \
+        == EXIT_USAGE
+
+
+def test_poisson_at_d1_passes(tmp_path):
+    # at d = 1 the maximal function takes the column route
+    assert main(["poisson", "--dim", "1", "--grid-n", "8", "--trials", "1",
+                 "--output", str(tmp_path)]) == EXIT_PASS
 
 
 def test_huge_multiplier_argument_is_resource_error(tmp_path):

@@ -115,13 +115,14 @@ class TestNormRatioSweep:
             / l2_norm(f)
         assert r1 >= single - 1e-10
 
-    def test_trial_builds_one_bundle_per_axis_plus_one(self, monkeypatch):
-        # r1 takes the unfiltered bundle and r2 and r4 share the axis-1
-        # bundle; r3 builds no bundle, it reduces slab by slab
+    def test_trial_builds_no_bundle(self, monkeypatch):
+        # at d = 4, N = 8 each of r1, r2 and r4 is one maximal_over and r3
+        # one vector_maximal, and each streams in its own pass
         built = _count_calls(monkeypatch, operators, "radial_bundle")
+        passes = _count_calls(monkeypatch, operators, "_class_chunks")
         norm_ratio_sweep([4], {4: 8}, default_truncation_grid(), 3.0, 1,
                          seed=42)
-        assert len(built) == 2
+        assert len(built) == 0 and len(passes) == 4
 
     def test_streamed_trial_runs_one_pass_over_d_plus_1_rows(self,
                                                             monkeypatch):
@@ -149,8 +150,7 @@ class TestNormRatioSweep:
 
     def test_streamed_trial_builds_no_bundle(self, monkeypatch):
         # at d = 6, N = 10 a bundle would be built in ten groups of axis-0
-        # indices: r1 streams, r2 and r4 share one streamed pass,
-        # and r3 streams too
+        # indices, and the four maxima share one streamed pass
         built = _count_calls(monkeypatch, operators, "radial_bundle")
         rep = norm_ratio_sweep([6], {6: 10}, default_truncation_grid(), 3.0,
                                1, seed=42)
@@ -161,9 +161,10 @@ class TestNormRatioSweep:
 def test_sweep_trial_peak_is_accumulator_plus_one_bundle():
     # a looser bound than the one below: gram is the size a Gram matrix of
     # the classes at every sample would take, more than r3's heads, slab
-    # buffer and chunk accumulator; r1, r2 and r4 hold one bundle at a time,
-    # with the trial's field and half spectrum, and a class or tail in
-    # flight adds at most two class buffers on top
+    # buffer and chunk accumulator; r1, r2 and r4 stream, and each holds
+    # less than a bundle of the classes, with the trial's field and half
+    # spectrum, and a class or tail in flight adds at most two class
+    # buffers on top
     d, n, band, seed = 4, 16, 3.0, 42
     spec = GridSpec(d, n)
     grid = default_truncation_grid()
@@ -186,11 +187,11 @@ def test_sweep_trial_peak_is_accumulator_plus_one_bundle():
 
 
 def test_sweep_trial_peak_is_one_bundle_plus_the_slab_route():
-    # r1, r2 and r4 hold one bundle at a time; r3 holds its heads, slab
-    # buffer and chunk accumulator, and its output, which is no larger
-    # than a bundle; the trial's half spectrum is drawn at the band's bins,
-    # with no field, and a class or tail in flight adds at most two class
-    # buffers on top
+    # r1, r2 and r4 stream, each in less than a bundle of the classes; r3
+    # holds its heads, slab buffer and chunk accumulator, and its output,
+    # which is no larger than a bundle; the trial's half spectrum is drawn
+    # at the band's bins, with no field, and a class or tail in flight adds
+    # at most two class buffers on top
     d, n, band, seed = 4, 16, 3.0, 42
     spec = GridSpec(d, n)
     grid = default_truncation_grid()
@@ -262,11 +263,47 @@ class TestDecomposition:
         assert all(v >= -1e-12 for v in rep.values("triangle_slack"))
 
     def test_m_evaluated_at_most_twice_per_trial(self, monkeypatch):
-        # once for the trial's profile matrix, once for r1's maximal_over
+        # once, for the trial's profile matrix, whose columns r1's profiles
+        # are too
         calls = _count_calls(monkeypatch, multiplier, "m_values")
         decomposition_diagnostics(4, 16, default_truncation_grid(), 3.0, 3,
                                   seed=42)
-        assert 0 < len(calls) <= 2 * 3
+        assert len(calls) == 3
+
+    def test_norms_match_the_bundle_sups(self, monkeypatch):
+        # a, b, c and r1 from one norms pass against the reference bundle's
+        # sups, b from the root of the octaves' summed squares at every
+        # sample, and the pass is one _class_chunks over the identity
+        from rieszmax.experiments import _decomposition_trial
+        from rieszmax.fields import SpatialField, l2_norm
+        spec, grid = GridSpec(4, 16), default_truncation_grid()
+        f = _trial_field(spec, 3.0, 42, 0)
+        passes = _count_calls(monkeypatch, operators, "_class_chunks")
+        got = _decomposition_trial(lambda: f, grid)
+        assert len(passes) == 1
+        bundle = operators.radial_bundle(f)
+        ts, norm_f = grid.values(), l2_norm(f)
+
+        def profile(values):
+            return operators.profile_matrix(4, bundle.radii, values,
+                                            "factor_m")
+
+        def ratio(samples):
+            return l2_norm(SpatialField(spec, samples.reshape(spec.shape))) \
+                / norm_f
+
+        dyadic = grid.dyadic_values()
+        gap = profile(dyadic) - operators.profile_matrix(
+            4, bundle.radii, dyadic, "poisson")
+        octaves = [bundle.sup_abs(profile(grid.octave_values(n))
+                                  - profile(dyadic[i:i + 1]))
+                   for i, n in enumerate(range(grid.n_min, grid.n_max))]
+        want = {"r1": ratio(bundle.sup_abs(profile(ts))),
+                "a": ratio(bundle.sup_abs(profile(dyadic))),
+                "c": ratio(bundle.sup_abs(gap)),
+                "b": ratio(np.sqrt(sum(np.square(sup) for sup in octaves)))}
+        for name, value in want.items():
+            assert got[name] == pytest.approx(value, rel=1e-14), name
 
     def test_single_octave_grid(self):
         # n_min == n_max: the one octave reaches past the grid's values
@@ -296,20 +333,25 @@ class TestPoissonSuite:
         assert rep.parameters["n_range"] == [-21, 20]
         assert max(rep.values("telescope_residual")) <= 1e-6
 
-    def test_trial_builds_one_bundle_and_no_projection(self, monkeypatch):
-        # the maximal function, g and the S_n square function share one
-        # identity bundle per trial; no S_n takes its own transform pair
+    def test_trial_streams_once_and_takes_no_projection(self, monkeypatch):
+        # the maximal function streams once per trial; g and the S_n square
+        # function are read from the class energies, with no reduction, and
+        # no S_n takes its own transform pair
         built = _count_calls(monkeypatch, operators, "radial_bundle")
+        passes = _count_calls(monkeypatch, operators, "_class_chunks")
+        columns = _count_calls(monkeypatch, operators, "_column_route")
         symbols = _count_calls(monkeypatch, operators, "apply_symbol")
         poisson_suite(4, 8, 2.0, trials=3, seed=3)
-        assert len(built) == 3 and len(symbols) == 0
+        assert len(passes) == 3
+        assert built == columns == symbols == []
 
 
 @pytest.mark.parametrize("driver", [poisson_suite, decomposition_diagnostics],
                          ids=["poisson", "decomposition"])
 def test_trial_state_is_released_before_the_next_trial(driver):
-    # a second trial may not raise the allocation peak by a whole bundle:
-    # the first trial's bundle must be gone before the second builds its own
+    # a second trial may not raise the allocation peak by a whole bundle of
+    # the classes: the first trial's spectrum and sums must be gone before
+    # the second takes its own
     d, n, band, seed = 4, 16, 3.0, 5
     args = (d, n, band) if driver is poisson_suite else \
         (d, n, SMALL_GRID, band)

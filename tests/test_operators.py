@@ -26,9 +26,9 @@ from rieszmax.operators import (MAXIMAL_FAMILIES, Kernel, MultiplierSymbol,
                                 TruncationGrid, apply_symbol, half_spectrum,
                                 kernel_convolve, kernel_transform,
                                 maximal_over, poisson_projection_sum,
-                                projection_square_function, radial_bundle,
-                                riesz_radial_profile, rotation_reconstruct,
-                                sphere_moment, square_function, vector_maximal)
+                                radial_bundle, riesz_radial_profile,
+                                rotation_reconstruct, sphere_moment,
+                                square_function, vector_maximal)
 
 
 def _single_mode(spec, k):
@@ -79,6 +79,31 @@ def _projection(f, n):
     """S_n f = (P_{2^(n-1)} - P_{2^n}) f."""
     return (apply_symbol(f, MultiplierSymbol.poisson(2.0 ** (n - 1))).samples
             - apply_symbol(f, MultiplierSymbol.poisson(2.0 ** n)).samples)
+
+
+class _RadialSymbol:
+    """A symbol profile(|xi|) for apply_symbol, from any radial function."""
+
+    def __init__(self, profile):
+        self.profile = profile
+
+    def values(self, spec):
+        return self.profile(spec.freq_radius()).astype(complex)
+
+
+def _square_reference(f, ts):
+    """(sum over the nodes of w t |d/dt P_t f|^2)^(1/2), with w the
+    trapezoid weights of int ... dt: one apply_symbol per node."""
+    d = f.spec.dimension
+    w = np.zeros_like(ts)
+    w[:-1] += 0.5 * np.diff(ts)
+    w[1:] += 0.5 * np.diff(ts)
+    acc = np.zeros(f.spec.shape)
+    for t, wt in zip(ts, w * ts):
+        sym = _RadialSymbol(lambda r, t=t: -(r / math.sqrt(d))
+                            * np.exp(-t * r / math.sqrt(d)))
+        acc += wt * np.abs(apply_symbol(f, sym).samples) ** 2
+    return np.sqrt(acc)
 
 
 class TestTruncationGrid:
@@ -605,7 +630,7 @@ class TestMaximalNorms:
     def test_match_the_fields_norms(self, case):
         # the Nyquist field has energy where the symbols of axes 1 and 6
         # are anti-Hermitian, so those axes have two rows each
-        from test_experiments import _sweep_maxima
+        from test_experiments import _sweep_reductions
         spec = GridSpec(6, 10)
         grid = (TruncationGrid(-4, 2, depth=1) if case == "columns"
                 else default_truncation_grid())
@@ -617,7 +642,7 @@ class TestMaximalNorms:
             == (case != "columns")
         rows = sum(len(spectrum.filtered(axis)) for axis in [None, 1, 6])
         assert rows == (5 if case == "nyquist" else 3)
-        got = operators._maximal_norms(spectrum, grid, _sweep_maxima(6))
+        got = operators._norms(spectrum, _sweep_reductions(spectrum, grid))
         want = [l2_norm(vector_maximal(spectrum, grid))]
         want += [l2_norm(maximal_over(spectrum, family, grid, j=1))
                  for family in ("factor_m", "truncated_riesz",
@@ -900,26 +925,44 @@ class TestLatticeBudgets:
         assert peak <= need + _HEADERS
 
 
-class _RadialSymbol:
-    """A symbol profile(|xi|) for apply_symbol, from any radial function."""
-
-    def __init__(self, profile):
-        self.profile = profile
-
-    def values(self, spec):
-        return self.profile(spec.freq_radius()).astype(complex)
+def _reference_classes(spectrum, axis):
+    """The radius classes of the spectrum under the axis-th Riesz symbol
+    (the identity when axis is None) as (parts, classes, samples), one
+    irfftn of the whole half spectrum per class and part
+    (_irfftn_reference): a bundle that shares no code with the pruned
+    transforms or _class_chunks."""
+    parts = spectrum.filtered(axis)
+    out = np.empty((len(parts), spectrum.radii.size, spectrum.spec.n_samples))
+    for q, part in enumerate(parts):
+        for i in range(spectrum.radii.size):
+            chosen = np.flatnonzero(spectrum.class_of_bin == i)
+            out[q, i] = _irfftn_reference(spectrum.spec,
+                                          spectrum.active[chosen],
+                                          part[chosen])
+    return out
 
 
 def _bundle_sums(spectrum, axes, profiles, weights):
-    """The sums of the one axis's radial bundle, reduced by the bundle."""
+    """RadialBundle.sums's arithmetic over the reference classes of the
+    one axis: max_c s_c, or sum_c weights[c] s_c, block by block of
+    _sample_blocks, each part's squares added in order."""
     (axis,) = axes
-    return radial_bundle(spectrum, axis).sums(profiles, weights)
+    parts = _reference_classes(spectrum, axis)
+    by_t = np.ascontiguousarray(profiles.T)
+    out = np.empty(spectrum.spec.n_samples)
+    for cols in operators._sample_blocks(out.size, by_t.shape[0]):
+        s = by_t @ parts[0][:, cols]
+        np.square(s, out=s)
+        for part in parts[1:]:
+            s += np.square(by_t @ part[:, cols])
+        out[cols] = s.max(axis=0) if weights is None else weights @ s
+    return out
 
 
 class TestColumnRoute:
     """A real white-noise field on GridSpec(3, 16) has 116 radius classes,
     more than max(64, 2 n_t) for a 4-value grid, so every reduction takes
-    one inverse transform per column and axis and builds no bundle."""
+    one inverse transform per column and axis and runs no streamed pass."""
 
     GRID = TruncationGrid(-3, 0, depth=0)
     T_NODES = np.array([0.05, 0.1, 0.2, 0.4])
@@ -933,44 +976,32 @@ class TestColumnRoute:
         return f
 
     @pytest.fixture
-    def built(self, monkeypatch):
+    def passes(self, monkeypatch):
         from test_experiments import _count_calls
-        return _count_calls(monkeypatch, operators, "radial_bundle")
+        return _count_calls(monkeypatch, operators, "_class_chunks")
 
     @pytest.mark.parametrize("family", MAXIMAL_FAMILIES)
-    def test_maximal_over_matches_per_t(self, field, built, family):
+    def test_maximal_over_matches_per_t(self, field, passes, family):
         out = maximal_over(field, family, self.GRID, j=2).samples
         direct = _maximal_reference(field, family, self.GRID.values(), 2)
-        assert len(built) == 0
+        assert len(passes) == 0
         assert np.max(np.abs(out - direct)) <= 1e-12 * np.max(direct)
 
-    def test_vector_maximal_matches_per_t(self, field, built):
+    def test_vector_maximal_matches_per_t(self, field, passes):
         out = vector_maximal(field, self.GRID).samples
         direct = _vector_reference(field, self.GRID.values())
-        assert len(built) == 0
+        assert len(passes) == 0
         assert np.max(np.abs(out - direct)) <= 1e-12 * np.max(direct)
 
-    def test_square_functions_match_per_t(self, field, built):
-        d, ts = field.spec.dimension, self.T_NODES
-        # trapezoid weights of int t |d/dt P_t f|^2 dt
-        w = np.zeros_like(ts)
-        w[:-1] += 0.5 * np.diff(ts)
-        w[1:] += 0.5 * np.diff(ts)
-        acc = np.zeros(field.spec.shape)
-        for t, wt in zip(ts, w * ts):
-            sym = _RadialSymbol(lambda r, t=t: -(r / math.sqrt(d))
-                                * np.exp(-t * r / math.sqrt(d)))
-            acc += wt * np.abs(apply_symbol(field, sym).samples) ** 2
-        direct = np.sqrt(acc)
-        out = square_function(field, ts).samples
+    def test_square_functions_match_per_t(self, field, passes):
+        direct = _square_reference(field, self.T_NODES)
+        out = square_function(field, self.T_NODES).samples
         assert np.max(np.abs(out - direct)) <= 1e-12 * np.max(direct)
-        direct = np.sqrt(sum(np.abs(_projection(field, n)) ** 2
-                             for n in range(-2, 4)))
-        out = projection_square_function(field, -2, 3).samples
-        assert np.max(np.abs(out - direct)) <= 1e-12 * np.max(direct)
-        assert len(built) == 0
+        assert len(passes) == 0
 
     def test_bundle_route_agrees_with_column_route(self, field):
+        # the streamed pass, and for one axis the reference classes' bundle
+        # sums, forced past the class count that sends them to the columns
         spectrum = half_spectrum(field)
         ts = self.GRID.values()
         riesz = operators.profile_matrix(3, spectrum.radii, ts, "truncated_riesz")
@@ -979,13 +1010,15 @@ class TestColumnRoute:
                                         ([2], decay, None),
                                         ([1, 2, 3], riesz, None),
                                         ([None], decay, np.arange(1.0, 5.0))]:
-            by_bundle = (_bundle_sums(spectrum, axes, profiles, weights)
-                         if len(axes) == 1 else operators._stream_route(
-                             spectrum, [(axes, profiles, weights)])[0])
             by_column = operators._column_route(spectrum, axes, profiles,
                                                 weights)
-            assert np.max(np.abs(by_bundle - by_column)) \
-                <= 1e-12 * np.max(by_column)
+            routes = [operators._stream_route(
+                spectrum, [(axes, profiles, weights)])[0]]
+            if len(axes) == 1:
+                routes.append(_bundle_sums(spectrum, axes, profiles, weights))
+            for sums in routes:
+                assert np.max(np.abs(sums - by_column)) \
+                    <= 1e-12 * np.max(by_column)
 
     def test_over_its_estimate_is_resource_error(self, field, monkeypatch):
         need = operators._column_route_bytes(half_spectrum(field), [None])
@@ -997,10 +1030,11 @@ class TestColumnRoute:
 
 
 def _bundle_reduction(spectrum, axes, profiles, weights=None):
-    """_reduce of several axes as computed before the slab route: one radial
-    bundle per axis, a Gram (or per-column) accumulator over every sample,
-    then the reduction over the blocks of _sample_blocks, or, for the Gram
-    form, one product per span of the streamed route's chunks."""
+    """_reduce of several axes as computed before the slab route: the
+    reference classes of each axis (_reference_classes), a Gram (or
+    per-column) accumulator over every sample, then the reduction over the
+    blocks of _sample_blocks, or, for the Gram form, one product per span
+    of the streamed route's chunks."""
     n_r, n_cols = profiles.shape
     n_samples = spectrum.spec.n_samples
     by_t = np.ascontiguousarray(profiles.T)
@@ -1008,12 +1042,10 @@ def _bundle_reduction(spectrum, axes, profiles, weights=None):
     gram = pairs[-1] <= n_cols
     acc = np.zeros((pairs[-1] if gram else n_cols, n_samples))
     for axis in axes:
-        by_class = radial_bundle(spectrum, axis).components.T
+        classes = _reference_classes(spectrum, axis)
         for cols in operators._sample_blocks(n_samples,
                                              n_r if gram else n_cols):
-            block = by_class[:, cols]
-            parts = ((block,) if np.isrealobj(block)
-                     else (block.real.copy(), block.imag.copy()))
+            parts = [part[:, cols] for part in classes]
             if gram:
                 for u in parts:
                     for a in range(n_r):
@@ -1024,7 +1056,7 @@ def _bundle_reduction(spectrum, axes, profiles, weights=None):
             for u in parts[1:]:
                 s += np.square(by_t @ u)
             acc[:, cols] += s
-        del by_class
+        del classes
     if gram:
         rows_i, cols_i = np.triu_indices(n_r)
         pair_weights = by_t[:, rows_i] * by_t[:, cols_i]
@@ -1110,13 +1142,6 @@ class TestSlabRoute:
         with pytest.raises(ResourceError):
             vector_maximal(spectrum, grid)
 
-    def test_releases_the_kept_bundle(self):
-        spectrum = half_spectrum(random_band_limited(GridSpec(4, 8), 3.0,
-                                                     seed=9))
-        spectrum.bundle(1)
-        vector_maximal(spectrum, TruncationGrid(-3, 1, depth=1))
-        assert spectrum._kept is None
-
 
 def _split_fields(spec, seed):
     """A real and a complex band-limited field, and the real one with
@@ -1135,10 +1160,11 @@ def _split_fields(spec, seed):
 class TestStreamedRoute:
     """With _BLOCK_VALUES at half an axis-0 slab, a bundle would be built
     one axis-0 index per group and, for d >= 3, the vector maximal's tails
-    split into axis-1 sub-slabs.  One symbol then streams, bit for bit as
-    its bundle's reduction; several stream as the old per-axis bundles did;
-    and one pass over the identity's and every axis's rows serves the
-    sweep's four maxima, each as its own reduction would, bit for bit."""
+    split into axis-1 sub-slabs.  One symbol streams, bit for bit as the
+    bundle sums of its reference classes; several stream as per-axis
+    bundles of them would; and one pass over the identity's and every
+    axis's rows serves the sweep's four maxima, each as its own reduction
+    would, bit for bit."""
 
     GRIDS = [(2, 32), (3, 16), (4, 8), (5, 6)]
 
@@ -1236,7 +1262,7 @@ class TestStreamedRoute:
         # white noise has 116 classes at (3, 16), more than max(64, 2 n_t):
         # each maximum takes one transform per column, which rounds
         # differently, and no streamed pass runs
-        from test_experiments import _count_calls, _sweep_maxima
+        from test_experiments import _count_calls, _sweep_reductions
         spec = GridSpec(3, 16)
         self._split(spec, monkeypatch)
         grid = TruncationGrid(-3, 0, depth=0)
@@ -1244,12 +1270,10 @@ class TestStreamedRoute:
             spec, np.random.default_rng(21).standard_normal(spec.shape)))
         routed = _count_calls(monkeypatch, operators, "_column_route")
         passes = _count_calls(monkeypatch, operators, "_class_chunks")
-        maxima = _sweep_maxima(3)
-        got = operators._maximal_norms(spectrum, grid, maxima)
+        reductions = _sweep_reductions(spectrum, grid)
+        got = operators._norms(spectrum, reductions)
         assert len(routed) == 4 and len(passes) == 0
-        for norm, (family, axes) in zip(got, maxima):
-            profiles = operators.profile_matrix(3, spectrum.radii,
-                                                grid.values(), family)
+        for norm, (axes, profiles, _) in zip(got, reductions):
             want = math.sqrt(np.sum(_bundle_reduction(spectrum, axes,
                                                       profiles) ** 2)
                              * spec.cell_volume)
@@ -1261,7 +1285,7 @@ class TestStreamedRoute:
         # 10^5 samples exceed _BLOCK_VALUES, so the vector maximal's split
         # into sub-slabs; the sweep's four maxima share one pass over 7
         # rows, which sums their norms and builds no output
-        from test_experiments import _sweep_maxima, _sweep_reductions
+        from test_experiments import _sweep_reductions
         spec = GridSpec(6, 10)
         spectrum = half_spectrum(random_band_limited(spec, 3.0, seed=42))
         grid = default_truncation_grid()
@@ -1275,9 +1299,7 @@ class TestStreamedRoute:
         for run, reductions, norms in [
                 (lambda: maximal_over(spectrum, "factor_m", grid),
                  [([None], riesz, None)], False),
-                (lambda: operators._maximal_norms(spectrum, grid,
-                                                  _sweep_maxima(6)),
-                 sweep, True),
+                (lambda: operators._norms(spectrum, sweep), sweep, True),
                 (lambda: vector_maximal(spectrum, grid),
                  [(list(range(1, 7)), riesz, None)], False)]:
             run()                            # warm up caches, plans and m
@@ -1425,14 +1447,14 @@ class TestGramForm:
 
 def _weighted_reference(spectrum, axes, profiles, weights):
     """sqrt(sum_c weights[c] sum over axes |P_c . u|^2), column by column,
-    from each axis's radial bundle, over sample blocks."""
+    from each axis's reference classes, over sample blocks."""
     n_samples = spectrum.spec.n_samples
     out = np.zeros(n_samples)
     for axis in axes:
-        components = radial_bundle(spectrum, axis).components
-        for lo in range(0, n_samples, 4096):
-            values = components[lo:lo + 4096] @ profiles
-            out[lo:lo + 4096] += np.abs(values) ** 2 @ weights
+        for part in _reference_classes(spectrum, axis):
+            for lo in range(0, n_samples, 4096):
+                values = part[:, lo:lo + 4096].T @ profiles
+                out[lo:lo + 4096] += np.square(values) @ weights
     return np.sqrt(out).reshape(spectrum.spec.shape)
 
 
@@ -1455,6 +1477,8 @@ class TestWeightedReduction:
 
     @pytest.mark.parametrize("kind", ["real", "complex", "white_noise"])
     def test_bundle_route_matches_the_direct_sum(self, kind, monkeypatch):
+        # one axis streams in one pass; the reference bundle's own weighted
+        # sums, over every column, match the direct sum too
         from test_experiments import _count_calls
         spectrum = half_spectrum(self._fields()[kind])
         d = spectrum.spec.dimension
@@ -1462,11 +1486,14 @@ class TestWeightedReduction:
                                             "poisson")
         weights = np.linspace(0.5, 2.0, self.T_NODES.size)
         assert spectrum.radii.size < self.T_NODES.size
-        routed = _count_calls(monkeypatch, operators.RadialBundle, "sums")
+        passes = _count_calls(monkeypatch, operators, "_class_chunks")
         got = operators._reduce(spectrum, [None], profiles, weights).samples
         want = _weighted_reference(spectrum, [None], profiles, weights)
-        assert len(routed) == 1
+        assert len(passes) == 1
         assert np.max(np.abs(got - want) / want) <= 1e-13
+        bundle = radial_bundle(spectrum).sums(profiles, weights)
+        assert np.max(np.abs(np.sqrt(bundle).reshape(want.shape) - want)
+                      / want) <= 1e-13
 
     def test_slab_route_matches_the_direct_sum(self):
         spectrum = half_spectrum(random_band_limited(GridSpec(3, 16), 3.0,
@@ -1481,7 +1508,8 @@ class TestWeightedReduction:
 
     def test_fewer_columns_than_classes_are_unchanged(self):
         # 116 white-noise classes take the column route for 4 columns, and
-        # 9 band-limited classes the bundle route for 9
+        # 9 band-limited classes the streamed route for 9, bit for bit as
+        # the bundle sums of their reference classes
         noise = SpatialField(GridSpec(3, 16), np.random.default_rng(45)
                              .standard_normal((16, 16, 16)))
         band = random_band_limited(GridSpec(4, 8), 3.0, seed=41)
@@ -1501,33 +1529,26 @@ class TestWeightedReduction:
     def test_square_function_reduces_over_n_r_columns(self, monkeypatch):
         f = random_band_limited(GridSpec(4, 16), 3.0, seed=8)
         shapes = []
-        sums = operators.RadialBundle.sums
+        route = operators._stream_route
 
-        def spy(bundle, profiles, weights=None):
-            shapes.append(profiles.shape)
-            return sums(bundle, profiles, weights)
+        def spy(spectrum, reductions, *args):
+            shapes.extend(profiles.shape for _, profiles, _ in reductions)
+            return route(spectrum, reductions, *args)
 
-        monkeypatch.setattr(operators.RadialBundle, "sums", spy)
+        monkeypatch.setattr(operators, "_stream_route", spy)
         square_function(f, self.T_NODES)
         assert shapes == [(9, 9)]
 
 
 class TestHalfSpectrumBundle:
-    def test_keeps_the_last_bundle_per_axis(self):
-        spec = GridSpec(4, 8)
-        spectrum = half_spectrum(random_band_limited(spec, 3.0, seed=13))
-        axis1 = spectrum.bundle(1)
-        assert spectrum.bundle(1) is axis1
-        axis2 = spectrum.bundle(2)
-        assert axis2 is not axis1
-        assert spectrum.bundle(1) is not axis1      # axis 2 released it
-
     def test_kept_bundle_is_not_reused_for_another_symbol(self):
+        # a half spectrum keeps no reduction's state: one shared by several
+        # symbols gives what a fresh transform of the field gives for each
         spec = GridSpec(4, 8)
         f = random_band_limited(spec, 3.0, seed=14)
         grid = TruncationGrid(-3, 1, depth=1)
         spectrum = half_spectrum(f)
-        spectrum.bundle(1)
+        maximal_over(spectrum, "truncated_riesz", grid, j=1)
         for family, j in [("truncated_riesz", 2), ("factor_m", 1),
                           ("conjugate_poisson", 1)]:
             shared = maximal_over(spectrum, family, grid, j=j).samples
@@ -1559,21 +1580,57 @@ class TestReductionsAgainstPerT:
         direct = _maximal_reference(f, family, grid.values(), 2)
         assert np.max(np.abs(out - direct)) <= 1e-12 * np.max(direct)
 
+    # at d = 1 a row of a head is a frequency, not a slab of samples, so
+    # every reduction takes the column route and no streamed pass
+    @pytest.mark.parametrize("family", ["poisson", "conjugate_poisson"])
+    def test_maximal_over_at_d1_matches_per_t(self, family, monkeypatch):
+        from test_experiments import _count_calls
+        spec = GridSpec(1, 16)
+        f = random_band_limited(spec, 3.0, seed=15)
+        grid = TruncationGrid(-8, 4, depth=4)
+        passes = _count_calls(monkeypatch, operators, "_class_chunks")
+        out = maximal_over(f, family, grid).samples
+        direct = _maximal_reference(f, family, grid.values())
+        assert passes == []
+        assert np.max(np.abs(out - direct)) <= 1e-12 * np.max(direct)
+
+    def test_square_function_at_d1_matches_per_t(self, monkeypatch):
+        from test_experiments import _count_calls
+        spec = GridSpec(1, 16)
+        f = random_band_limited(spec, 3.0, seed=16)
+        ts = np.geomspace(1e-2, 1e1, 20)
+        passes = _count_calls(monkeypatch, operators, "_class_chunks")
+        out = square_function(f, ts).samples
+        direct = _square_reference(f, ts)
+        assert passes == []
+        assert np.max(np.abs(out - direct)) <= 1e-12 * np.max(direct)
+
+
+def _poisson_norms(f, n_min, n_max):
+    """The Poisson suite trial's g and S_n square-function norms of f, which
+    it reads from the class energies."""
+    from rieszmax.experiments import _poisson_trial
+    values = _poisson_trial(lambda: f, TruncationGrid(-1, 0), n_min, n_max)
+    norm_f = l2_norm(f)
+    return values["g_ratio"] * norm_f, values["sn_square_ratio"] * norm_f
+
 
 class TestPoissonMachinery:
     def test_projection_is_difference_of_semigroups(self):
-        # one term of the projection square function is |S_0 f|
+        # the projection square function over one n is |S_0 f|
         spec = GridSpec(4, 8)
         f = random_band_limited(spec, 3.0, seed=10)
-        sn = projection_square_function(f, 0, 0)
         direct = apply_symbol(f, MultiplierSymbol.poisson(0.5)).samples \
             - apply_symbol(f, MultiplierSymbol.poisson(1.0)).samples
-        assert np.max(np.abs(sn.samples - np.abs(direct))) < 1e-12
+        want = l2_norm(SpatialField(spec, direct))
+        assert _poisson_norms(f, 0, 0)[1] == pytest.approx(want, rel=1e-13)
 
     def test_zero_field(self):
         spec = GridSpec(2, 8)
         f = SpatialField(spec, np.zeros(spec.shape, dtype=complex))
-        assert np.all(projection_square_function(f, 0, 2).samples == 0.0)
+        assert np.all(poisson_projection_sum(f, 0, 2).samples == 0.0)
+        grid = TruncationGrid(-1, 1)
+        assert np.all(maximal_over(f, "poisson", grid).samples == 0.0)
 
     def test_telescoping_reconstruction(self):
         spec = GridSpec(4, 16)
@@ -1596,18 +1653,21 @@ class TestPoissonMachinery:
         f = random_band_limited(spec, 2.0, seed=0)
         with pytest.raises(DomainError):
             poisson_projection_sum(f, 3, 2)
-        with pytest.raises(DomainError):
-            projection_square_function(f, 3, 2)
 
     def test_projection_square_function_matches_per_n_route(self):
+        # the S_n and g norms from the class energies against the per-n
+        # route and the square function's field
+        from rieszmax.experiments import _G_NODES
         spec = GridSpec(4, 8)
         f = random_band_limited(spec, 3.0, seed=10)
-        out = projection_square_function(half_spectrum(f), -20, 20).samples
+        g_norm, sn_norm = _poisson_norms(f, -20, 20)
         acc = np.zeros(spec.shape)
         for n in range(-20, 21):
             acc += np.abs(_projection(f, n)) ** 2
-        direct = np.sqrt(acc)
-        assert np.max(np.abs(out - direct)) <= 1e-12 * np.max(direct)
+        direct = l2_norm(SpatialField(spec, np.sqrt(acc)))
+        assert sn_norm == pytest.approx(direct, rel=1e-12)
+        g_field = l2_norm(square_function(f, _G_NODES))
+        assert g_norm == pytest.approx(g_field, rel=1e-13)
 
     def test_square_function_of_half_spectrum_is_bit_identical(self):
         f = random_band_limited(GridSpec(4, 8), 3.0, seed=10)
@@ -1629,10 +1689,12 @@ class TestPoissonMachinery:
         assert np.all(g.samples == 0.0)
 
     def test_square_function_invalid_nodes(self):
+        # one node has a trapezoid of zero width, which would give g = 0
         spec = GridSpec(2, 8)
         f = random_band_limited(spec, 2.0, seed=0)
-        with pytest.raises(DomainError):
-            square_function(f, np.array([1.0, 0.5]))
+        for nodes in ([1.0, 0.5], [0.5], [], [0.0, 1.0]):
+            with pytest.raises(DomainError):
+                square_function(f, np.array(nodes))
 
     def test_poisson_maximal_bound(self):
         spec = GridSpec(4, 16)
