@@ -11,12 +11,16 @@ and is one reduction, by a max or a weighted sum over the columns c of a
 profile matrix P, of s_c = sum over angular symbols of |sum_i P[i, c] u_i|^2,
 where u_i is the field's class of equal integer |k|^2 under the symbol.
 A list of reductions takes one of two routes, picked once for the list
-before any transform (_route).  One streamed pass over one row list (the
-identity's parts, then each axis's) finishes each class's inverse FFT one
-axis-0 slab, or for several symbols one axis-1 sub-slab, at a time, and
-every reduction reduces each chunk of samples in cache as it would alone;
-one symbol's sums are bit for bit RadialBundle.sums of the field's
-radial_bundle, the reference decomposition, which no reduction builds.
+before any transform (_route).  The streamed route finishes each class's
+inverse FFT the axis-0 slabs a chunk needs, or for several symbols one
+axis-1 sub-slab, at a time, and every reduction reduces each chunk of
+samples in cache as it would alone; one symbol's sums are bit for bit
+RadialBundle.sums of the field's radial_bundle, the reference
+decomposition, which no reduction builds.  It runs one pass over one row
+list (the identity's parts, then each axis's), or, on two cores where the
+reductions share out into two sets of fewer rows each, two streams at
+once, one per core, each over its own set's rows and at one BLAS thread,
+with the same chunks and so the same bits (_pass_streams).
 At d = 1, past max(64, 2 n_columns) classes or past physical memory, each
 reduction takes one inverse FFT per column and symbol instead, whose
 estimate must fit or ResourceError is raised.  Several symbols with no
@@ -32,10 +36,13 @@ only, bit for bit.
 
 from __future__ import annotations
 
+import ctypes
 import math
 import os
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import InitVar, dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 from scipy import fft as sfft
@@ -712,7 +719,8 @@ def _reduce(spectrum: HalfSpectrum, axes: list, profiles: np.ndarray,
 def _norms(spectrum: HalfSpectrum, reductions: list) -> list[float]:
     """l2_norm(_reduce(spectrum, axes, profiles, weights)) for each
     reduction of the list, from one _route whose sums are totalled as they
-    are reduced, so no array of the lattice's size is built."""
+    are reduced, so no array of the lattice's size is built.  A streamed
+    route may run as two streams (_stream_route), with the same bits."""
     cell = spectrum.spec.cell_volume
     return [math.sqrt(total * cell)
             for total in _route(spectrum, reductions, norms=True)]
@@ -805,20 +813,123 @@ def _head_group(spectrum: HalfSpectrum, n_rows: int, buffer: int) -> int:
     return max(1, min(n, buffer // max(per_index, 1)))
 
 
+def _pass_axes(reductions: list) -> list:
+    """The axes some reduction (axes, profiles, weights) takes, once each:
+    the identity (None) first, then in ascending order."""
+    return sorted({axis for red in reductions for axis in red[0]},
+                  key=lambda axis: 0 if axis is None else axis)
+
+
 def _stream_rows(spectrum: HalfSpectrum, reductions: list):
     """The rows of a streamed pass over reductions (axes, profiles,
-    weights): the parts (HalfSpectrum.filtered) of the identity, then of
-    each axis in ascending order, of every axis some reduction takes, once
-    each; with the pass's axes, in that order, and each reduction's groups,
-    a slice of the rows per axis of its own."""
-    axes = sorted({axis for red in reductions for axis in red[0]},
-                  key=lambda axis: 0 if axis is None else axis)
-    rows, at = [], {}
+    weights): the parts (HalfSpectrum.filtered) of each of the pass's axes
+    (_pass_axes), in that order; with those axes, and each reduction's
+    groups, a slice of the rows per axis of its own."""
+    axes, rows, at = _pass_axes(reductions), [], {}
     for axis in axes:
         parts = spectrum.filtered(axis)
         at[axis] = slice(len(rows), len(rows) + len(parts))
         rows += parts
     return axes, rows, [[at[axis] for axis in red[0]] for red in reductions]
+
+
+def _cores() -> int:
+    """The cores this process may run on."""
+    return len(os.sched_getaffinity(0))
+
+
+@cache
+def _blas_threads():
+    """numpy's OpenBLAS openblas_set_num_threads_local(n), which sets the
+    BLAS thread count and returns the count it replaces, or None when
+    numpy's BLAS has no such function.  In the pthreads build that numpy's
+    wheels bundle the count is the process's, not the calling thread's."""
+    try:
+        from numpy._core import _multiarray_umath
+        function = ctypes.CDLL(
+            _multiarray_umath.__file__).openblas_set_num_threads_local
+    except (ImportError, OSError, AttributeError):
+        return None
+    function.argtypes, function.restype = [ctypes.c_int], ctypes.c_int
+    return function
+
+
+@contextmanager
+def _one_blas_thread():
+    """numpy's BLAS at one thread (_blas_threads) within the block."""
+    cap = _blas_threads()
+    old = cap(1)
+    try:
+        yield
+    finally:
+        cap(old)
+
+
+def _pass_streams(spectrum: HalfSpectrum, reductions: list) -> list:
+    """The reductions of each stream of a streamed pass, as lists of
+    indices into reductions: two streams where the process may run on two
+    cores, numpy's BLAS can be held at one thread (_blas_threads) and each
+    stream takes fewer rows than the whole pass, else one.
+
+    The reductions are dealt out greedily, the costliest first, each to the
+    stream where the larger of the two estimates of work comes out lower.
+    A stream's estimate counts multiply-adds per sample: log2(n_samples)
+    per class and row for the inverse transforms, and per reduction the
+    Gram form's pairs of classes times its rows and columns, or the block
+    sums' rows times classes times columns."""
+    whole = list(range(len(reductions)))
+    if len(reductions) < 2 or _cores() < 2 or _blas_threads() is None:
+        return [whole]
+    n_r = spectrum.radii.size
+    parts = {axis: len(spectrum.filtered(axis))
+             for axis in _pass_axes(reductions)}
+
+    def rows(stream: list) -> int:
+        return sum(parts[axis]
+                   for axis in _pass_axes([reductions[k] for k in stream]))
+
+    def cost(k: int) -> int:
+        axes, profiles, _ = reductions[k]
+        n_rows, n_cols = sum(parts[axis] for axis in axes), profiles.shape[1]
+        if _takes_gram(axes, n_r, n_cols):
+            return n_r * (n_r + 1) // 2 * (n_rows + n_cols)
+        return n_rows * n_r * n_cols
+
+    def work(stream: list) -> float:
+        return (n_r * math.log2(spectrum.spec.n_samples) * rows(stream)
+                + sum(cost(k) for k in stream))
+
+    first, second = [], []
+    for k in sorted(whole, key=cost, reverse=True):
+        if max(work(first + [k]), work(second)) \
+                <= max(work(first), work(second + [k])):
+            first.append(k)
+        else:
+            second.append(k)
+    if not second or max(rows(first), rows(second)) >= rows(whole):
+        return [whole]
+    return [sorted(first), sorted(second)]
+
+
+def _run_streams(stream, streams: list) -> None:
+    """stream(indices) for each of streams: one on the caller's thread, or
+    two at once, the first on a single-thread executor and the second on
+    the caller's thread, with numpy's BLAS at one thread in each
+    (_one_blas_thread) from before the worker starts until it has ended.
+    The executor waits for the worker whether or not the caller's stream
+    raises; the caller's error is raised, else the worker's."""
+    if len(streams) == 1:
+        stream(streams[0])
+        return
+
+    def capped(indices: list) -> None:
+        with _one_blas_thread():
+            stream(indices)
+
+    with _one_blas_thread(), ThreadPoolExecutor(max_workers=1) as pool:
+        worker = pool.submit(capped, streams[0])
+        stream(streams[1])
+        worker.result()
 
 
 def _pass_chunk(spectrum: HalfSpectrum, reductions: list) -> int:
@@ -831,26 +942,31 @@ def _pass_chunk(spectrum: HalfSpectrum, reductions: list) -> int:
 
 def _slab_route_bytes(spectrum: HalfSpectrum, reductions: list,
                       norms: bool = False) -> int:
-    """The streamed pass's bytes: those of its _class_chunks, the largest
-    of one reduction's temporaries over a chunk (the Gram form's
+    """The streamed pass's bytes: those of each of its streams
+    (_pass_streams), which run at once: its _class_chunks, the largest of
+    one of its reductions' temporaries over a chunk (the Gram form's
     accumulator, pairs x chunk, and product, n_cols x its span, or a
-    block's column sums and reduced sums), the rows' filtered values, and
-    each reduction's float64 sums: n_samples of them, or, when norms are
-    summed, one chunk's."""
+    block's column sums and reduced sums) and its rows' filtered values;
+    and each reduction's float64 sums: n_samples of them, or, when norms
+    are summed, one chunk's."""
     spec, n_r = spectrum.spec, spectrum.radii.size
-    axes, rows, _ = _stream_rows(spectrum, reductions)
     chunk = _pass_chunk(spectrum, reductions)
-    temps = 0
-    for red_axes, profiles, _ in reductions:
-        n_cols = profiles.shape[1]
-        temps = max(temps, (
-            n_r * (n_r + 1) // 2 * chunk
-            + n_cols * _gram_span(chunk, n_r, n_cols)
-            if _takes_gram(red_axes, n_r, n_cols)
-            else 3 * n_cols * max(1, _BLOCK_VALUES // max(n_cols, 1))))
-    sums = len(reductions) * (chunk if norms else spec.n_samples)
-    return (_class_chunks_bytes(spectrum, len(rows), chunk, _piece(spec, axes))
-            + 8 * (temps + sums) + 16 * len(rows) * spectrum.active.size)
+    piece = _piece(spec, _pass_axes(reductions))
+    total = 8 * len(reductions) * (chunk if norms else spec.n_samples)
+    for stream in _pass_streams(spectrum, reductions):
+        chosen = [reductions[k] for k in stream]
+        temps = 0
+        for axes, profiles, _ in chosen:
+            n_cols = profiles.shape[1]
+            temps = max(temps, (
+                n_r * (n_r + 1) // 2 * chunk
+                + n_cols * _gram_span(chunk, n_r, n_cols)
+                if _takes_gram(axes, n_r, n_cols)
+                else 3 * n_cols * max(1, _BLOCK_VALUES // max(n_cols, 1))))
+        n_rows = len(_stream_rows(spectrum, chosen)[1])
+        total += (_class_chunks_bytes(spectrum, n_rows, chunk, piece)
+                  + 8 * temps + 16 * n_rows * spectrum.active.size)
+    return total
 
 
 def _class_chunks_bytes(spectrum: HalfSpectrum, n_rows: int, chunk: int,
@@ -859,17 +975,20 @@ def _class_chunks_bytes(spectrum: HalfSpectrum, n_rows: int, chunk: int,
     every class and row, with one row's full head in flight while they are
     built, the axis-1 passes of one axis-0 index when pieces are sub-slabs,
     the buffer (a piece of every row and class, and a carry of up to a
-    chunk), and one stacked tail in flight (a pass's input and output)."""
+    chunk), and one stacked tail in flight (a pass's input and output), of
+    a piece, or of whole slabs as long as the buffer."""
     spec = spectrum.spec
     n, n_samples = spec.points_per_axis, spec.n_samples
     transforms = [t for _, t in spectrum.class_transforms]
-    buffer = 8 * n_rows * len(transforms) * min(piece + chunk, n_samples)
+    width = min(piece + chunk, n_samples)
+    buffer = 8 * n_rows * len(transforms) * width
     group = _head_group(spectrum, n_rows, buffer)
     split = piece < n_samples // n
     return (n_rows * sum(t.head_bytes // n * group + split * t.pass_bytes
                          for t in transforms)
             + max((t.head_bytes for t in transforms), default=0) + buffer
-            + 2 * n_rows * _class_buffer_bytes(spec) * piece // n_samples)
+            + 2 * n_rows * _class_buffer_bytes(spec)
+            * (piece if split else width) // n_samples)
 
 
 def _column_sums(by_t: np.ndarray, groups) -> np.ndarray:
@@ -912,10 +1031,13 @@ def _class_chunks(spectrum: HalfSpectrum, rows: list, chunk: int,
     axis-0 pass runs once per row and group.  A group's heads overwrite the
     arrays of the group before: freed arrays of their size go back to the
     system, and the next group would fault their pages in again (about
-    12,000 page faults a pass at d = 6, N = 10).  Their tails then finish one
-    piece at a time (an axis-0 slab, or an axis-1 sub-slab after the axis-0
-    index's shared axis-1 pass, see _piece), every row of a class in one
-    call, into a buffer of a piece plus a chunk per row and class, and
+    12,000 page faults a pass at d = 6, N = 10).  Their tails then finish
+    every row of a class in one call, into a buffer of a piece plus a chunk
+    per row and class: where pieces are axis-0 slabs, all the slabs a chunk
+    needs of the group in one call, and where they are axis-1 sub-slabs
+    (_piece), one piece per call after the axis-0 index's shared axis-1
+    pass.  Each line is transformed as it would be alone, so the samples
+    do not depend on how many slabs a call takes.  And
     whatever of the last piece a chunk leaves over is carried to the
     buffer's front one line at a time: numpy moves a line forward within
     itself in place, where it would copy a strided block through a
@@ -935,8 +1057,8 @@ def _class_chunks(spectrum: HalfSpectrum, rows: list, chunk: int,
             for line in buf.reshape(-1, buf.shape[-1]):
                 line[:end - lo] = line[lo - start:end - start]
             start = lo
-        for p in range(end // piece, -(-hi // piece)):
-            at = p * piece - start
+        p, last = end // piece, -(-hi // piece)
+        while p < last:
             index, m = divmod(p, per_slab)
             if heads is None or index >= first + group:
                 passed = None
@@ -944,46 +1066,61 @@ def _class_chunks(spectrum: HalfSpectrum, rows: list, chunk: int,
                 kept = heads or [None] * len(transforms)
                 heads = [_group_heads(t, rows, c, first, group, h)
                          for (c, t), h in zip(transforms, kept)]
+            # whole slabs: every one the chunk needs of the heads' group
+            count = 1 if per_slab > 1 else min(last, first + group) - p
+            at, width = p * piece - start, count * piece
             if per_slab > 1 and m == 0:
                 passed = None
                 passed = [t.widened(head[:, index - first], 1)
                           for head, (_, t) in zip(heads, transforms)]
             for i, (_, t) in enumerate(transforms):
                 if per_slab == 1:
-                    t.tail(heads[i][:, index - first],
-                           out=buf[:, i, at:at + piece])
+                    t.tail(heads[i][:, index - first:index - first + count],
+                           out=buf[:, i, at:at + width])
                 else:
-                    t.tail(passed[i][:, m], out=buf[:, i, at:at + piece],
+                    t.tail(passed[i][:, m], out=buf[:, i, at:at + width],
                            start=2)
-            end = (p + 1) * piece
+            p += count
+            end = p * piece
         yield lo, buf[:, :, lo - start:hi - start]
 
 
 def _stream_route(spectrum: HalfSpectrum, reductions: list,
                   norms: bool = False) -> list:
     """The sums of _route for each reduction (axes, profiles, weights),
-    from one pass over one row list (_stream_rows): the
-    classes of every part of the identity and the axes the reductions take
-    come in chunks of whole blocks of _sample_blocks(n_samples, n_cols)
-    (_class_chunks, _pass_chunk), and each reduction reduces each chunk as
-    it is done (_chunk_reducer).  With norms, a reduction gives the total
-    of its sums clipped at 0 in place of the sums, the square of its
-    root's L2 norm over the cell volume: each chunk's sums are totalled,
-    and the chunks' totals are added once, at the end."""
+    from one streamed pass: the classes of every part of the identity and
+    the axes the reductions take come in chunks of whole blocks of
+    _sample_blocks(n_samples, n_cols) (_class_chunks, _pass_chunk), and each
+    reduction reduces each chunk as it is done (_chunk_reducer).  The pass
+    runs as one stream, or as two at once where that saves rows
+    (_pass_streams, _run_streams): each stream is a _class_chunks pass over
+    its own reductions' rows (_stream_rows) only, at the whole pass's chunk
+    and piece, so every chunk's sums are those of the one stream, bit for
+    bit.  With norms, a reduction gives the total of its sums clipped at 0
+    in place of the sums, the square of its root's L2 norm over the cell
+    volume: each chunk's sums are totalled, and the chunks' totals are
+    added once, at the end."""
     spec = spectrum.spec
-    axes, rows, groups = _stream_rows(spectrum, reductions)
     chunk = _pass_chunk(spectrum, reductions)
-    reducers = [_chunk_reducer(rows_of, profiles, weights, chunk)
-                for rows_of, (_, profiles, weights) in zip(groups, reductions)]
+    piece = _piece(spec, _pass_axes(reductions))
     outs = [np.empty(chunk if norms else spec.n_samples) for _ in reductions]
     totals = np.zeros((len(reductions), -(-spec.n_samples // chunk)))
-    for lo, u in _class_chunks(spectrum, rows, chunk, _piece(spec, axes)):
-        hi = lo + u.shape[-1]
-        for reduce, out, total in zip(reducers, outs, totals):
-            sums = out[:hi - lo] if norms else out[lo:hi]
-            reduce(u, sums)
-            if norms:
-                total[lo // chunk] = np.sum(np.maximum(sums, 0.0, out=sums))
+
+    def stream(chosen: list) -> None:
+        _, rows, groups = _stream_rows(spectrum,
+                                       [reductions[k] for k in chosen])
+        reducers = [_chunk_reducer(rows_of, *reductions[k][1:], chunk)
+                    for k, rows_of in zip(chosen, groups)]
+        for lo, u in _class_chunks(spectrum, rows, chunk, piece):
+            hi = lo + u.shape[-1]
+            for k, reduce in zip(chosen, reducers):
+                sums = outs[k][:hi - lo] if norms else outs[k][lo:hi]
+                reduce(u, sums)
+                if norms:
+                    totals[k, lo // chunk] = np.sum(
+                        np.maximum(sums, 0.0, out=sums))
+
+    _run_streams(stream, _pass_streams(spectrum, reductions))
     return [float(t) for t in totals.sum(axis=1)] if norms else outs
 
 

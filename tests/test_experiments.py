@@ -127,14 +127,19 @@ class TestNormRatioSweep:
     def test_streamed_trial_runs_one_pass_over_d_plus_1_rows(self,
                                                             monkeypatch):
         # at d = 6, N = 10 the trial draws its half spectrum with no field
-        # and no forward transform, and one _class_chunks pass over the
+        # and no forward transform, and one streamed pass over the
         # identity's row and each axis's gives all four maxima, with no
-        # maximal_over or vector_maximal call
+        # maximal_over or vector_maximal call.  On two cores the pass runs
+        # as two streams, r3's over the d axis rows and r1's, r2's and r4's
+        # over the identity's and axis 1's, which cover the pass's d + 1
+        # rows; their threads may start in either order.  On one core it is
+        # one _class_chunks pass over the d + 1 rows, with the same rows of
+        # the report, bit for bit.
         from rieszmax import experiments, fields
         passes = []
         chunks = operators._class_chunks
         monkeypatch.setattr(operators, "_class_chunks",
-                            lambda s, rows, *a: passes.append(len(rows))
+                            lambda s, rows, *a: passes.append(rows)
                             or chunks(s, rows, *a))
         called = [_count_calls(monkeypatch, owner, name)
                   for owner, name in [(operators, "half_spectrum"),
@@ -142,11 +147,21 @@ class TestNormRatioSweep:
                                       (experiments, "maximal_over"),
                                       (experiments, "vector_maximal"),
                                       (experiments, "l2_norm")]]
-        rep = norm_ratio_sweep([6], {6: 10}, default_truncation_grid(), 3.0,
-                               1, seed=42)
-        assert passes == [7]
+        spectrum = _trial_spectrum(GridSpec(6, 10), 3.0, 42, 0)
+        whole = [spectrum.filtered(axis)[0] for axis in [None, *range(1, 7)]]
+        rows, reports = {}, {}
+        for cores in (2, 1):
+            monkeypatch.setattr(operators, "_cores", lambda: cores)
+            passes.clear()
+            reports[cores] = norm_ratio_sweep(
+                [6], {6: 10}, default_truncation_grid(), 3.0, 1, seed=42).rows
+            rows[cores] = sorted(map(len, passes))
+            streamed = [row for stream in passes for row in stream]
+            assert all(any(np.array_equal(row, got) for got in streamed)
+                       for row in whole)
+        assert rows == {2: [2, 6], 1: [7]}
+        assert len(reports[2]) == 4 and reports[2] == reports[1]
         assert called == [[]] * 5
-        assert len(rep.rows) == 4
 
     def test_streamed_trial_builds_no_bundle(self, monkeypatch):
         # at d = 6, N = 10 a bundle would be built in ten groups of axis-0
@@ -229,11 +244,12 @@ def _sweep_reductions(spectrum, grid):
 
 def test_streamed_sweep_peak_holds_no_field_and_one_group_of_heads():
     # at d = 6, N = 10 the whole trial, its draw included, stays below the
-    # estimate of its one streamed pass, which has no term for a field or
-    # any output of the lattice's size and counts the heads of the 7 rows
-    # (the identity's and 6 axes') for 2 of the 10 axis-0 indices.  A field
-    # (7.6 MB), or an output kept for l2_norm (7.6 MB each), or all 10
-    # indices' heads goes over it.
+    # estimate of its streamed pass, which has no term for a field or any
+    # output of the lattice's size.  The pass runs as two streams at once,
+    # over the 6 axes' rows and over the identity's and axis 1's, and the
+    # estimate counts each stream's heads for 2 of the 10 axis-0 indices.
+    # A field (7.6 MB), or an output kept for l2_norm (7.6 MB each), or all
+    # 10 indices' heads goes over it.
     d, n, band, seed = 6, 10, 3.0, 42
     spec = GridSpec(d, n)
     grid = default_truncation_grid()
@@ -241,10 +257,16 @@ def test_streamed_sweep_peak_holds_no_field_and_one_group_of_heads():
     reductions = _sweep_reductions(spectrum, grid)
     axes, rows, _ = operators._stream_rows(spectrum, reductions)
     assert axes == [None, *range(1, d + 1)] and len(rows) == d + 1
-    buffer = 8 * len(rows) * spectrum.radii.size * (
-        operators._piece(spec, axes)
-        + operators._pass_chunk(spectrum, reductions))
-    assert operators._head_group(spectrum, len(rows), buffer) == 2
+    streams = operators._pass_streams(spectrum, reductions)
+    assert streams == [[0], [1, 2, 3]]
+    for stream, n_rows in zip(streams, [d, 2]):
+        _, rows, _ = operators._stream_rows(
+            spectrum, [reductions[k] for k in stream])
+        buffer = 8 * len(rows) * spectrum.radii.size * (
+            operators._piece(spec, axes)
+            + operators._pass_chunk(spectrum, reductions))
+        assert len(rows) == n_rows
+        assert operators._head_group(spectrum, len(rows), buffer) == 2
     need = operators._slab_route_bytes(spectrum, reductions, norms=True)
     del spectrum
     norm_ratio_sweep([d], {d: n}, grid, band, 1, seed)    # warm caches

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 import weakref
 from pathlib import Path
@@ -784,6 +785,10 @@ def _irfftn_reference(spec, bins, values):
     return sfft.irfftn(buffer, s=spec.shape, workers=1).reshape(-1)
 
 
+class _StreamError(Exception):
+    """Raised by a reduction in one stream of a two-stream pass."""
+
+
 # Headroom over an estimate for what is not a lattice array: the array
 # headers and scipy's bookkeeping of a call, about a kilobyte.
 _HEADERS = 4096
@@ -1232,15 +1237,24 @@ class TestStreamedRoute:
     def test_one_pass_matches_the_separate_reductions(self, d, n,
                                                       monkeypatch):
         # the default grid takes the Gram form for r3, the 10-value grid
-        # the per-column sums; the pass's chunk is the shortest of the four
+        # the per-column sums; the pass's chunk is the shortest of the four.
+        # It runs as two streams, r3's over the axes' rows and the others'
+        # over the identity's and axis 1's, in threads that may start in
+        # either order, and together they take every row of the pass.
         from test_experiments import _count_calls, _sweep_reductions
         spec = GridSpec(d, n)
         self._split(spec, monkeypatch)
         built = _count_calls(monkeypatch, operators, "radial_bundle")
-        passes = _count_calls(monkeypatch, operators, "_class_chunks")
+        passes = []
+        chunks = operators._class_chunks
+        monkeypatch.setattr(operators, "_class_chunks",
+                            lambda s, rows, *a: passes.append(rows)
+                            or chunks(s, rows, *a))
         branches = set()
         for kind, samples in _split_fields(spec, 71).items():
             spectrum = half_spectrum(SpatialField(spec, samples))
+            parts = {axis: len(spectrum.filtered(axis))
+                     for axis in [None, *range(1, d + 1)]}
             for grid in (default_truncation_grid(),
                          TruncationGrid(-3, 1, depth=1)):
                 reductions = _sweep_reductions(spectrum, grid)
@@ -1248,7 +1262,12 @@ class TestStreamedRoute:
                     reductions[0][0], spectrum.radii.size, grid.values().size))
                 passes.clear()
                 sums = operators._stream_route(spectrum, reductions)
-                assert len(passes) == 1
+                assert sorted(map(len, passes)) == sorted(
+                    [parts[None] + parts[1], sum(parts.values()) - parts[None]])
+                _, whole, _ = operators._stream_rows(spectrum, reductions)
+                streamed = [row for rows in passes for row in rows]
+                assert all(any(np.array_equal(row, got) for got in streamed)
+                           for row in whole)
                 for (axes, profiles, _), got in zip(reductions, sums):
                     want = operators._stream_route(
                         spectrum, [(axes, profiles, None)])[0]
@@ -1257,6 +1276,155 @@ class TestStreamedRoute:
                 assert np.array_equal(np.sqrt(np.maximum(sums[0], 0.0)),
                                       want), kind
         assert branches == {True, False} and built == []
+
+    @pytest.mark.parametrize("d, n", GRIDS)
+    def test_two_streams_are_bit_identical_to_one(self, d, n, monkeypatch):
+        # on two cores the sweep's reductions take two streams, on one
+        # core one; the sums and the norms are the same, bit for bit, with
+        # the Gram form (default grid) and the per-column sums (10 values)
+        from test_experiments import _sweep_reductions
+        spec = GridSpec(d, n)
+        self._split(spec, monkeypatch)
+        for kind, samples in _split_fields(spec, 73).items():
+            spectrum = half_spectrum(SpatialField(spec, samples))
+            for grid in (default_truncation_grid(),
+                         TruncationGrid(-3, 1, depth=1)):
+                reductions = _sweep_reductions(spectrum, grid)
+                got = {}
+                for cores in (2, 1):
+                    monkeypatch.setattr(operators, "_cores", lambda: cores)
+                    assert len(operators._pass_streams(
+                        spectrum, reductions)) == cores
+                    got[cores] = (
+                        operators._stream_route(spectrum, reductions),
+                        operators._norms(spectrum, reductions))
+                for two, one in zip(got[2][0], got[1][0]):
+                    assert np.array_equal(two, one), kind
+                assert got[2][1] == got[1][1], kind
+
+    def test_pass_streams(self, monkeypatch):
+        # two streams only where each takes fewer rows than the pass: the
+        # decomposition's reductions all take the identity's one row, and
+        # one reduction has nothing to share out; one core, or a BLAS
+        # without a thread cap, takes one stream
+        from test_experiments import _sweep_reductions
+        spec = GridSpec(6, 10)
+        spectrum = operators._band_spectrum(spec, 3.0, 42)
+        ts = default_truncation_grid().values()
+        sweep = _sweep_reductions(spectrum, default_truncation_grid())
+        m = operators.profile_matrix(6, spectrum.radii, ts, "factor_m")
+        ones = [([None], m[:, :k], None) for k in (5, 50, 150)]
+        assert operators._pass_streams(spectrum, sweep) == [[0], [1, 2, 3]]
+        assert operators._pass_streams(spectrum, ones) == [[0, 1, 2]]
+        assert operators._pass_streams(spectrum, sweep[:1]) == [[0]]
+        with monkeypatch.context() as patch:
+            patch.setattr(operators, "_cores", lambda: 1)
+            assert operators._pass_streams(spectrum, sweep) == [[0, 1, 2, 3]]
+        with monkeypatch.context() as patch:
+            patch.setattr(operators, "_blas_threads", lambda: None)
+            assert operators._pass_streams(spectrum, sweep) == [[0, 1, 2, 3]]
+
+    @pytest.mark.parametrize("where", ["worker", "caller"])
+    def test_an_error_in_either_stream_is_raised_after_both_end(
+            self, where, monkeypatch):
+        # a reduction that raises in one stream's thread: the other stream
+        # still runs to its end, the error is raised after it, no thread is
+        # left running and BLAS's thread count is restored; the same
+        # spectrum's next pass gives one stream's bits
+        from test_experiments import _sweep_reductions
+        spec = GridSpec(4, 8)
+        self._split(spec, monkeypatch)
+        spectrum = half_spectrum(random_band_limited(spec, 3.0, seed=74))
+        reductions = _sweep_reductions(spectrum, default_truncation_grid())
+        with monkeypatch.context() as patch:
+            patch.setattr(operators, "_cores", lambda: 1)
+            want = operators._norms(spectrum, reductions)
+        chunk = operators._pass_chunk(spectrum, reductions)
+        streams = operators._pass_streams(spectrum, reductions)
+        assert len(streams) == 2
+        caller = where == "caller"
+        fails, done = [], []
+        real = operators._chunk_reducer
+
+        def failing(*args):
+            reduce = real(*args)
+
+            def checked(u, sums):
+                main = threading.current_thread() is threading.main_thread()
+                if main == caller:
+                    fails.append(1)
+                    raise _StreamError(where)
+                reduce(u, sums)
+                done.append(1)
+            return checked
+
+        def blas_threads():
+            cap = operators._blas_threads()
+            count = cap(1)
+            cap(count)
+            return count
+
+        threads, blas = threading.active_count(), blas_threads()
+        monkeypatch.setattr(operators, "_chunk_reducer", failing)
+        with pytest.raises(_StreamError, match=where):
+            operators._norms(spectrum, reductions)
+        other = streams[0] if caller else streams[1]
+        assert len(fails) == 1
+        assert len(done) == len(other) * -(-spec.n_samples // chunk)
+        assert threading.active_count() == threads
+        assert blas_threads() == blas
+        monkeypatch.setattr(operators, "_chunk_reducer", real)
+        assert operators._norms(spectrum, reductions) == want
+
+    def test_two_streams_same_at_one_and_two_blas_threads(self):
+        # the sweep's (6, 10) pass, split in two streams and in one, at 1
+        # and 2 BLAS threads: the same norms, to the last bit
+        child = (
+            "from rieszmax import operators\n"
+            "from rieszmax.experiments import (_trial_spectrum,\n"
+            "                                  default_truncation_grid)\n"
+            "from rieszmax.fields import GridSpec\n"
+            "from test_experiments import _sweep_reductions\n"
+            "spectrum = _trial_spectrum(GridSpec(6, 10), 3.0, 42, 0)\n"
+            "sweep = _sweep_reductions(spectrum, default_truncation_grid())\n"
+            "assert len(operators._pass_streams(spectrum, sweep)) == 2\n"
+            "print(repr(operators._norms(spectrum, sweep)))\n"
+            "operators._cores = lambda: 1\n"
+            "print(repr(operators._norms(spectrum, sweep)))\n")
+        here = Path(__file__).resolve().parent
+        printed = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       OMP_NUM_THREADS=threads)
+            env["PYTHONPATH"] = os.pathsep.join(
+                [str(here.parent / "src"), str(here)]
+                + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+            printed.append(subprocess.run(
+                [sys.executable, "-c", child], env=env, check=True,
+                capture_output=True, text=True, timeout=300).stdout)
+        lines = printed[0].splitlines()
+        assert len(lines) == 2 and lines[0] == lines[1]
+        assert printed[0] == printed[1]
+
+    def test_one_symbol_tails_the_slabs_a_chunk_needs_in_one_call(
+            self, monkeypatch):
+        # at (4, 16) a one-symbol chunk spans up to 3 of the 16 axis-0
+        # slabs: each class takes one complex-to-real tail per chunk at
+        # most, not one per slab, with the reference classes' sums
+        from test_experiments import _count_calls
+        spec = GridSpec(4, 16)
+        spectrum = half_spectrum(random_band_limited(spec, 3.0, seed=42))
+        grid = TruncationGrid(-10, 7, depth=2)
+        profiles = operators.profile_matrix(4, spectrum.radii, grid.values(),
+                                            "poisson")
+        chunk = operators._pass_chunk(spectrum, [([None], profiles, None)])
+        n_r, n_chunks = spectrum.radii.size, -(-spec.n_samples // chunk)
+        assert spec.n_samples // 16 < chunk < 2 * spec.n_samples // 16
+        tails = _count_calls(monkeypatch, operators.sfft, "irfftn")
+        got = maximal_over(spectrum, "poisson", grid).samples.reshape(-1)
+        assert len(tails) <= n_r * n_chunks < n_r * 16
+        want = _bundle_sums(spectrum, [None], profiles, None)
+        assert np.array_equal(got, np.sqrt(want))
 
     def test_one_pass_on_the_column_route(self, monkeypatch):
         # white noise has 116 classes at (3, 16), more than max(64, 2 n_t):
@@ -1284,7 +1452,8 @@ class TestStreamedRoute:
         # (6, 10), the sweep's middle grid, streams unpatched: its slabs of
         # 10^5 samples exceed _BLOCK_VALUES, so the vector maximal's split
         # into sub-slabs; the sweep's four maxima share one pass over 7
-        # rows, which sums their norms and builds no output
+        # rows, run as two streams at once (tracemalloc sees both threads),
+        # which sums their norms and builds no output
         from test_experiments import _sweep_reductions
         spec = GridSpec(6, 10)
         spectrum = half_spectrum(random_band_limited(spec, 3.0, seed=42))
@@ -1296,6 +1465,7 @@ class TestStreamedRoute:
         riesz = operators.profile_matrix(6, spectrum.radii, ts,
                                          "truncated_riesz")
         sweep = _sweep_reductions(spectrum, grid)
+        assert len(operators._pass_streams(spectrum, sweep)) == 2
         for run, reductions, norms in [
                 (lambda: maximal_over(spectrum, "factor_m", grid),
                  [([None], riesz, None)], False),
