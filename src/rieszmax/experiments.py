@@ -24,8 +24,9 @@ import numpy as np
 
 from . import operators as op
 from .errors import DomainError, IntegrityError
-from .fields import (GridSpec, SpatialField, _inverse_in_place,
-                     forward_transform, l2_norm, random_band_limited)
+from .fields import (GridSpec, SpatialField, _band_field_bytes,
+                     _inverse_in_place, forward_transform, l2_norm,
+                     random_band_limited)
 from .multiplier import check_derivative, check_large_arg, check_small_arg
 from .operators import (MultiplierSymbol, TruncationGrid, apply_symbol,
                         kernel_convolve, kernel_transform, maximal_over,
@@ -117,22 +118,56 @@ def _capped_band(band: float, spec: GridSpec) -> float:
 
 
 def _run_trials(report: ExperimentReport, spec: GridSpec, band: float,
-                trials: int, trial_values, draw=_trial_field) -> None:
+                trials: int, trial_values, draw=_trial_field,
+                need=None) -> None:
     """Add the rows trial_values(draw) -> {quantity: value} gives for each
     trial, then sort the rows once.  draw() returns the trial's field, so
     the trial holds the only reference to it and can release it once it is
     transformed: an argument a lambda or partial passes on stays bound in
     the wrapper's frame until the call returns.  The sweep's draw
-    (_trial_spectrum) returns the field's half spectrum, with no field."""
+    (_trial_spectrum) returns the field's half spectrum, with no field.
+
+    The trials run two at a time, the even ones on the caller's thread and
+    the odd ones on a worker, one per core, where op._pairs allows it:
+    need() gives one trial's largest memory estimate (_trial_bytes), and
+    None keeps the trials one at a time.  A pass inside a paired trial
+    takes one stream.  Each trial's values are kept by its index and added
+    in trial order once both lists have ended, so the rows are the serial
+    ones, bit for bit, and an error in either list is raised after both."""
     if trials < 1:
         raise DomainError(f"trials must be at least 1, got {trials}")
-    for trial in range(trials):
-        values = trial_values(functools.partial(draw, spec, band,
-                                                report.seed, trial))
-        for quantity, value in values.items():
+    values = [None] * trials
+
+    def run(indices: list) -> None:
+        for trial in indices:
+            values[trial] = trial_values(functools.partial(
+                draw, spec, band, report.seed, trial))
+
+    op._run_streams(run, op._pairs(trials, need))
+    for trial, quantities in enumerate(values):
+        for quantity, value in quantities.items():
             report.add(spec.dimension, spec.points_per_axis, trial, quantity,
                        value)
     report.sort_rows()
+
+
+def _trial_bytes(spec: GridSpec, band: float, seed: int, passes: list,
+                 *others: int, field: bool = True) -> int:
+    """One trial's largest memory estimate: the largest of the estimates
+    its routes check first (op._route_bytes), one per pass (norms, [(axes,
+    columns), ...]), of its field's draw when field, and of others, at
+    trial 0's half spectrum (every trial has the band's bins and classes).
+    Only the profiles' shapes count, so none is evaluated."""
+    spectrum = _trial_spectrum(spec, band, seed, 0)
+    n_r = spectrum.radii.size
+    routes = [op._route_bytes(
+        spectrum, [(axes, np.broadcast_to(0.0, (n_r, columns)), None)
+                   for axes, columns in reductions], norms)
+        for norms, reductions in passes]
+    # the half spectrum holds one of each conjugate pair of the band's bins,
+    # the k_d = 0 and N/2 planes both
+    draw = _band_field_bytes(spec, 2 * spectrum.active.size) if field else 0
+    return max(*routes, draw, *others)
 
 
 # ---------------------------------------------------------------------------
@@ -145,7 +180,11 @@ def factorization_residual(d: int, n: int, t_list, band: float, trials: int,
 
     The kernel and the symbol do not depend on the field, so each t's
     kernel transform and symbol values are made once and shared by every
-    trial, and each trial transforms its field once for both routes.
+    trial, and each trial transforms its field once for both routes.  The
+    kernel transforms run two at a time where op._pairs allows it
+    (_kernel_transforms); the trials run one at a time, since each holds
+    five complex arrays of the lattice's size, and two at once raised the
+    CLI defaults' peak RSS by about 8 MB.
     """
     spec = GridSpec(d, n)
     band = _capped_band(band, spec)
@@ -155,11 +194,11 @@ def factorization_residual(d: int, n: int, t_list, band: float, trials: int,
          "trials": trials, "image_radius": image_radius})
     # each t's kernel transform and symbol, and a trial's field transform,
     # its coefficients, one product and the two routes' samples
-    op._require_memory(16 * (2 * len(t_list) + 5) * spec.n_samples,
-                       "the factorization's transforms")
+    need = 16 * (2 * len(t_list) + 5) * spec.n_samples
+    op._require_memory(need, "the factorization's transforms")
     symbols = [MultiplierSymbol.truncated_riesz(1, float(t)).values(spec)
                for t in t_list]
-    k_hats = [kernel_transform(spec, 1, float(t), image_radius) for t in t_list]
+    k_hats = _kernel_transforms(spec, t_list, image_radius, need)
 
     def trial_values(draw) -> dict:
         f = draw()
@@ -180,6 +219,21 @@ def factorization_residual(d: int, n: int, t_list, band: float, trials: int,
     return report
 
 
+def _kernel_transforms(spec: GridSpec, t_list, image_radius: int,
+                       need: int) -> list:
+    """kernel_transform(spec, 1, t, image_radius) for each t, two at a time
+    where op._pairs allows it, with need the factorization's estimate."""
+    k_hats = [None] * len(t_list)
+
+    def run(indices: list) -> None:
+        for i in indices:
+            k_hats[i] = kernel_transform(spec, 1, float(t_list[i]),
+                                         image_radius)
+
+    op._run_streams(run, op._pairs(len(t_list), lambda: need))
+    return k_hats
+
+
 def norm_ratio_sweep(dims, n_of_d: dict, grid: TruncationGrid, band: float,
                      trials: int, seed: int) -> ExperimentReport:
     """Norm ratios of the four maximal operators per dimension:
@@ -196,9 +250,21 @@ def norm_ratio_sweep(dims, n_of_d: dict, grid: TruncationGrid, band: float,
          "trials": trials})
     for d in dims:
         spec = GridSpec(d, n_of_d[d])
-        _run_trials(report, spec, _capped_band(band, spec), trials,
-                    lambda draw: _sweep_trial(draw, grid), _trial_spectrum)
+        capped = _capped_band(band, spec)
+        maxima = [(axes, grid.values().size) for _, axes in _sweep_maxima(d)]
+        passes = ([(True, maxima)] if op._streams(spec)
+                  else [(False, [maximum]) for maximum in maxima])
+        _run_trials(report, spec, capped, trials,
+                    lambda draw: _sweep_trial(draw, grid), _trial_spectrum,
+                    lambda: _trial_bytes(spec, capped, seed, passes,
+                                         field=False))
     return report
+
+
+def _sweep_maxima(d: int) -> list:
+    """The sweep's (family, axes) of r3, r1, r2 and r4."""
+    return [("truncated_riesz", list(range(1, d + 1))), ("factor_m", [None]),
+            ("truncated_riesz", [1]), ("conjugate_poisson", [1])]
 
 
 def _sweep_trial(draw, grid: TruncationGrid) -> dict:
@@ -217,10 +283,7 @@ def _sweep_trial(draw, grid: TruncationGrid) -> dict:
         ts = grid.values()
         r3, r1, r2, r4 = op._norms(spectrum, [
             (axes, op.profile_matrix(d, spectrum.radii, ts, family), None)
-            for family, axes in [("truncated_riesz", list(range(1, d + 1))),
-                                 ("factor_m", [None]),
-                                 ("truncated_riesz", [1]),
-                                 ("conjugate_poisson", [1])]])
+            for family, axes in _sweep_maxima(d)])
     else:
         r1, r2, r4 = (l2_norm(maximal_over(spectrum, family, grid, j=1))
                       for family in ("factor_m", "truncated_riesz",
@@ -252,9 +315,21 @@ def decomposition_diagnostics(d: int, n: int, grid: TruncationGrid, band: float,
         "decomposition", seed,
         {"d": d, "N": n, "grid": [grid.n_min, grid.n_max, grid.depth],
          "band": band, "trials": trials})
+    columns = [grid.values().size, *[grid.dyadic_values().size] * 2,
+               *(octave.size for octave in _octaves(grid))]
     _run_trials(report, spec, band, trials,
-                lambda draw: _decomposition_trial(draw, grid))
+                lambda draw: _decomposition_trial(draw, grid),
+                need=lambda: _trial_bytes(
+                    spec, band, seed,
+                    [(True, [([None], k) for k in columns])]))
     return report
+
+
+def _octaves(grid: TruncationGrid) -> list:
+    """The truncation values of each of the grid's octaves, or of the one
+    octave from n_min where n_min == n_max."""
+    return [grid.octave_values(grid.n_min + idx)
+            for idx in range(max(len(grid.dyadic_values()) - 1, 1))]
 
 
 def _decomposition_trial(draw, grid: TruncationGrid) -> dict:
@@ -268,8 +343,7 @@ def _decomposition_trial(draw, grid: TruncationGrid) -> dict:
 
     # m is evaluated once, on every truncation value the trial uses; r1's,
     # the dyadic and the octave profiles are columns of that one matrix
-    octaves = [grid.octave_values(grid.n_min + idx)
-               for idx in range(max(len(dyadic) - 1, 1))]
+    octaves = _octaves(grid)
     ts = np.unique(np.concatenate([grid.values(), *octaves]))
     prof_all = op.profile_matrix(d, radii, ts, "factor_m")
 
@@ -316,7 +390,10 @@ def poisson_suite(d: int, n: int, band: float, trials: int,
          "t_nodes": [float(_G_NODES[0]), float(_G_NODES[-1]), len(_G_NODES)],
          "n_range": [n_min, n_max]})
     _run_trials(report, spec, band, trials,
-                lambda draw: _poisson_trial(draw, grid, n_min, n_max))
+                lambda draw: _poisson_trial(draw, grid, n_min, n_max),
+                need=lambda: _trial_bytes(
+                    spec, band, seed, [(False, [([None], grid.values().size)])],
+                    op._projection_sum_bytes(spec)))
     return report
 
 

@@ -146,6 +146,12 @@ def l2_norm(f: SpatialField) -> float:
     return float(np.sqrt(np.sum(power) * f.spec.cell_volume))
 
 
+def _band_field_bytes(spec: GridSpec, n_bins: int) -> int:
+    """random_band_limited's complex lattice array and real copy, with
+    2 d + 6 values per bin of the band."""
+    return 8 * (3 * spec.n_samples + (2 * spec.dimension + 6) * n_bins)
+
+
 def random_band_limited(spec: GridSpec, band_radius: float,
                         seed: int) -> SpatialField:
     """Real (float64) mean-zero field with i.i.d. Gaussian coefficients on
@@ -154,9 +160,8 @@ def random_band_limited(spec: GridSpec, band_radius: float,
     complex lattice array, which is inverse transformed in place."""
     from .operators import _require_memory      # operators imports fields
     bins, coeff = _band_coefficients(spec, band_radius, seed)
-    # a complex lattice array and the real copy, with 2 d + 6 values per bin
-    _require_memory(8 * (3 * spec.n_samples + (2 * spec.dimension + 6)
-                         * bins.size), "the band-limited field")
+    _require_memory(_band_field_bytes(spec, bins.size),
+                    "the band-limited field")
     lattice = np.zeros(spec.shape, dtype=complex)
     lattice.ravel()[bins] = coeff
     lattice = _inverse_in_place(lattice, spec).real.copy()  # frees the complex

@@ -15,7 +15,12 @@ and m(0) = 1 by construction.  The finite head integral is taken by
 10-point Gauss panels of width pi (one panel per Bessel half-oscillation)
 plus one partial panel; per dimension the panel integrals are summed once
 into a cumulative table that grows lazily to the largest argument asked
-for, and is shared by every later evaluation.
+for, and is shared by every later evaluation.  Each panel sums its 10
+Gauss terms in a fixed elementwise order, and the table is summed in
+blocks of _CHUNK panels aligned at 0, each an offset plus the block's own
+running sum, so a value of m depends on its argument only: not on the
+other arguments of the call, nor on how far earlier calls grew the table.
+The table grows under a lock, so m may be evaluated from several threads.
 
 Three closed analytic bounds on m are exposed as checkers:
 |m(x) - 1| <= 20 x / sqrt(d) for x <= sqrt(d), |m(x)| <= 6e4 sqrt(d)/x for
@@ -25,6 +30,7 @@ x >= sqrt(d), and |x m'(x)| <= 1e4 everywhere.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,21 +71,45 @@ def _integrand(d: int, r):
     return r ** (-d / 2.0) * jv(d / 2.0, r)
 
 
-# per dimension, int_0^{k pi} of the integrand for k = 0, 1, ...
-_CUMULATIVE: dict[int, np.ndarray] = {}
+def _gauss(d: int, mid: np.ndarray, half: np.ndarray) -> np.ndarray:
+    """The 10-point Gauss rule over [mid - half, mid + half] elementwise,
+    its terms added in node order; node radii clamped away from 0, where
+    the integrand has a finite limit but r**(-nu) alone overflows."""
+    total = np.zeros(np.broadcast(mid, half).shape)
+    for node, weight in zip(_GL_NODES, _GL_WEIGHTS):
+        total += weight * _integrand(d, np.maximum(mid + half * node, 1e-8))
+    return half * total
+
+
+# per dimension, int_0^{k pi} of the integrand for k = 0, 1, ..., and the
+# running sum of the panels of its last block of _CHUNK panels
+_CUMULATIVE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+_GROWTH = threading.Lock()
 
 
 def _cumulative(d: int, panels: int) -> np.ndarray:
-    """The dimension's cumulative panel table, grown to >= panels + 1 entries."""
-    table = _CUMULATIVE.get(d, np.zeros(1))
-    while len(table) <= panels:
-        count = min(_CHUNK, panels + 1 - len(table))
-        edges = (len(table) - 1 + np.arange(count + 1)) * _PANEL
-        mid = 0.5 * (edges[:-1] + edges[1:])[:, None]
-        half = 0.5 * _PANEL
-        vals = half * (_integrand(d, mid + half * _GL_NODES[None, :]) @ _GL_WEIGHTS)
-        table = np.concatenate([table, table[-1] + np.cumsum(vals)])
-    _CUMULATIVE[d] = table
+    """The dimension's cumulative panel table, grown to >= panels + 1 entries.
+
+    Entry k of block b (panels b _CHUNK .. (b + 1) _CHUNK - 1) is the
+    table's entry at the block's start plus the block's running sum, which
+    a later growth continues term by term, so each entry is the same
+    however the table was grown."""
+    table = _CUMULATIVE.get(d, (np.zeros(1),))[0]
+    if len(table) > panels:
+        return table
+    with _GROWTH:
+        table, local = _CUMULATIVE.get(d, (np.zeros(1), np.zeros(0)))
+        while len(table) <= panels:
+            done = len(table) - 1
+            if local.size == _CHUNK:
+                local = local[:0]
+            count = min(_CHUNK - local.size, panels - done)
+            mid = (done + 0.5 + np.arange(count)) * _PANEL
+            new = np.cumsum(np.concatenate(
+                [local[-1:], _gauss(d, mid, 0.5 * _PANEL)]))[local[-1:].size:]
+            table = np.concatenate([table, table[done - local.size] + new])
+            local = np.concatenate([local, new])
+        _CUMULATIVE[d] = table, local
     return table
 
 
@@ -105,13 +135,9 @@ def m_values(d: int, xs) -> np.ndarray:
             f"quadrature panels")
     idx = (a / _PANEL).astype(np.int64)
     table = _cumulative(d, int(np.max(idx, initial=0)))
-    # partial panel [idx pi, a]; node radii clamped away from 0, where the
-    # integrand has a finite limit but r**(-nu) alone overflows
+    # partial panel [idx pi, a]
     lo = idx * _PANEL
-    mid = 0.5 * (lo + a)
-    half = 0.5 * (a - lo)
-    pts = np.maximum(mid[..., None] + half[..., None] * _GL_NODES, 1e-8)
-    partial = half * (_integrand(d, pts) @ _GL_WEIGHTS)
+    partial = _gauss(d, 0.5 * (lo + a), 0.5 * (a - lo))
     return 1.0 - math.exp(_log_prefactor(d)) * (table[idx] + partial)
 
 

@@ -20,7 +20,9 @@ decomposition, which no reduction builds.  It runs one pass over one row
 list (the identity's parts, then each axis's), or, on two cores where the
 reductions share out into two sets of fewer rows each, two streams at
 once, one per core, each over its own set's rows and at one BLAS thread,
-with the same chunks and so the same bits (_pass_streams).
+with the same chunks and so the same bits (_pass_streams).  A driver's
+seeded trials may run two at once the same way (_pairs, _run_streams),
+and then each pass of a trial takes one stream.
 At d = 1, past max(64, 2 n_columns) classes or past physical memory, each
 reduction takes one inverse FFT per column and symbol instead, whose
 estimate must fit or ResourceError is raised.  Several symbols with no
@@ -39,6 +41,7 @@ from __future__ import annotations
 import ctypes
 import math
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import InitVar, dataclass
@@ -513,11 +516,16 @@ class HalfSpectrum:
 def half_spectrum(f: SpatialField) -> HalfSpectrum:
     """Forward transform of f on the half spectrum, to share between the
     reductions of one field.  It keeps no reference to f's samples, so
-    a caller that drops f releases them."""
+    a caller that drops f releases them.  pocketfft takes every core, or
+    one in a thread that is one of two streams (_stream_thread), which
+    holds a core already; it shares a transform out by lines, so the
+    coefficients are the same."""
     samples = f.samples
-    imag = (sfft.rfftn(samples.imag, workers=-1)
+    workers = 1 if _in_stream() else -1
+    imag = (sfft.rfftn(samples.imag, workers=workers)
             if np.iscomplexobj(samples) and np.any(samples.imag) else None)
-    return HalfSpectrum(f.spec, sfft.rfftn(samples.real, workers=-1), imag)
+    return HalfSpectrum(f.spec, sfft.rfftn(samples.real, workers=workers),
+                        imag)
 
 
 def _band_spectrum(spec: GridSpec, band_radius: float,
@@ -748,9 +756,7 @@ def _route(spectrum: HalfSpectrum, reductions: list,
                                     mode="r").T
             weights = np.ones(profiles.shape[1])
         compressed.append((axes, profiles, weights))
-    n_r = spectrum.radii.size
-    n_cols = max(profiles.shape[1] for _, profiles, _ in compressed)
-    if (spectrum.spec.dimension > 1 and n_r <= max(64, 2 * n_cols)
+    if (_may_stream(spectrum, compressed)
             and _slab_route_bytes(spectrum, compressed, norms)
             <= _physical_memory()):
         return _stream_route(spectrum, compressed, norms)
@@ -762,6 +768,25 @@ def _route(spectrum: HalfSpectrum, reductions: list,
         out.append(float(np.sum(np.maximum(sums, 0.0, out=sums))) if norms
                    else sums)
     return out
+
+
+def _may_stream(spectrum: HalfSpectrum, reductions: list) -> bool:
+    """Whether _route streams reductions whose pass fits in memory: at
+    d > 1, with at most max(64, 2 n_columns) classes for the widest."""
+    n_cols = max(profiles.shape[1] for _, profiles, _ in reductions)
+    return (spectrum.spec.dimension > 1
+            and spectrum.radii.size <= max(64, 2 * n_cols))
+
+
+def _route_bytes(spectrum: HalfSpectrum, reductions: list,
+                 norms: bool = False) -> int:
+    """The estimate _route checks first for (compressed) reductions: the
+    streamed pass's where it may stream, else the column route's.  It
+    reads the profiles' shapes only."""
+    if _may_stream(spectrum, reductions):
+        return _slab_route_bytes(spectrum, reductions, norms)
+    return max(_column_route_bytes(spectrum, axes)
+               for axes, _, _ in reductions)
 
 
 def _column_route_bytes(spectrum: HalfSpectrum, axes: list) -> int:
@@ -854,22 +879,57 @@ def _blas_threads():
     return function
 
 
+# whether the thread runs one of two streams (_stream_thread)
+_STREAM = threading.local()
+
+
+def _in_stream() -> bool:
+    """Whether the calling thread runs one of two streams (_run_streams)."""
+    return getattr(_STREAM, "active", False)
+
+
+def _two_streams() -> bool:
+    """Whether work may run as two streams at once (_run_streams): the
+    process may run on two cores, numpy's BLAS can be held at one thread
+    (_blas_threads), and the calling thread is not one of two streams
+    already, so that threads never nest."""
+    return _cores() >= 2 and _blas_threads() is not None and not _in_stream()
+
+
 @contextmanager
-def _one_blas_thread():
-    """numpy's BLAS at one thread (_blas_threads) within the block."""
+def _stream_thread():
+    """Within the block, numpy's BLAS at one thread (_blas_threads) and the
+    calling thread marked as one of two streams (_in_stream)."""
     cap = _blas_threads()
     old = cap(1)
+    _STREAM.active = True
     try:
         yield
     finally:
+        _STREAM.active = False
         cap(old)
+
+
+def _pairs(n: int, need) -> list:
+    """Jobs 0..n-1 of a driver, as the lists of _run_streams: the odd ones
+    and the even ones, two at once, where there are at least two,
+    _two_streams allows it and twice need(), one job's largest memory
+    estimate in bytes, fits in physical memory; else all in one list.
+    need is called only then, and is None for jobs that run one at a time.
+    Decided once, before any job runs, so each job's own estimates and
+    routes are those it takes alone."""
+    jobs = list(range(n))
+    if (n < 2 or need is None or not _two_streams()
+            or 2 * need() > _physical_memory()):
+        return [jobs]
+    return [jobs[1::2], jobs[::2]]
 
 
 def _pass_streams(spectrum: HalfSpectrum, reductions: list) -> list:
     """The reductions of each stream of a streamed pass, as lists of
-    indices into reductions: two streams where the process may run on two
-    cores, numpy's BLAS can be held at one thread (_blas_threads) and each
-    stream takes fewer rows than the whole pass, else one.
+    indices into reductions: two streams where _two_streams allows it (not
+    inside one of two paired trials, whose passes take one stream each)
+    and each stream takes fewer rows than the whole pass, else one.
 
     The reductions are dealt out greedily, the costliest first, each to the
     stream where the larger of the two estimates of work comes out lower.
@@ -878,7 +938,7 @@ def _pass_streams(spectrum: HalfSpectrum, reductions: list) -> list:
     Gram form's pairs of classes times its rows and columns, or the block
     sums' rows times classes times columns."""
     whole = list(range(len(reductions)))
-    if len(reductions) < 2 or _cores() < 2 or _blas_threads() is None:
+    if len(reductions) < 2 or not _two_streams():
         return [whole]
     n_r = spectrum.radii.size
     parts = {axis: len(spectrum.filtered(axis))
@@ -914,19 +974,21 @@ def _pass_streams(spectrum: HalfSpectrum, reductions: list) -> list:
 def _run_streams(stream, streams: list) -> None:
     """stream(indices) for each of streams: one on the caller's thread, or
     two at once, the first on a single-thread executor and the second on
-    the caller's thread, with numpy's BLAS at one thread in each
-    (_one_blas_thread) from before the worker starts until it has ended.
-    The executor waits for the worker whether or not the caller's stream
-    raises; the caller's error is raised, else the worker's."""
+    the caller's thread, each a stream (_stream_thread), with numpy's BLAS
+    at one thread from before the worker starts until it has ended.  It
+    runs a pass's two streams (_pass_streams) and a driver's paired trials
+    or kernels (_pairs).  The executor waits for the worker whether or not
+    the caller's stream raises; the caller's error is raised, else the
+    worker's, so no thread is left and the BLAS count is restored."""
     if len(streams) == 1:
         stream(streams[0])
         return
 
     def capped(indices: list) -> None:
-        with _one_blas_thread():
+        with _stream_thread():
             stream(indices)
 
-    with _one_blas_thread(), ThreadPoolExecutor(max_workers=1) as pool:
+    with _stream_thread(), ThreadPoolExecutor(max_workers=1) as pool:
         worker = pool.submit(capped, streams[0])
         stream(streams[1])
         worker.result()
@@ -1273,6 +1335,11 @@ def square_function(f: SpatialField | HalfSpectrum,
     return _reduce(spectrum, [None], *_square_profiles(spectrum, t_nodes))
 
 
+def _projection_sum_bytes(spec: GridSpec) -> int:
+    """poisson_projection_sum's two complex lattice arrays."""
+    return 16 * 2 * spec.n_samples
+
+
 def poisson_projection_sum(f: SpatialField, n_min: int, n_max: int) -> SpatialField:
     """sum_{n=n_min}^{n_max} S_n f = (P_{2^(n_min-1)} - P_{2^n_max}) f,
     evaluated in its telescoped form (exact spectrally), in place, so at
@@ -1280,7 +1347,7 @@ def poisson_projection_sum(f: SpatialField, n_min: int, n_max: int) -> SpatialFi
     if n_min > n_max:
         raise DomainError(f"n_min {n_min} > n_max {n_max}")
     spec = f.spec
-    _require_memory(16 * 2 * spec.n_samples, "the projection sum")
+    _require_memory(_projection_sum_bytes(spec), "the projection sum")
     coeff = forward_transform(f).coefficients
     radius = spec.freq_radius()
     radius /= math.sqrt(spec.dimension)

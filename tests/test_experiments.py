@@ -2,14 +2,20 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+import threading
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from rieszmax.errors import DomainError, IntegrityError
 from rieszmax import multiplier, operators
-from rieszmax.experiments import (ExperimentReport, _trial_field,
+from rieszmax.experiments import (ExperimentReport, _kernel_transforms,
+                                  _run_trials, _sweep_maxima, _trial_field,
                                   _trial_spectrum,
                                   decomposition_diagnostics,
                                   default_truncation_grid,
@@ -229,12 +235,6 @@ def test_sweep_trial_peak_is_one_bundle_plus_the_slab_route():
     assert peak < bundle + slabs + 2 * class_bytes
 
 
-def _sweep_maxima(d):
-    """The sweep's (family, axes) of r3, r1, r2 and r4."""
-    return [("truncated_riesz", list(range(1, d + 1))), ("factor_m", [None]),
-            ("truncated_riesz", [1]), ("conjugate_poisson", [1])]
-
-
 def _sweep_reductions(spectrum, grid):
     """The sweep's r3, r1, r2 and r4 as reductions of one streamed pass."""
     d, ts = spectrum.spec.dimension, grid.values()
@@ -368,27 +368,49 @@ class TestPoissonSuite:
         assert built == columns == symbols == []
 
 
-@pytest.mark.parametrize("driver", [poisson_suite, decomposition_diagnostics],
-                         ids=["poisson", "decomposition"])
-def test_trial_state_is_released_before_the_next_trial(driver):
-    # a second trial may not raise the allocation peak by a whole bundle of
-    # the classes: the first trial's spectrum and sums must be gone before
-    # the second takes its own
+def _trial_peaks(driver, counts) -> tuple[dict, int]:
+    """The traced allocation peak of driver at (4, 16) per trial count, and
+    the bytes of one bundle of the classes."""
     d, n, band, seed = 4, 16, 3.0, 5
     args = (d, n, band) if driver is poisson_suite else \
         (d, n, SMALL_GRID, band)
     bundle = operators.radial_bundle(
         _trial_field(GridSpec(d, n), band, seed, 0)).components.nbytes
-    driver(*args, trials=1, seed=seed)      # warm the m table and caches
+    driver(*args, trials=max(counts), seed=seed)    # warm the m table
     peaks = {}
-    for trials in (1, 2):
+    for trials in counts:
         tracemalloc.start()
         try:
             driver(*args, trials=trials, seed=seed)
             peaks[trials] = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+    return peaks, bundle
+
+
+@pytest.mark.parametrize("driver", [poisson_suite, decomposition_diagnostics],
+                         ids=["poisson", "decomposition"])
+def test_trial_state_is_released_before_the_next_trial(driver, monkeypatch):
+    # a second trial may not raise the allocation peak by a whole bundle of
+    # the classes: the first trial's spectrum and sums must be gone before
+    # the second takes its own.  On one core the trials run one at a time.
+    monkeypatch.setattr(operators, "_cores", lambda: 1)
+    peaks, bundle = _trial_peaks(driver, (1, 2))
     assert peaks[2] - peaks[1] < bundle
+
+
+@pytest.mark.parametrize("driver", [poisson_suite, decomposition_diagnostics],
+                         ids=["poisson", "decomposition"])
+def test_paired_trial_state_is_released_before_the_next_pair(driver,
+                                                            monkeypatch):
+    # paired, two trials are in flight at once; a third and a fourth may
+    # not raise the peak by a whole bundle: each thread's trial must be gone
+    # before that thread takes its next one
+    monkeypatch.setattr(operators, "_cores", lambda: 2)
+    pairs = _paired(monkeypatch)
+    peaks, bundle = _trial_peaks(driver, (2, 4))
+    assert pairs[-1] == [[1, 3], [0, 2]]
+    assert peaks[4] - peaks[2] < bundle
 
 
 class TestNumericalInequality:
@@ -480,3 +502,200 @@ def test_default_truncation_grid_span():
     vals = grid.values()
     assert vals[0] == 2.0 ** -8 and vals[-1] == 2.0 ** 4 * (2.0 - 2.0 ** -4)
     assert len(vals) > 150
+
+
+def _paired(monkeypatch) -> list:
+    """Record every list of op._pairs that pairs its jobs."""
+    pairs = []
+    real = operators._pairs
+
+    def spy(n, need):
+        lists = real(n, need)
+        if len(lists) == 2:
+            pairs.append(lists)
+        return lists
+
+    monkeypatch.setattr(operators, "_pairs", spy)
+    return pairs
+
+
+_PAIRED_DRIVERS = {
+    "decomposition": lambda d, n, trials: decomposition_diagnostics(
+        d, n, SMALL_GRID, 3.0, trials, seed=42),
+    "poisson": lambda d, n, trials: poisson_suite(d, n, 3.0, trials,
+                                                  seed=42),
+    "sweep": lambda d, n, trials: norm_ratio_sweep([d], {d: n}, SMALL_GRID,
+                                                   3.0, trials, seed=42),
+}
+
+
+class TestPairedTrials:
+    @pytest.mark.parametrize("d, n", [(4, 8), (6, 10)])
+    @pytest.mark.parametrize("driver", sorted(_PAIRED_DRIVERS))
+    def test_paired_reports_equal_one_core(self, driver, d, n, monkeypatch):
+        # on two cores the trials run two at a time, the even ones on the
+        # caller's thread; the rows are those of one core, bit for bit
+        pairs = _paired(monkeypatch)
+        run = _PAIRED_DRIVERS[driver]
+        for trials in (2, 3):
+            reports = {}
+            for cores in (2, 1):
+                monkeypatch.setattr(operators, "_cores", lambda: cores)
+                pairs.clear()
+                reports[cores] = run(d, n, trials).rows
+                assert pairs == ([[list(range(1, trials, 2)),
+                                   list(range(0, trials, 2))]]
+                                 if cores == 2 else [])
+            assert {row["trial"] for row in reports[1]} == set(range(trials))
+            assert reports[2] == reports[1]
+
+    def test_factorization_pairs_its_kernels_not_its_trials(self,
+                                                            monkeypatch):
+        # the three kernel transforms run two at a time, with the bits of
+        # one at a time; the trials, each holding five lattice-size arrays,
+        # run one at a time
+        pairs = _paired(monkeypatch)
+        spec, t_list = GridSpec(4, 8), [0.1, 0.2, 0.3]
+        need = 16 * (2 * len(t_list) + 5) * spec.n_samples
+        k_hats, rows = {}, {}
+        for cores in (2, 1):
+            monkeypatch.setattr(operators, "_cores", lambda: cores)
+            pairs.clear()
+            k_hats[cores] = _kernel_transforms(spec, t_list, 1, need)
+            rows[cores] = factorization_residual(4, 8, t_list, 2.0, 3,
+                                                 seed=11).rows
+            assert pairs == ([[[1], [0, 2]]] * 2 if cores == 2 else [])
+        assert all(np.array_equal(a, b) for a, b in zip(k_hats[2], k_hats[1]))
+        assert rows[2] == rows[1]
+
+    def test_paired_sweep_trials_take_one_stream_each(self, monkeypatch):
+        # at (6, 10) a paired trial's pass is one stream over the d + 1
+        # rows; a lone trial's still splits in two, over 2 and 6 rows
+        passes = []
+        chunks = operators._class_chunks
+        monkeypatch.setattr(operators, "_class_chunks",
+                            lambda s, rows, *a: passes.append(len(rows))
+                            or chunks(s, rows, *a))
+        monkeypatch.setattr(operators, "_cores", lambda: 2)
+        got = {}
+        for trials in (1, 2):
+            passes.clear()
+            norm_ratio_sweep([6], {6: 10}, SMALL_GRID, 3.0, trials, seed=42)
+            got[trials] = sorted(passes)
+        assert got == {1: [2, 6], 2: [7, 7]}
+
+    @pytest.mark.parametrize("paired", [True, False])
+    def test_pairs_only_where_two_trials_fit_in_memory(self, paired,
+                                                       monkeypatch):
+        # pairing is decided once, before any trial runs: twice one trial's
+        # largest estimate must fit in physical memory; otherwise the trials
+        # run one at a time, and either way with the rows of one core
+        from rieszmax.experiments import _octaves, _trial_bytes
+        monkeypatch.setattr(operators, "_cores", lambda: 1)
+        want = decomposition_diagnostics(4, 16, SMALL_GRID, 3.0, 2,
+                                         seed=42).rows
+        spec = GridSpec(4, 16)
+        columns = [SMALL_GRID.values().size,
+                   *[SMALL_GRID.dyadic_values().size] * 2,
+                   *(octave.size for octave in _octaves(SMALL_GRID))]
+        need = _trial_bytes(spec, 3.0, 42,
+                            [(True, [([None], k) for k in columns])])
+        pairs = _paired(monkeypatch)
+        monkeypatch.setattr(operators, "_cores", lambda: 2)
+        monkeypatch.setattr(operators, "_physical_memory",
+                            lambda: 2 * need - (not paired))
+        got = decomposition_diagnostics(4, 16, SMALL_GRID, 3.0, 2,
+                                        seed=42).rows
+        assert pairs == ([[[1], [0]]] if paired else [])
+        assert got == want
+
+    def test_one_stream_estimate_is_within_the_two_streams(self,
+                                                           monkeypatch):
+        # a pass inside a paired trial takes one stream, and its estimate
+        # is no larger than the two streams' that decided the pairing, so
+        # the route a paired trial takes is the one it takes alone
+        from rieszmax.experiments import _capped_band
+        for d, n in [(2, 32), (3, 16), (4, 8), (5, 6), (6, 10), (8, 4)]:
+            spec = GridSpec(d, n)
+            spectrum = _trial_spectrum(spec, _capped_band(3.0, spec), 42, 0)
+            for grid in (default_truncation_grid(), SMALL_GRID):
+                reductions = _sweep_reductions(spectrum, grid)
+                got = {}
+                for cores in (2, 1):
+                    monkeypatch.setattr(operators, "_cores", lambda: cores)
+                    assert len(operators._pass_streams(
+                        spectrum, reductions)) == cores, (d, n)
+                    got[cores] = operators._route_bytes(spectrum, reductions,
+                                                        True)
+                assert got[1] <= got[2], (d, n)
+
+    @pytest.mark.parametrize("where, trial", [("caller", 0), ("worker", 1)])
+    def test_an_error_in_either_list_is_raised_after_both_end(
+            self, where, trial, monkeypatch):
+        # a trial that raises on one thread: the other list runs to its
+        # end, the error is raised after it, no thread is left running and
+        # BLAS's thread count is restored; the next driver call gives the
+        # rows of one core
+        monkeypatch.setattr(operators, "_cores", lambda: 1)
+        want = poisson_suite(4, 8, 2.0, 4, seed=3).rows
+        monkeypatch.setattr(operators, "_cores", lambda: 2)
+        spec, ran = GridSpec(4, 8), []
+
+        def values(draw):
+            index = draw.args[-1]
+            main = threading.current_thread() is threading.main_thread()
+            assert main == (index % 2 == 0)
+            if index == trial:
+                raise _TrialError(where)
+            ran.append(index)
+            return {"q": 1.0}
+
+        def blas_threads():
+            cap = operators._blas_threads()
+            count = cap(1)
+            cap(count)
+            return count
+
+        threads, blas = threading.active_count(), blas_threads()
+        with pytest.raises(_TrialError, match=where):
+            _run_trials(ExperimentReport("x", 3, {}), spec, 2.0, 4, values,
+                        need=lambda: 0)
+        assert sorted(ran) == ([1, 3] if where == "caller" else [0, 2])
+        assert threading.active_count() == threads
+        assert blas_threads() == blas
+        assert poisson_suite(4, 8, 2.0, 4, seed=3).rows == want
+
+    def test_paired_rows_same_at_one_and_two_blas_threads(self):
+        # paired and one at a time, at 1 and 2 BLAS threads: the same rows
+        child = (
+            "from rieszmax import operators\n"
+            "from rieszmax.experiments import (decomposition_diagnostics,\n"
+            "                                  norm_ratio_sweep,\n"
+            "                                  poisson_suite)\n"
+            "from rieszmax.operators import TruncationGrid\n"
+            "grid = TruncationGrid(-4, 2, depth=1)\n"
+            "for cores in (2, 1):\n"
+            "    operators._cores = lambda: cores\n"
+            "    print(repr([decomposition_diagnostics(4, 16, grid, 3.0, 3,\n"
+            "                                          42).rows,\n"
+            "                poisson_suite(4, 16, 3.0, 3, 42).rows,\n"
+            "                norm_ratio_sweep([6], {6: 10}, grid, 3.0, 2,\n"
+            "                                 42).rows]))\n")
+        here = Path(__file__).resolve().parent
+        printed = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       OMP_NUM_THREADS=threads)
+            env["PYTHONPATH"] = os.pathsep.join(
+                [str(here.parent / "src")]
+                + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+            printed.append(subprocess.run(
+                [sys.executable, "-c", child], env=env, check=True,
+                capture_output=True, text=True, timeout=300).stdout)
+        lines = printed[0].splitlines()
+        assert len(lines) == 2 and lines[0] == lines[1]
+        assert printed[0] == printed[1]
+
+
+class _TrialError(RuntimeError):
+    pass

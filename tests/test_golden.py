@@ -2,14 +2,16 @@
 42, must reproduce the committed CSVs, the committed exit codes and the
 committed printed summaries (tests/golden/stdout/) byte for byte.
 
-The subcommands run in one fresh interpreter, in a fixed order, because the
-values of m depend in their last bits on the calls made before them in the
-same process.  They run twice: with the environment as given and at one
-BLAS thread, since a reduction over many radius classes may round
-differently at another thread count.  To regenerate the files after an intended change of values,
-run the subcommands into an empty directory and copy its CSVs, its stdout/
-directory and exit_codes.json (not the JSON reports, which carry a
-timestamp) over tests/golden:
+The subcommands run in one fresh interpreter, in a fixed order.  A value
+of m does not depend on the calls made before it in the same process
+(tests/test_multiplier.py::TestHistoryFree), so another order gives the
+same files.  They run twice: with the environment as given and at one BLAS
+thread, since a reduction over many radius classes may round differently
+at another thread count; the trials that run two at a time hold BLAS at
+one thread and give the bits of one at a time.  To regenerate the files
+after an intended change of values, run the subcommands into an empty
+directory and copy its CSVs, its stdout/ directory and exit_codes.json
+(not the JSON reports, which carry a timestamp) over tests/golden:
 
     PYTHONPATH=src python tests/test_golden.py OUT_DIR
 """

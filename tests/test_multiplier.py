@@ -1,11 +1,13 @@
 """The radial multiplier m, its derivative, and bound checks."""
 
 import math
+import threading
 
 import mpmath
 import numpy as np
 import pytest
 
+from rieszmax import multiplier
 from rieszmax.errors import DomainError, ResourceError
 from rieszmax.multiplier import (check_derivative, check_large_arg,
                                  check_small_arg, m_eval, m_prime, m_values)
@@ -150,3 +152,58 @@ class TestBoundChecks:
                 if x >= sq:
                     assert check_large_arg(d, x).holds
                 assert check_derivative(d, x).holds
+
+
+@pytest.mark.parametrize("chunk", [64, multiplier._CHUNK],
+                         ids=["64-panel-blocks", "default-blocks"])
+class TestHistoryFree:
+    """m(x) depends on x only: not on the other arguments of the call, nor
+    on how far earlier calls grew the panel table, nor on which thread grew
+    it.  With blocks of 64 panels the table crosses a block every 10 units
+    of x."""
+
+    XS = np.concatenate([np.linspace(0.0, 3.0, 3901),
+                         np.linspace(3.0, 150.0, 977)])
+
+    @pytest.fixture(autouse=True)
+    def fresh_table(self, chunk, monkeypatch):
+        monkeypatch.setattr(multiplier, "_CUMULATIVE", {})
+        monkeypatch.setattr(multiplier, "_CHUNK", chunk)
+
+    def test_slices_equal_the_whole_call(self):
+        for d in (4, 8):
+            whole = m_values(d, self.XS)
+            sliced = np.concatenate([m_values(d, self.XS[lo:lo + 13])
+                                     for lo in range(0, self.XS.size, 13)])
+            assert np.array_equal(sliced, whole), d
+
+    def test_growth_order_does_not_move_a_value(self):
+        orders = [[], [0.7, 1.3, 2.2, 40.0, 90.0], [90.0, 0.7, 131.3],
+                  [float(x) for x in np.linspace(0.1, 150.0, 37)]]
+        got = []
+        for order in orders:
+            multiplier._CUMULATIVE.clear()
+            for x in order:
+                m_values(8, [x])
+            got.append(m_values(8, self.XS))
+        assert all(np.array_equal(values, got[0]) for values in got[1:])
+
+    def test_two_threads_growing_the_table_give_the_serial_values(self):
+        want = {d: m_values(d, self.XS) for d in (4, 8)}
+        for _ in range(3):
+            multiplier._CUMULATIVE.clear()
+            start, got = threading.Barrier(2), {}
+
+            def run(name, xs):
+                start.wait()
+                got[name] = [m_values(d, xs) for d in (4, 8)]
+
+            threads = [threading.Thread(target=run, args=args) for args in
+                       [("up", self.XS), ("down", self.XS[::-1])]]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+            for k, d in enumerate((4, 8)):
+                assert np.array_equal(got["up"][k], want[d])
+                assert np.array_equal(got["down"][k][::-1], want[d])

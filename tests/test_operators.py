@@ -1323,6 +1323,39 @@ class TestStreamedRoute:
         with monkeypatch.context() as patch:
             patch.setattr(operators, "_blas_threads", lambda: None)
             assert operators._pass_streams(spectrum, sweep) == [[0, 1, 2, 3]]
+        # a pass inside one of two paired trials: threads never nest
+        with operators._stream_thread():
+            assert operators._pass_streams(spectrum, sweep) == [[0, 1, 2, 3]]
+        assert operators._pass_streams(spectrum, sweep) == [[0], [1, 2, 3]]
+
+    def test_half_spectrum_takes_one_fft_thread_in_a_stream(self,
+                                                           monkeypatch):
+        # two streams at once each transform on one thread, not on every
+        # core; pocketfft shares a transform out by lines, so the
+        # coefficients are those of every core, bit for bit
+        spec = GridSpec(4, 16)
+        fields = list(_split_fields(spec, 75).values())
+        workers = []
+        real = sfft.rfftn
+        monkeypatch.setattr(sfft, "rfftn", lambda *a, **k: workers.append(
+            (threading.current_thread().name, k["workers"])) or real(*a, **k))
+        want = [half_spectrum(SpatialField(spec, f)) for f in fields]
+        assert {w for _, w in workers} == {-1}
+        workers.clear()
+        got = [None] * len(fields)
+
+        def stream(indices):
+            for i in indices:
+                got[i] = half_spectrum(SpatialField(spec, fields[i]))
+
+        assert len(fields) == 3
+        operators._run_streams(stream, [[1], [0, 2]])
+        assert len({name for name, _ in workers}) == 2
+        assert {w for _, w in workers} == {1}
+        for a, b in zip(got, want):
+            assert np.array_equal(a.real, b.real)
+            assert (a.imag is None and b.imag is None
+                    or np.array_equal(a.imag, b.imag))
 
     @pytest.mark.parametrize("where", ["worker", "caller"])
     def test_an_error_in_either_stream_is_raised_after_both_end(
