@@ -12,8 +12,9 @@ profile matrix P, of s_c = sum over angular symbols of |sum_i P[i, c] u_i|^2,
 where u_i is the field's class of equal integer |k|^2 under the symbol.
 A list of reductions takes one of two routes, picked once for the list
 before any transform (_route).  The streamed route finishes each class's
-inverse FFT the axis-0 slabs a chunk needs, or for several symbols one
-axis-1 sub-slab, at a time, and every reduction reduces each chunk of
+inverse FFT as many axis-0 slabs as a tail budget holds, and at least
+those a chunk needs, or for several symbols one axis-1 sub-slab, at a
+time (_tail_buffer), and every reduction reduces each chunk of
 samples in cache as it would alone; one symbol's sums are bit for bit
 RadialBundle.sums of the field's radial_bundle, the reference
 decomposition, which no reduction builds.  It runs one pass over one row
@@ -354,6 +355,15 @@ _REL_TOL = 1e-13
 # (n_t, block) temporary: 512 kB, which stays in a core's L2 cache.  The
 # Gram form's accumulator over a chunk of whole blocks holds as many.
 _BLOCK_VALUES = 1 << 16
+
+# The streamed route's tails of whole axis-0 slabs take as many slabs per
+# call as fill about this many float64 values over every row and class of
+# a stream (4 MiB), and at least one (_tail_buffer, _class_chunks).  At
+# this budget the benchmark's cli_defaults makes 1,132 FFT calls in place
+# of 5,836, for about 3 MB more peak RSS; with no budget, the sweep's (4,
+# 16) vector maximal and (8, 4) passes hold every slab of every class at
+# once, and its peak RSS read 102.5 MB.
+_TAIL_VALUES = 8 * _BLOCK_VALUES
 
 
 def _sample_blocks(n_samples: int, n_rows: int):
@@ -828,14 +838,36 @@ def _takes_gram(axes: list, n_r: int, n_cols: int) -> bool:
     return len(axes) > 1 and n_r * (n_r + 1) // 2 <= n_cols
 
 
-def _head_group(spectrum: HalfSpectrum, n_rows: int, buffer: int) -> int:
+def _head_group(spectrum: HalfSpectrum, n_rows: int, chunk: int,
+                piece: int) -> int:
     """Axis-0 indices per group of the streamed route's heads: as many as
-    keep one group's heads of n_rows rows and every class within the bytes
-    of the route's buffer, and at least one."""
-    n = spectrum.spec.points_per_axis
-    per_index = n_rows * sum(t.head_bytes
-                             for _, t in spectrum.class_transforms) // n
-    return max(1, min(n, buffer // max(per_index, 1)))
+    keep one group's heads of n_rows rows and every class within the head
+    budget, and at least one.  The head budget is the bytes of a piece plus
+    a chunk of float64 samples per row and class, not those of the tail
+    buffer (_tail_buffer), which may be larger: sized by the chunk and
+    piece alone, the heads hold as much, and the axis-0 pass reruns as
+    often, whatever the tails take per call."""
+    spec = spectrum.spec
+    n, transforms = spec.points_per_axis, spectrum.class_transforms
+    budget = 8 * n_rows * len(transforms) * min(piece + chunk, spec.n_samples)
+    per_index = n_rows * sum(t.head_bytes for _, t in transforms) // n
+    return max(1, min(n, budget // max(per_index, 1)))
+
+
+def _tail_buffer(spectrum: HalfSpectrum, n_rows: int, chunk: int,
+                 piece: int) -> tuple[int, int]:
+    """(slabs, width): the pieces a tail call of _class_chunks over n_rows
+    rows takes where its chunk needs no more, and its buffer's samples per
+    row and class.  Where pieces are whole axis-0 slabs, a tail takes as
+    many as keep every row and class within _TAIL_VALUES, and at least
+    one; where they are axis-1 sub-slabs, one.  The buffer holds that many
+    pieces plus a chunk, or the lattice."""
+    spec = spectrum.spec
+    slabs = 1
+    if piece == spec.n_samples // spec.points_per_axis:
+        slabs = max(1, _TAIL_VALUES
+                    // max(n_rows * spectrum.radii.size * piece, 1))
+    return slabs, min(slabs * piece + chunk, spec.n_samples)
 
 
 def _pass_axes(reductions: list) -> list:
@@ -1034,17 +1066,18 @@ def _slab_route_bytes(spectrum: HalfSpectrum, reductions: list,
 def _class_chunks_bytes(spectrum: HalfSpectrum, n_rows: int, chunk: int,
                         piece: int) -> int:
     """The bytes _class_chunks holds for n_rows rows: one group's heads of
-    every class and row, with one row's full head in flight while they are
-    built, the axis-1 passes of one axis-0 index when pieces are sub-slabs,
-    the buffer (a piece of every row and class, and a carry of up to a
-    chunk), and one stacked tail in flight (a pass's input and output), of
-    a piece, or of whole slabs as long as the buffer."""
+    every class and row (_head_group), with one row's full head in flight
+    while they are built, the axis-1 passes of one axis-0 index when pieces
+    are sub-slabs, the buffer (_tail_buffer: the pieces of one tail call,
+    up to _TAIL_VALUES of whole slabs, of every row and class, and a carry
+    of up to a chunk), and one stacked tail in flight (a pass's input and
+    output), of a piece, or of whole slabs as long as the buffer."""
     spec = spectrum.spec
     n, n_samples = spec.points_per_axis, spec.n_samples
     transforms = [t for _, t in spectrum.class_transforms]
-    width = min(piece + chunk, n_samples)
+    _, width = _tail_buffer(spectrum, n_rows, chunk, piece)
     buffer = 8 * n_rows * len(transforms) * width
-    group = _head_group(spectrum, n_rows, buffer)
+    group = _head_group(spectrum, n_rows, chunk, piece)
     split = piece < n_samples // n
     return (n_rows * sum(t.head_bytes // n * group + split * t.pass_bytes
                          for t in transforms)
@@ -1094,22 +1127,29 @@ def _class_chunks(spectrum: HalfSpectrum, rows: list, chunk: int,
     arrays of the group before: freed arrays of their size go back to the
     system, and the next group would fault their pages in again (about
     12,000 page faults a pass at d = 6, N = 10).  Their tails then finish
-    every row of a class in one call, into a buffer of a piece plus a chunk
-    per row and class: where pieces are axis-0 slabs, all the slabs a chunk
-    needs of the group in one call, and where they are axis-1 sub-slabs
-    (_piece), one piece per call after the axis-0 index's shared axis-1
-    pass.  Each line is transformed as it would be alone, so the samples
-    do not depend on how many slabs a call takes.  And
+    every row of a class in one call, into a buffer of the tail budget
+    plus a chunk per row and class (_tail_buffer): where pieces are axis-0
+    slabs, all the slabs a chunk needs of the group, and more of the group
+    up to the budget, in one call, which later chunks read until it is
+    used up; and where they are axis-1 sub-slabs (_piece), one piece per
+    call after the axis-0 index's shared axis-1 pass.  The tail budget is
+    there for two streams at once (_run_streams): a tail call is about ten
+    small NumPy and FFT calls, each of which lets the GIL go, and streams
+    that tailed one slab per chunk spent their time handing it over.  Two
+    (4, 16) decomposition passes' chunk phases ran in two threads at 0.6x
+    their serial speed, and the whole passes at 1.2x; at _TAIL_VALUES they
+    run at 1.1x and 1.4x.  Each line is transformed as it would be alone,
+    so the samples do not depend on how many slabs a call takes.  And
     whatever of the last piece a chunk leaves over is carried to the
     buffer's front one line at a time: numpy moves a line forward within
     itself in place, where it would copy a strided block through a
     temporary it cannot prove disjoint."""
     spec, transforms = spectrum.spec, spectrum.class_transforms
-    n_samples = spec.n_samples
-    per_slab = n_samples // spec.points_per_axis // piece
-    buf = np.empty((len(rows), len(transforms),
-                    min(piece + chunk, n_samples)))
-    group = _head_group(spectrum, len(rows), buf.nbytes)
+    n, n_samples = spec.points_per_axis, spec.n_samples
+    per_slab = n_samples // n // piece
+    slabs, held = _tail_buffer(spectrum, len(rows), chunk, piece)
+    buf = np.empty((len(rows), len(transforms), held))
+    group = _head_group(spectrum, len(rows), chunk, piece)
     heads = passed = None
     first = 0                           # heads hold first:first + group
     start = end = 0                     # buf[..., :end - start] is start:end
@@ -1128,8 +1168,10 @@ def _class_chunks(spectrum: HalfSpectrum, rows: list, chunk: int,
                 kept = heads or [None] * len(transforms)
                 heads = [_group_heads(t, rows, c, first, group, h)
                          for (c, t), h in zip(transforms, kept)]
-            # whole slabs: every one the chunk needs of the heads' group
-            count = 1 if per_slab > 1 else min(last, first + group) - p
+            # whole slabs: every one the chunk needs of the heads' group,
+            # and as many more of the group as the tail budget takes
+            count = (1 if per_slab > 1 else min(max(last, p + slabs),
+                                                first + group, n) - p)
             at, width = p * piece - start, count * piece
             if per_slab > 1 and m == 0:
                 passed = None

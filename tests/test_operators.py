@@ -1442,8 +1442,10 @@ class TestStreamedRoute:
     def test_one_symbol_tails_the_slabs_a_chunk_needs_in_one_call(
             self, monkeypatch):
         # at (4, 16) a one-symbol chunk spans up to 3 of the 16 axis-0
-        # slabs: each class takes one complex-to-real tail per chunk at
-        # most, not one per slab, with the reference classes' sums
+        # slabs, and the tail budget holds 14 slabs of the field's 9
+        # classes: each class takes one complex-to-real tail per 14 slabs,
+        # 2 in all, not one per chunk or per slab, with the reference
+        # classes' sums
         from test_experiments import _count_calls
         spec = GridSpec(4, 16)
         spectrum = half_spectrum(random_band_limited(spec, 3.0, seed=42))
@@ -1453,9 +1455,12 @@ class TestStreamedRoute:
         chunk = operators._pass_chunk(spectrum, [([None], profiles, None)])
         n_r, n_chunks = spectrum.radii.size, -(-spec.n_samples // chunk)
         assert spec.n_samples // 16 < chunk < 2 * spec.n_samples // 16
+        slabs, _ = operators._tail_buffer(spectrum, 1, chunk,
+                                          operators._piece(spec, [None]))
+        assert slabs == 14
         tails = _count_calls(monkeypatch, operators.sfft, "irfftn")
         got = maximal_over(spectrum, "poisson", grid).samples.reshape(-1)
-        assert len(tails) <= n_r * n_chunks < n_r * 16
+        assert len(tails) <= n_r * -(-16 // slabs) < n_r * n_chunks
         want = _bundle_sums(spectrum, [None], profiles, None)
         assert np.array_equal(got, np.sqrt(want))
 
@@ -1516,6 +1521,22 @@ class TestStreamedRoute:
             assert peak <= need + _HEADERS
             assert need < bundle
 
+    @staticmethod
+    def _chunks_peak(spectrum, rows, chunk, piece):
+        """The traced peak of one _class_chunks pass above what was held
+        before it, after a pass that warms caches and plans."""
+        chunks = lambda: operators._class_chunks(spectrum, rows, chunk, piece)
+        for _ in chunks():
+            pass
+        tracemalloc.start()
+        try:
+            held = tracemalloc.get_traced_memory()[0]
+            for _ in chunks():
+                pass
+            return tracemalloc.get_traced_memory()[1] - held
+        finally:
+            tracemalloc.stop()
+
     @pytest.mark.parametrize("d, n, split", [(4, 16, False), (5, 10, False),
                                              (6, 10, True)])
     def test_carry_stays_within_the_chunk_stream_estimate(self, d, n, split):
@@ -1529,21 +1550,37 @@ class TestStreamedRoute:
                 for part in spectrum.filtered(axis)]
         slab = spec.n_samples // n
         piece = slab // n if split else slab
-        chunks = lambda: operators._class_chunks(spectrum, rows, piece + 1,
-                                                 piece)
-        for _ in chunks():                   # warm up caches and plans
-            pass
-        tracemalloc.start()
-        try:
-            held = tracemalloc.get_traced_memory()[0]
-            for _ in chunks():
-                pass
-            peak = tracemalloc.get_traced_memory()[1] - held
-        finally:
-            tracemalloc.stop()
+        peak = self._chunks_peak(spectrum, rows, piece + 1, piece)
         need = operators._class_chunks_bytes(spectrum, len(rows), piece + 1,
                                              piece)
         assert peak <= need + _HEADERS
+
+    @pytest.mark.parametrize("d, n, axes", [(4, 16, "identity"),
+                                            (4, 16, "all"), (8, 4, "all")])
+    def test_tail_buffer_stays_within_the_chunk_stream_estimate(self, d, n,
+                                                                axes):
+        # whole slabs up to the tail budget per call: 14 of (4, 16)'s 16
+        # slabs for one row of 9 classes, 3 for the vector maximal's 4
+        # rows, and 1 for (8, 4)'s 8 rows of 3 classes; at a chunk of a
+        # slab plus one, which carries, and at the route's own
+        spec = GridSpec(d, n)
+        spectrum = half_spectrum(random_band_limited(spec, min(3.0, 0.49 * n),
+                                                     seed=42))
+        axes = [None] if axes == "identity" else list(range(1, d + 1))
+        rows = [part for axis in axes for part in spectrum.filtered(axis)]
+        piece = operators._piece(spec, axes)
+        profiles = operators.profile_matrix(
+            d, spectrum.radii, default_truncation_grid().values(),
+            "truncated_riesz")
+        route = operators._pass_chunk(spectrum, [(axes, profiles, None)])
+        assert piece == spec.n_samples // n
+        assert operators._tail_buffer(spectrum, len(rows), route, piece)[0] \
+            == {(4, 1): 14, (4, 4): 3, (8, 8): 1}[d, len(rows)]
+        for chunk in (piece + 1, route):
+            peak = self._chunks_peak(spectrum, rows, chunk, piece)
+            need = operators._class_chunks_bytes(spectrum, len(rows), chunk,
+                                                 piece)
+            assert peak <= need + _HEADERS, chunk
 
     def test_peak_is_within_its_estimate_and_below_a_bundle(self):
         self._peaks_are_within_their_estimates_and_below_a_bundle()
@@ -1557,6 +1594,111 @@ class TestStreamedRoute:
         monkeypatch.setattr(operators, "_slab_chunk",
                             lambda n, *a: min(n, 2 * chunk(n, *a)))
         self._peaks_are_within_their_estimates_and_below_a_bundle()
+
+
+class TestTailBudget:
+    """Where the streamed route's pieces are whole axis-0 slabs, each tail
+    call takes as many slabs as _TAIL_VALUES holds: the budget moves no
+    bit of any chunk, and the heads keep groups of their own size."""
+
+    GRIDS = [(2, 32), (3, 16), (4, 8), (4, 16)]
+
+    @staticmethod
+    def _chunks_at(budget, monkeypatch, spectrum, rows, chunk, piece):
+        # the pass reads the budget as it starts, at its first chunk
+        monkeypatch.setattr(operators, "_TAIL_VALUES", budget)
+        chunks = operators._class_chunks(spectrum, rows, chunk, piece)
+        return itertools.chain([next(chunks)], chunks)
+
+    @staticmethod
+    def _cases(spec, seed):
+        """Each field of _split_fields and the zero field, which has no
+        classes, as a spectrum; with the identity's and every axis's rows,
+        each with its piece, the truncated-Riesz profiles of the default
+        grid and the chunks: of one sample, of a piece plus one (which
+        carries) and the route's own."""
+        d = spec.dimension
+        fields = dict(_split_fields(spec, seed), zero=np.zeros(spec.shape))
+        for kind, samples in fields.items():
+            spectrum = half_spectrum(SpatialField(spec, samples))
+            profiles = operators.profile_matrix(
+                d, spectrum.radii, default_truncation_grid().values(),
+                "truncated_riesz")
+            for axes in ([None], list(range(1, d + 1))):
+                rows = [part for axis in axes
+                        for part in spectrum.filtered(axis)]
+                piece = operators._piece(spec, axes)
+                route = operators._pass_chunk(spectrum,
+                                              [(axes, profiles, None)])
+                yield (kind, spectrum, axes, profiles, rows, piece,
+                       (1, piece + 1, route))
+
+    @pytest.mark.parametrize("d, n", GRIDS)
+    def test_budget_moves_no_bit(self, d, n, monkeypatch):
+        # at a budget of one slab a tail takes the slabs a chunk needs, at
+        # the whole lattice's every slab of the heads' group
+        spec = GridSpec(d, n)
+        for kind, spectrum, axes, profiles, rows, piece, chunks in \
+                self._cases(spec, 91):
+            n_r = spectrum.radii.size
+            assert piece == spec.n_samples // n
+            lattice = len(rows) * max(n_r, 1) * spec.n_samples
+            for chunk in chunks:
+                one = self._chunks_at(0, monkeypatch, spectrum, rows, chunk,
+                                      piece)
+                assert operators._tail_buffer(spectrum, len(rows), chunk,
+                                              piece)[0] == 1
+                every = self._chunks_at(lattice, monkeypatch, spectrum, rows,
+                                        chunk, piece)
+                assert operators._tail_buffer(spectrum, len(rows), chunk,
+                                              piece)[0] >= n
+                count = 0
+                for (lo, u), (lo_every, u_every) in zip(one, every,
+                                                        strict=True):
+                    assert lo == lo_every == count * chunk
+                    assert np.array_equal(u, u_every), (kind, axes, chunk, lo)
+                    count += 1
+                assert count == -(-spec.n_samples // chunk)
+            for budget in (0, lattice):
+                monkeypatch.setattr(operators, "_TAIL_VALUES", budget)
+                if axes == [None]:
+                    got = operators._stream_route(
+                        spectrum, [(axes, profiles, None)])[0]
+                    want = _bundle_sums(spectrum, axes, profiles, None)
+                else:
+                    got = vector_maximal(spectrum,
+                                         default_truncation_grid()).samples
+                    want = _bundle_reduction(spectrum, axes, profiles)
+                    want = want.reshape(spec.shape)
+                assert np.array_equal(got, want), (kind, axes, budget)
+
+    @pytest.mark.parametrize("d, n", [(3, 16), (4, 8)])
+    def test_head_groups_do_not_follow_the_tail_budget(self, d, n,
+                                                       monkeypatch):
+        # the heads' groups are sized by a piece plus a chunk, whatever the
+        # tails take: at a chunk of one sample one row keeps heads for 13
+        # of (3, 16)'s 16 axis-0 indices and 4 of (4, 8)'s 8, and each
+        # class's heads are built as often at any budget
+        from test_experiments import _count_calls
+        spec = GridSpec(d, n)
+        n_r = None
+        for kind, spectrum, axes, _, rows, piece, chunks in \
+                self._cases(spec, 42):
+            if kind != "real" or axes != [None]:
+                continue
+            n_r = spectrum.radii.size
+            assert operators._head_group(spectrum, 1, 1, piece) \
+                == {3: 13, 4: 4}[d]
+            built = _count_calls(monkeypatch, operators, "_group_heads")
+            for chunk in chunks:
+                group = operators._head_group(spectrum, 1, chunk, piece)
+                for budget in (0, n_r * spec.n_samples):
+                    built.clear()
+                    for _ in self._chunks_at(budget, monkeypatch, spectrum,
+                                             rows, chunk, piece):
+                        pass
+                    assert len(built) == n_r * -(-n // group), (chunk, budget)
+        assert n_r
 
 
 class TestGramForm:
