@@ -16,20 +16,22 @@ import csv
 import functools
 import json
 import math
+import threading
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
 
+from . import multiplier
 from . import operators as op
 from .errors import DomainError, IntegrityError
 from .fields import (GridSpec, SpatialField, _band_field_bytes,
                      _inverse_in_place, forward_transform, l2_norm,
                      random_band_limited)
-from .multiplier import check_derivative, check_large_arg, check_small_arg
+from .multiplier import check_derivative
 from .operators import (MultiplierSymbol, TruncationGrid, apply_symbol,
-                        kernel_convolve, kernel_transform, maximal_over,
+                        kernel_convolve, maximal_over,
                         poisson_projection_sum, rotation_reconstruct,
                         sphere_moment, vector_maximal)
 from .specfun import bessel_envelope, bessel_j
@@ -180,11 +182,11 @@ def factorization_residual(d: int, n: int, t_list, band: float, trials: int,
 
     The kernel and the symbol do not depend on the field, so each t's
     kernel transform and symbol values are made once and shared by every
-    trial, and each trial transforms its field once for both routes.  The
-    kernel transforms run two at a time where op._pairs allows it
-    (_kernel_transforms); the trials run one at a time, since each holds
-    five complex arrays of the lattice's size, and two at once raised the
-    CLI defaults' peak RSS by about 8 MB.
+    trial, the kernels from one walk over the image cells
+    (_kernel_transforms), and each trial transforms its field once for
+    both routes.  The trials run one at a time, since each holds five
+    complex arrays of the lattice's size, and two at once raised the CLI
+    defaults' peak RSS by about 8 MB.
     """
     spec = GridSpec(d, n)
     band = _capped_band(band, spec)
@@ -193,12 +195,14 @@ def factorization_residual(d: int, n: int, t_list, band: float, trials: int,
         {"d": d, "N": n, "t_list": list(map(float, t_list)), "band": band,
          "trials": trials, "image_radius": image_radius})
     # each t's kernel transform and symbol, and a trial's field transform,
-    # its coefficients, one product and the two routes' samples
+    # its coefficients, one product and the two routes' samples; the
+    # kernels' walk, one float lattice per t and about four more, and
+    # their transforms fit within the first two
     need = 16 * (2 * len(t_list) + 5) * spec.n_samples
     op._require_memory(need, "the factorization's transforms")
     symbols = [MultiplierSymbol.truncated_riesz(1, float(t)).values(spec)
                for t in t_list]
-    k_hats = _kernel_transforms(spec, t_list, image_radius, need)
+    k_hats = _kernel_transforms(spec, t_list, image_radius)
 
     def trial_values(draw) -> dict:
         f = draw()
@@ -219,19 +223,15 @@ def factorization_residual(d: int, n: int, t_list, band: float, trials: int,
     return report
 
 
-def _kernel_transforms(spec: GridSpec, t_list, image_radius: int,
-                       need: int) -> list:
-    """kernel_transform(spec, 1, t, image_radius) for each t, two at a time
-    where op._pairs allows it, with need the factorization's estimate."""
-    k_hats = [None] * len(t_list)
-
-    def run(indices: list) -> None:
-        for i in indices:
-            k_hats[i] = kernel_transform(spec, 1, float(t_list[i]),
-                                         image_radius)
-
-    op._run_streams(run, op._pairs(len(t_list), lambda: need))
-    return k_hats
+def _kernel_transforms(spec: GridSpec, t_list, image_radius: int) -> list:
+    """kernel_transform(spec, 1, t, image_radius) for each t, bit for bit,
+    from one walk over the image cells for every t (op._kernel_samples),
+    each sample released once transformed.  A t outside (0, L/2) raises
+    DomainError before the walk."""
+    ts = [float(t) for t in t_list]
+    op._check_kernel(spec, ts, image_radius)
+    samples = op._kernel_samples(spec, 1, ts, image_radius)
+    return [np.fft.fftn(samples.pop(0)) for _ in ts]
 
 
 def norm_ratio_sweep(dims, n_of_d: dict, grid: TruncationGrid, band: float,
@@ -307,7 +307,9 @@ def decomposition_diagnostics(d: int, n: int, grid: TruncationGrid, band: float,
     The norms of r1's, a's and c's sups and of each octave's come from one
     streamed pass, b^2 being the sum of the octaves' squared norms, and
     sum_dyadic_poisson_gap_sq, sum_n ||M^(2^n) f - P_(2^n) f||^2 / ||f||^2,
-    from the class energies.
+    from the class energies.  The band fixes every trial's radius classes,
+    so the trials share one build of their profile matrices
+    (_profile_memo), and m is evaluated once per call.
     """
     spec = GridSpec(d, n)
     band = _capped_band(band, spec)
@@ -317,8 +319,9 @@ def decomposition_diagnostics(d: int, n: int, grid: TruncationGrid, band: float,
          "band": band, "trials": trials})
     columns = [grid.values().size, *[grid.dyadic_values().size] * 2,
                *(octave.size for octave in _octaves(grid))]
+    profiles = _profile_memo()
     _run_trials(report, spec, band, trials,
-                lambda draw: _decomposition_trial(draw, grid),
+                lambda draw: _decomposition_trial(draw, grid, profiles),
                 need=lambda: _trial_bytes(
                     spec, band, seed,
                     [(True, [([None], k) for k in columns])]))
@@ -332,7 +335,27 @@ def _octaves(grid: TruncationGrid) -> list:
             for idx in range(max(len(grid.dyadic_values()) - 1, 1))]
 
 
-def _decomposition_trial(draw, grid: TruncationGrid) -> dict:
+def _profile_memo():
+    """op.profile_matrix for one driver call, each distinct matrix built
+    once, keyed by its arguments' bytes: trials of equal radii, paired ones
+    too, share one build, and a trial whose radii differ builds its own.
+    The build holds a lock, so the second of two paired trials waits for
+    the first's.  No matrix outlives the call."""
+    built, lock = {}, threading.Lock()
+
+    def profiles(d: int, radii: np.ndarray, ts: np.ndarray,
+                 family: str) -> np.ndarray:
+        key = (d, radii.tobytes(), ts.tobytes(), family)
+        with lock:
+            if key not in built:
+                built[key] = op.profile_matrix(d, radii, ts, family)
+            return built[key]
+
+    return profiles
+
+
+def _decomposition_trial(draw, grid: TruncationGrid,
+                         profiles=op.profile_matrix) -> dict:
     f = draw()
     d = f.spec.dimension
     dyadic = grid.dyadic_values()
@@ -342,16 +365,17 @@ def _decomposition_trial(draw, grid: TruncationGrid) -> dict:
     radii = spectrum.radii
 
     # m is evaluated once, on every truncation value the trial uses; r1's,
-    # the dyadic and the octave profiles are columns of that one matrix
+    # the dyadic and the octave profiles are columns of that one matrix,
+    # which profiles may share with other trials, so it is only read
     octaves = _octaves(grid)
     ts = np.unique(np.concatenate([grid.values(), *octaves]))
-    prof_all = op.profile_matrix(d, radii, ts, "factor_m")
+    prof_all = profiles(d, radii, ts, "factor_m")
 
     def profile(values: np.ndarray) -> np.ndarray:
         return prof_all[:, np.searchsorted(ts, values)]
 
     prof_dyadic = profile(dyadic)
-    gap = prof_dyadic - op.profile_matrix(d, radii, dyadic, "poisson")
+    gap = prof_dyadic - profiles(d, radii, dyadic, "poisson")
     sups = [profile(grid.values()), prof_dyadic, gap] + [
         profile(octave) - prof_dyadic[:, idx:idx + 1]
         for idx, octave in enumerate(octaves)]
@@ -493,20 +517,27 @@ def rotation_check(d: int, n: int, t: float, n_angles: int, band: float,
 
 
 def multiplier_bound_suite(d_list, x_grid) -> ExperimentReport:
-    """Margins of the three quantitative multiplier bounds over a grid."""
+    """Margins of the three quantitative multiplier bounds over a grid.
+
+    m is evaluated once per dimension, at every x of the grid but NaN,
+    which takes no check.  A value of m depends on its argument only, so
+    each margin is check_small_arg's, check_large_arg's or
+    check_derivative's at its x, bit for bit, and a negative x raises
+    DomainError."""
     report = ExperimentReport(
         "multiplier_bounds", 0,
         {"d_list": list(d_list),
          "x_grid": [float(x_grid[0]), float(x_grid[-1]), len(x_grid)]})
+    xs = [float(x) for x in x_grid if not math.isnan(x)]
     for d in d_list:
         sq = math.sqrt(d)
-        for x in x_grid:
-            x = float(x)
+        m = dict(zip(xs, multiplier.m_values(d, xs).tolist()))
+        for x in xs:
             if x <= sq:
-                chk = check_small_arg(d, x)
+                chk = multiplier._small_arg(d, x, m[x])
                 report.add(d, 0, 0, f"small_margin_x={x:.6g}", chk.margin)
             if x >= sq:
-                chk = check_large_arg(d, x)
+                chk = multiplier._large_arg(d, x, m[x])
                 report.add(d, 0, 0, f"large_margin_x={x:.6g}", chk.margin)
             if x > 0:
                 chk = check_derivative(d, x)

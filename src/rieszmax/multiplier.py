@@ -168,8 +168,12 @@ def check_small_arg(d: int, x: float) -> BoundCheck:
     _require_dimension(d)
     if not 0.0 <= x <= math.sqrt(d):
         raise DomainError(f"check_small_arg requires 0 <= x <= sqrt(d), got {x}")
-    value = m_eval(d, x).value - 1.0
-    return BoundCheck.compare(x, value, 20.0 * x / math.sqrt(d))
+    return _small_arg(d, x, m_eval(d, x).value)
+
+
+def _small_arg(d: int, x: float, m: float) -> BoundCheck:
+    """check_small_arg's comparison, given m = m(x)."""
+    return BoundCheck.compare(x, m - 1.0, 20.0 * x / math.sqrt(d))
 
 
 def check_large_arg(d: int, x: float) -> BoundCheck:
@@ -177,8 +181,12 @@ def check_large_arg(d: int, x: float) -> BoundCheck:
     _require_dimension(d)
     if x < math.sqrt(d):
         raise DomainError(f"check_large_arg requires x >= sqrt(d), got {x}")
-    value = m_eval(d, x).value
-    return BoundCheck.compare(x, value, 6.0e4 * math.sqrt(d) / x)
+    return _large_arg(d, x, m_eval(d, x).value)
+
+
+def _large_arg(d: int, x: float, m: float) -> BoundCheck:
+    """check_large_arg's comparison, given m = m(x)."""
+    return BoundCheck.compare(x, m, 6.0e4 * math.sqrt(d) / x)
 
 
 def check_derivative(d: int, x: float) -> BoundCheck:

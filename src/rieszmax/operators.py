@@ -286,47 +286,72 @@ class Kernel:
         return _riesz_constant(self.dimension)
 
     def sample(self, spec: GridSpec) -> np.ndarray:
-        """Kernel values at the lattice offsets (FFT order), image sum."""
+        """Kernel values at the lattice offsets (FFT order), image sum: one
+        truncation's walk (_kernel_samples)."""
         if spec.dimension != self.dimension:
             raise DomainError("kernel dimension does not match the grid")
-        d, length = spec.dimension, spec.period
-        c_d = self.normalization()
-        # offsets in (-L/2, L/2], FFT order
-        base = np.fft.fftfreq(spec.points_per_axis) * length
-        total = np.zeros(spec.shape)
-        vals = np.empty(spec.shape)
-        shifts = np.arange(-self.image_radius, self.image_radius + 1) * length
-        for image in np.stack(np.meshgrid(*([shifts] * d), indexing="ij"),
-                              axis=-1).reshape(-1, d):
-            # per-axis offsets of this image cell, broadcast against each other
-            coords = np.meshgrid(*(base + s for s in image), indexing="ij",
-                                 sparse=True)
-            r = np.sqrt(sum(c ** 2 for c in coords))
-            vals.fill(0.0)
-            np.divide(coords[self.axis - 1], r ** (d + 1), out=vals,
-                      where=r > self.truncation)
-            total += vals
-        # The periodized kernel is exactly odd; the finite image sum breaks
-        # that on the -L/2 edge planes (their +L/2 counterparts fall outside
-        # the image range).  Antisymmetrizing restores oddness exactly.
+        return _kernel_samples(spec, self.axis, [self.truncation],
+                               self.image_radius)[0]
+
+
+def _kernel_samples(spec: GridSpec, axis: int, truncations,
+                    image_radius: int) -> list:
+    """Kernel(d, axis, t, image_radius).sample(spec) for each t of
+    truncations, from one walk over the image cells.  Each image's r,
+    r^(d+1) and x_axis / r^(d+1) are computed once, where r exceeds the
+    least t, and each t adds them where r > t, image by image; a skipped
+    sum would have added +0.0 to a sum that is never -0.0, so each sample
+    is the one-truncation walk's, bit for bit.  It holds one float lattice
+    per t, plus r, r^(d+1), the quotients and their masks."""
+    d, length = spec.dimension, spec.period
+    # offsets in (-L/2, L/2], FFT order
+    base = np.fft.fftfreq(spec.points_per_axis) * length
+    totals = [np.zeros(spec.shape) for _ in truncations]
+    vals = np.empty(spec.shape)
+    least = min(truncations)
+    shifts = np.arange(-image_radius, image_radius + 1) * length
+    for image in np.stack(np.meshgrid(*([shifts] * d), indexing="ij"),
+                          axis=-1).reshape(-1, d):
+        # per-axis offsets of this image cell, broadcast against each other
+        coords = np.meshgrid(*(base + s for s in image), indexing="ij",
+                             sparse=True)
+        r = np.sqrt(sum(c ** 2 for c in coords))
+        np.divide(coords[axis - 1], r ** (d + 1), out=vals, where=r > least)
+        for t, total in zip(truncations, totals):
+            np.add(total, vals, out=total, where=r > t)
+    # The periodized kernel is exactly odd; the finite image sum breaks
+    # that on the -L/2 edge planes (their +L/2 counterparts fall outside
+    # the image range).  Antisymmetrizing restores oddness exactly.
+    c_d = _riesz_constant(d)
+    for k, total in enumerate(totals):
         reflected = total
-        for axis in range(d):
-            reflected = np.roll(np.flip(reflected, axis=axis), 1, axis=axis)
-        return c_d * 0.5 * (total - reflected)
+        for a in range(d):
+            reflected = np.roll(np.flip(reflected, axis=a), 1, axis=a)
+        totals[k] = c_d * 0.5 * (total - reflected)
+    return totals
+
+
+def _check_kernel(spec: GridSpec, truncations, image_radius: int) -> None:
+    """DomainError unless every t of truncations lies in (0, L/2) and
+    image_radius >= 0, the kernel transform's domain."""
+    for t in truncations:
+        if not 0 < t < spec.period / 2:
+            raise DomainError(
+                f"truncation t must satisfy 0 < t < L/2 = {spec.period / 2}, "
+                f"got {t}")
+    if image_radius < 0:
+        raise DomainError("image_radius must be >= 0")
 
 
 def kernel_transform(spec: GridSpec, j: int, t: float,
                      image_radius: int = 1) -> np.ndarray:
     """Unnormalized DFT of the sampled periodized axis-j kernel truncated
-    at t.  It does not depend on the field, so one transform serves every
-    field on the grid (see kernel_convolve)."""
-    if not 0 < t < spec.period / 2:
-        raise DomainError(
-            f"truncation t must satisfy 0 < t < L/2 = {spec.period / 2}, got {t}")
+    at t, one truncation's walk (_kernel_samples).  It does not depend on
+    the field, so one transform serves every field on the grid (see
+    kernel_convolve)."""
+    _check_kernel(spec, [t], image_radius)
     _require_memory(16 * 4 * spec.n_samples, "the kernel transform")
-    kernel = Kernel(dimension=spec.dimension, axis=j, truncation=t,
-                    image_radius=image_radius)
-    return np.fft.fftn(kernel.sample(spec))
+    return np.fft.fftn(_kernel_samples(spec, j, [t], image_radius)[0])
 
 
 def kernel_convolve(f: SpatialField, k_hat: np.ndarray,
@@ -1009,8 +1034,8 @@ def _run_streams(stream, streams: list) -> None:
     the caller's thread, each a stream (_stream_thread), with numpy's BLAS
     at one thread from before the worker starts until it has ended.  It
     runs a pass's two streams (_pass_streams) and a driver's paired trials
-    or kernels (_pairs).  The executor waits for the worker whether or not
-    the caller's stream raises; the caller's error is raised, else the
+    (_pairs).  The executor waits for the worker whether or not the
+    caller's stream raises; the caller's error is raised, else the
     worker's, so no thread is left and the BLAS count is restored."""
     if len(streams) == 1:
         stream(streams[0])

@@ -64,6 +64,17 @@ def test_bad_x_grid_is_usage_error(tmp_path):
                  "--output", str(tmp_path)]) == EXIT_USAGE
 
 
+@pytest.mark.parametrize("argv, code", [
+    (["verify-multiplier", "--x-grid", "lin:-1:1:5"], EXIT_USAGE),
+    (["verify-multiplier", "--x-grid", "log:1e-3:1e9:5"], EXIT_RESOURCE),
+    # a NaN x takes no check, as when each x was checked on its own
+    (["verify-multiplier", "--x-grid", "lin:nan:1:5"], EXIT_PASS),
+    (["factorization", "--grid-n", "8", "--t-list", "0.1,0.5"], EXIT_USAGE),
+    (["factorization", "--grid-n", "8", "--t-list", "0"], EXIT_USAGE)])
+def test_x_and_t_outside_their_domains(tmp_path, argv, code):
+    assert main([*argv, "--output", str(tmp_path)]) == code
+
+
 def test_norm_sweep_small(tmp_path, capsys):
     code = main(["norm-sweep", "--dims", "4", "--grid-n", "8",
                  "--trials", "1", "--t-grid=-4:2:1", "--band", "2.0",

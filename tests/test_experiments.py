@@ -85,10 +85,40 @@ class TestFactorization:
         assert len(vals) == 1 and 0.0 <= vals[0] <= 0.1
 
     def test_kernel_sampled_once_per_t(self, monkeypatch):
-        samples = _count_calls(monkeypatch, operators.Kernel, "sample")
+        # one walk over the image cells samples every t's kernel, and the
+        # trials share its transforms
+        walks = _count_calls(monkeypatch, operators, "_kernel_samples")
         t_list = [0.1, 0.2]
         factorization_residual(4, 8, t_list, 2.0, trials=3, seed=11)
-        assert len(samples) == len(t_list)
+        assert len(walks) == 1
+
+    @pytest.mark.parametrize("t_list", [[0.1, 0.5], [0.6], [0.0, 0.1]])
+    def test_truncation_outside_half_period_raises_before_the_walk(
+            self, t_list, monkeypatch):
+        walks = _count_calls(monkeypatch, operators, "_kernel_samples")
+        with pytest.raises(DomainError):
+            factorization_residual(4, 8, t_list, 2.0, trials=1, seed=11)
+        with pytest.raises(DomainError):
+            _kernel_transforms(GridSpec(4, 8), t_list, 1)
+        with pytest.raises(DomainError):
+            _kernel_transforms(GridSpec(4, 8), [0.1], -1)
+        assert walks == []
+
+    def test_kernel_transforms_stay_within_their_share(self):
+        # the walk holds one float lattice per t and its temporaries, then
+        # each t's transform replaces its sample; with the symbols already
+        # held, that is within the rest of the factorization's estimate
+        spec, t_list = GridSpec(4, 16), [0.05, 0.15, 0.3]
+        need = 16 * (2 * len(t_list) + 5) * spec.n_samples
+        share = need - 16 * len(t_list) * spec.n_samples
+        _kernel_transforms(spec, t_list, 1)    # warm caches
+        tracemalloc.start()
+        try:
+            _kernel_transforms(spec, t_list, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= share
 
     def test_d2_residual_shrinks_with_n(self):
         # large image_radius keeps the periodization error of the spatial
@@ -284,12 +314,28 @@ class TestDecomposition:
         assert all(v >= -1e-12 for v in rep.values("triangle_slack"))
 
     def test_m_evaluated_at_most_twice_per_trial(self, monkeypatch):
-        # once, for the trial's profile matrix, whose columns r1's profiles
-        # are too
+        # once per call: the band fixes every trial's radii, so the trials,
+        # paired or not, share one profile matrix, whose columns r1's
+        # profiles are too
         calls = _count_calls(monkeypatch, multiplier, "m_values")
-        decomposition_diagnostics(4, 16, default_truncation_grid(), 3.0, 3,
-                                  seed=42)
-        assert len(calls) == 3
+        for cores in (1, 2):
+            monkeypatch.setattr(operators, "_cores", lambda: cores)
+            calls.clear()
+            decomposition_diagnostics(4, 16, default_truncation_grid(), 3.0,
+                                      3, seed=42)
+            assert len(calls) == 1, cores
+
+    def test_profile_memo_builds_once_per_radii(self, monkeypatch):
+        from rieszmax.experiments import _profile_memo
+        calls = _count_calls(monkeypatch, multiplier, "m_values")
+        profiles, ts = _profile_memo(), np.array([0.5, 1.0])
+        radii = [np.array([1.0, 2.0]), np.array([1.0, 2.0]),
+                 np.array([1.0, 3.0])]
+        got = [profiles(4, r, ts, "factor_m") for r in radii]
+        assert len(calls) == 2
+        for r, matrix in zip(radii, got):
+            assert np.array_equal(
+                matrix, operators.profile_matrix(4, r, ts, "factor_m"))
 
     def test_norms_match_the_bundle_sups(self, monkeypatch):
         # a, b, c and r1 from one norms pass against the reference bundle's
@@ -465,6 +511,45 @@ class TestBoundSuites:
         rep = multiplier_bound_suite([4], np.geomspace(1e-2, 1e2, 10))
         assert all(r["value"] >= 0.0 for r in rep.rows)
 
+    def test_multiplier_margins_are_the_checks_at_each_x(self):
+        # one m evaluation per dimension gives each check's margin, bit for
+        # bit; x = sqrt(d) writes both the small and the large row
+        from rieszmax.multiplier import (check_derivative, check_large_arg,
+                                         check_small_arg)
+        dims = [4, 5, 8]
+        x_grid = np.concatenate([[0.0], np.geomspace(1e-3, 1e3, 41),
+                                 [math.sqrt(d) for d in dims]])
+        want = ExperimentReport("multiplier_bounds", 0, {})
+        for d in dims:
+            sq = math.sqrt(d)
+            for x in map(float, x_grid):
+                if x <= sq:
+                    want.add(d, 0, 0, f"small_margin_x={x:.6g}",
+                             check_small_arg(d, x).margin)
+                if x >= sq:
+                    want.add(d, 0, 0, f"large_margin_x={x:.6g}",
+                             check_large_arg(d, x).margin)
+                if x > 0:
+                    want.add(d, 0, 0, f"deriv_margin_x={x:.6g}",
+                             check_derivative(d, x).margin)
+        want.sort_rows()
+        got = multiplier_bound_suite(dims, x_grid).rows
+        assert got == want.rows
+        for d in dims:
+            at_root = {r["quantity"] for r in got if r["d"] == d
+                       and r["quantity"].endswith(f"_x={math.sqrt(d):.6g}")}
+            assert {q.split("_")[0] for q in at_root} \
+                == {"small", "large", "deriv"}
+
+    def test_multiplier_evaluates_m_once_per_dimension(self, monkeypatch):
+        calls = _count_calls(monkeypatch, multiplier, "m_values")
+        multiplier_bound_suite([4, 5, 8], np.geomspace(1e-3, 1e3, 50))
+        assert len(calls) == 3
+
+    def test_negative_x_raises(self):
+        with pytest.raises(DomainError):
+            multiplier_bound_suite([4], np.array([-0.5, 1.0]))
+
     def test_specfun_margins_nonnegative(self):
         rep = specfun_bound_suite(nu_list=(2,), t_max=20.0, n_points=10)
         assert all(r["value"] >= -1e-12 for r in rep.rows)
@@ -556,20 +641,19 @@ class TestPairedTrials:
 
     def test_factorization_pairs_its_kernels_not_its_trials(self,
                                                             monkeypatch):
-        # the three kernel transforms run two at a time, with the bits of
-        # one at a time; the trials, each holding five lattice-size arrays,
-        # run one at a time
+        # the factorization pairs nothing: its kernels come from one walk,
+        # and its trials, each holding five lattice-size arrays, run one at
+        # a time, so two cores give the bits of one
         pairs = _paired(monkeypatch)
         spec, t_list = GridSpec(4, 8), [0.1, 0.2, 0.3]
-        need = 16 * (2 * len(t_list) + 5) * spec.n_samples
         k_hats, rows = {}, {}
         for cores in (2, 1):
             monkeypatch.setattr(operators, "_cores", lambda: cores)
             pairs.clear()
-            k_hats[cores] = _kernel_transforms(spec, t_list, 1, need)
+            k_hats[cores] = _kernel_transforms(spec, t_list, 1)
             rows[cores] = factorization_residual(4, 8, t_list, 2.0, 3,
                                                  seed=11).rows
-            assert pairs == ([[[1], [0, 2]]] * 2 if cores == 2 else [])
+            assert pairs == []
         assert all(np.array_equal(a, b) for a, b in zip(k_hats[2], k_hats[1]))
         assert rows[2] == rows[1]
 

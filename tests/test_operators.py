@@ -292,6 +292,41 @@ class TestSpatialKernel:
             want = c_d * 0.5 * (image_sum(index) - image_sum(mirror))
             assert abs(vals[index] - want) <= 1e-13 * scale
 
+    @pytest.mark.parametrize("d, n, image_radius, axis", [
+        (2, 64, 2, 1), (3, 16, 1, 3), (2, 16, 0, 2), (4, 8, 1, 2)])
+    def test_one_walk_gives_each_truncation_walk_bit_for_bit(
+            self, d, n, image_radius, axis):
+        # every t's sample from one walk, unsorted and with a repeat, is
+        # byte for byte that of its own walk, which adds x_axis / r^(d+1)
+        # or 0.0 for each image; tobytes tells signed zeros apart
+        spec = GridSpec(d, n)
+        ts = [0.3, 0.05, 0.15, 0.05]
+
+        def own_walk(t):
+            base = np.fft.fftfreq(n) * spec.period
+            total = np.zeros(spec.shape)
+            shifts = np.arange(-image_radius, image_radius + 1) * spec.period
+            for image in itertools.product(shifts, repeat=d):
+                coords = np.meshgrid(*(base + s for s in image),
+                                     indexing="ij", sparse=True)
+                r = np.sqrt(sum(c ** 2 for c in coords))
+                vals = np.zeros(spec.shape)
+                np.divide(coords[axis - 1], r ** (d + 1), out=vals,
+                          where=r > t)
+                total += vals
+            reflected = total
+            for a in range(d):
+                reflected = np.roll(np.flip(reflected, axis=a), 1, axis=a)
+            return Kernel(d, axis, t).normalization() * 0.5 \
+                * (total - reflected)
+
+        got = operators._kernel_samples(spec, axis, ts, image_radius)
+        assert len(got) == len(ts)
+        for t, sample in zip(ts, got):
+            assert sample.tobytes() == own_walk(t).tobytes(), t
+            assert sample.tobytes() == Kernel(
+                d, axis, t, image_radius).sample(spec).tobytes(), t
+
     def test_constant_field_annihilated(self):
         spec = GridSpec(2, 16)
         f = SpatialField(spec, np.ones(spec.shape, dtype=complex))
