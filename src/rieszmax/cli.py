@@ -47,7 +47,8 @@ def _parse_x_grid(text: str) -> np.ndarray:
         raise DomainError(
             f"--x-grid expects log:lo:hi:count or lin:lo:hi:count, got {text!r}")
     lo, hi, count = float(parts[1]), float(parts[2]), int(parts[3])
-    if count < 2 or hi <= lo or (parts[0] == "log" and lo <= 0):
+    if (count < 2 or not math.isfinite(lo) or not math.isfinite(hi)
+            or hi <= lo or (parts[0] == "log" and lo <= 0)):
         raise DomainError(f"invalid --x-grid range {text!r}")
     if parts[0] == "log":
         return np.geomspace(lo, hi, count)

@@ -269,9 +269,9 @@ def _sweep_maxima(d: int) -> list:
 
 def _sweep_trial(draw, grid: TruncationGrid) -> dict:
     # The trial's half spectrum is drawn at the band's bins, with no field;
-    # ||f|| and ||R_1 f|| are its class energies.  Where a bundle would take
-    # several groups of axis-0 indices (d = 6, N = 10), the four maxima come
-    # from one norms pass over the identity's and every axis's classes;
+    # ||f|| and ||R_1 f|| are its class energies.  On lattices of more than
+    # op._BLOCK_VALUES samples (d = 6, N = 10), the four maxima come from
+    # one norms pass over the identity's and every axis's classes;
     # elsewhere each is one maximal_over or vector_maximal.
     spectrum = draw()
     d = spectrum.spec.dimension
@@ -458,9 +458,18 @@ def numerical_inequality_check(g, n: int, l_max: int,
     Reports the dense-sample LHS, the cumulative RHS(L) per level, and a
     Lipschitz-based estimate of the truncated tail.  g is evaluated once
     per point of 2^max(12, l_max) equal steps; the interval is dyadic, so
-    every level's knots are among those points.
+    every level's knots are among those points.  A negative l_max raises
+    DomainError, and samples past physical memory ResourceError, before g
+    is evaluated.
     """
-    n_samples = 2 ** max(12, l_max)
+    if l_max < 0:
+        raise DomainError(f"l_max must be >= 0, got {l_max}")
+    levels = max(12, l_max)
+    # the float grid, the list of g's values (a pointer and an object each)
+    # and the complex array: 64 bytes a sample; no memory holds 2^64 of them
+    op._require_memory(64 * (2 ** min(levels, 64) + 1),
+                       f"2^{levels} + 1 samples of g")
+    n_samples = 2 ** levels
     lo, hi = 2.0 ** n, 2.0 ** (n + 1)
     dense = np.linspace(lo, hi, n_samples + 1)
     g_dense = np.array([g(t) for t in dense], dtype=complex)
@@ -568,7 +577,11 @@ def specfun_bound_suite(nu_list=(2, 3, 5, 10), t_max: float = 100.0,
 
 
 def read_rows(path) -> list[dict]:
-    with open(path, newline="") as fh:
+    try:
+        fh = open(path, newline="")
+    except OSError as exc:
+        raise DomainError(f"cannot read {path}: {exc}")
+    with fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None or tuple(reader.fieldnames) != CSV_COLUMNS:
             raise DomainError(f"{path}: unexpected CSV columns {reader.fieldnames}")

@@ -19,11 +19,11 @@ samples in cache as it would alone; one symbol's sums are bit for bit
 RadialBundle.sums of the field's radial_bundle, the reference
 decomposition, which no reduction builds.  It runs one pass over one row
 list (the identity's parts, then each axis's), or, on two cores where the
-reductions share out into two sets of fewer rows each, two streams at
-once, one per core, each over its own set's rows and at one BLAS thread,
-with the same chunks and so the same bits (_pass_streams).  A driver's
-seeded trials may run two at once the same way (_pairs, _run_streams),
-and then each pass of a trial takes one stream.
+reductions over several axes and those over one axis each take fewer rows
+than the pass, two streams at once, one per core, each over its own set's
+rows and at one BLAS thread, with the same chunks and so the same bits
+(_pass_streams).  A driver's seeded trials may run two at once the same
+way (_pairs, _run_streams), and then each pass of a trial takes one stream.
 At d = 1, past max(64, 2 n_columns) classes or past physical memory, each
 reduction takes one inverse FFT per column and symbol instead, whose
 estimate must fit or ResourceError is raised.  Several symbols with no
@@ -383,11 +383,9 @@ _BLOCK_VALUES = 1 << 16
 
 # The streamed route's tails of whole axis-0 slabs take as many slabs per
 # call as fill about this many float64 values over every row and class of
-# a stream (4 MiB), and at least one (_tail_buffer, _class_chunks).  At
-# this budget the benchmark's cli_defaults makes 1,132 FFT calls in place
-# of 5,836, for about 3 MB more peak RSS; with no budget, the sweep's (4,
-# 16) vector maximal and (8, 4) passes hold every slab of every class at
-# once, and its peak RSS read 102.5 MB.
+# a stream (4 MiB), and at least one (_tail_buffer, _class_chunks): fewer,
+# larger FFT calls for a few MB of buffer, where with no budget a small
+# lattice's pass would hold every slab of every class at once.
 _TAIL_VALUES = 8 * _BLOCK_VALUES
 
 
@@ -397,20 +395,11 @@ def _sample_blocks(n_samples: int, n_rows: int):
         yield slice(lo, min(lo + step, n_samples))
 
 
-def _group(spec: GridSpec) -> int:
-    """Axis-0 indices per tail of a radial bundle's class: about
-    _BLOCK_VALUES samples, or all of them at d = 1, where a row of the head
-    is a frequency and a tail over some rows gives no samples."""
-    n = spec.points_per_axis
-    return max(1, _BLOCK_VALUES // (spec.n_samples // n)) \
-        if spec.dimension > 1 else n
-
-
 def _streams(spec: GridSpec) -> bool:
-    """Whether a radial bundle would be built in more than one group of
-    axis-0 indices: the grids on which the sweep takes its four maxima from
-    one norms pass (experiments._sweep_trial)."""
-    return _group(spec) < spec.points_per_axis
+    """Whether the sweep takes its four maxima from one norms pass
+    (experiments._sweep_trial), not one call each: at d > 1, on lattices of
+    more than _BLOCK_VALUES samples."""
+    return spec.dimension > 1 and spec.n_samples > _BLOCK_VALUES
 
 
 def _piece(spec: GridSpec, axes: list) -> int:
@@ -730,7 +719,9 @@ def radial_bundle(f: SpatialField | HalfSpectrum,
     _require_memory(_bundle_bytes(spec, n_r, len(parts)), "the radial bundle")
     is_real = len(parts) == 1
     n, slab = spec.points_per_axis, spec.n_samples // spec.points_per_axis
-    group = _group(spec)
+    # at d = 1 a row of the head is a frequency, and a tail over some rows
+    # gives no samples
+    group = max(1, _BLOCK_VALUES // slab) if spec.dimension > 1 else n
     # row i of by_class is u_i; the bundle's components are its transpose
     by_class = np.empty((n_r, spec.n_samples), dtype=float if is_real else complex)
     rows = (by_class,) if is_real else (by_class.real, by_class.imag)
@@ -984,48 +975,22 @@ def _pairs(n: int, need) -> list:
 
 def _pass_streams(spectrum: HalfSpectrum, reductions: list) -> list:
     """The reductions of each stream of a streamed pass, as lists of
-    indices into reductions: two streams where _two_streams allows it (not
-    inside one of two paired trials, whose passes take one stream each)
-    and each stream takes fewer rows than the whole pass, else one.
-
-    The reductions are dealt out greedily, the costliest first, each to the
-    stream where the larger of the two estimates of work comes out lower.
-    A stream's estimate counts multiply-adds per sample: log2(n_samples)
-    per class and row for the inverse transforms, and per reduction the
-    Gram form's pairs of classes times its rows and columns, or the block
-    sums' rows times classes times columns."""
+    indices into reductions: the reductions over several axes (the vector
+    maximal's) on one stream and those over one axis on the other, where
+    both are non-empty, _two_streams allows it (not inside one of two
+    paired trials, whose passes take one stream each) and each stream
+    takes fewer rows than the whole pass; else one stream."""
     whole = list(range(len(reductions)))
-    if len(reductions) < 2 or not _two_streams():
+    streams = [[k for k in whole if len(reductions[k][0]) > 1],
+               [k for k in whole if len(reductions[k][0]) == 1]]
+    if not all(streams) or not _two_streams():
         return [whole]
-    n_r = spectrum.radii.size
     parts = {axis: len(spectrum.filtered(axis))
              for axis in _pass_axes(reductions)}
-
-    def rows(stream: list) -> int:
-        return sum(parts[axis]
-                   for axis in _pass_axes([reductions[k] for k in stream]))
-
-    def cost(k: int) -> int:
-        axes, profiles, _ = reductions[k]
-        n_rows, n_cols = sum(parts[axis] for axis in axes), profiles.shape[1]
-        if _takes_gram(axes, n_r, n_cols):
-            return n_r * (n_r + 1) // 2 * (n_rows + n_cols)
-        return n_rows * n_r * n_cols
-
-    def work(stream: list) -> float:
-        return (n_r * math.log2(spectrum.spec.n_samples) * rows(stream)
-                + sum(cost(k) for k in stream))
-
-    first, second = [], []
-    for k in sorted(whole, key=cost, reverse=True):
-        if max(work(first + [k]), work(second)) \
-                <= max(work(first), work(second + [k])):
-            first.append(k)
-        else:
-            second.append(k)
-    if not second or max(rows(first), rows(second)) >= rows(whole):
-        return [whole]
-    return [sorted(first), sorted(second)]
+    rows = [sum(parts[axis]
+                for axis in _pass_axes([reductions[k] for k in stream]))
+            for stream in streams]
+    return streams if max(rows) < sum(parts.values()) else [whole]
 
 
 def _run_streams(stream, streams: list) -> None:
@@ -1150,25 +1115,22 @@ def _class_chunks(spectrum: HalfSpectrum, rows: list, chunk: int,
     rebuilt, one row at a time, and only the group's indices kept, so the
     axis-0 pass runs once per row and group.  A group's heads overwrite the
     arrays of the group before: freed arrays of their size go back to the
-    system, and the next group would fault their pages in again (about
-    12,000 page faults a pass at d = 6, N = 10).  Their tails then finish
-    every row of a class in one call, into a buffer of the tail budget
-    plus a chunk per row and class (_tail_buffer): where pieces are axis-0
-    slabs, all the slabs a chunk needs of the group, and more of the group
-    up to the budget, in one call, which later chunks read until it is
-    used up; and where they are axis-1 sub-slabs (_piece), one piece per
-    call after the axis-0 index's shared axis-1 pass.  The tail budget is
-    there for two streams at once (_run_streams): a tail call is about ten
-    small NumPy and FFT calls, each of which lets the GIL go, and streams
-    that tailed one slab per chunk spent their time handing it over.  Two
-    (4, 16) decomposition passes' chunk phases ran in two threads at 0.6x
-    their serial speed, and the whole passes at 1.2x; at _TAIL_VALUES they
-    run at 1.1x and 1.4x.  Each line is transformed as it would be alone,
-    so the samples do not depend on how many slabs a call takes.  And
-    whatever of the last piece a chunk leaves over is carried to the
-    buffer's front one line at a time: numpy moves a line forward within
-    itself in place, where it would copy a strided block through a
-    temporary it cannot prove disjoint."""
+    system, and the next group would fault their pages in again.  Their
+    tails then finish every row of a class in one call, into a buffer of
+    the tail budget plus a chunk per row and class (_tail_buffer): where
+    pieces are axis-0 slabs, all the slabs a chunk needs of the group, and
+    more of the group up to the budget, in one call, which later chunks
+    read until it is used up; and where they are axis-1 sub-slabs
+    (_piece), one piece per call after the axis-0 index's shared axis-1
+    pass.  The tail budget is there for two streams at once (_run_streams):
+    a tail call is about ten small NumPy and FFT calls, each of which lets
+    the GIL go, and streams that tailed one slab per chunk spent their time
+    handing it over.  Each line is transformed as it would be alone, so the
+    samples do not depend on how many slabs a call takes.  And whatever of
+    the last piece a chunk leaves over is carried to the buffer's front one
+    line at a time: numpy moves a line forward within itself in place,
+    where it would copy a strided block through a temporary it cannot prove
+    disjoint."""
     spec, transforms = spectrum.spec, spectrum.class_transforms
     n, n_samples = spec.points_per_axis, spec.n_samples
     per_slab = n_samples // n // piece

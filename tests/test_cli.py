@@ -17,6 +17,17 @@ def test_ineq_passes(tmp_path, capsys):
     assert "pass" in out and "FAIL" not in out
 
 
+def test_ineq_levels_outside_their_domain(tmp_path, monkeypatch):
+    # a negative level count is a usage error, and one whose samples do not
+    # fit in memory a resource error; neither writes a report
+    assert main(["ineq", "--levels", "-1", "--output", str(tmp_path)]) \
+        == EXIT_USAGE
+    monkeypatch.setattr(operators, "_physical_memory", lambda: 2 ** 20)
+    assert main(["ineq", "--levels", "14", "--output", str(tmp_path)]) \
+        == EXIT_RESOURCE
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_poisson_passes_at_a_large_band(tmp_path):
     # the projection range follows the band, so telescope_residual stays
     # within its 1e-6 bound
@@ -67,8 +78,9 @@ def test_bad_x_grid_is_usage_error(tmp_path):
 @pytest.mark.parametrize("argv, code", [
     (["verify-multiplier", "--x-grid", "lin:-1:1:5"], EXIT_USAGE),
     (["verify-multiplier", "--x-grid", "log:1e-3:1e9:5"], EXIT_RESOURCE),
-    # a NaN x takes no check, as when each x was checked on its own
-    (["verify-multiplier", "--x-grid", "lin:nan:1:5"], EXIT_PASS),
+    # a grid end that is not finite gives no x to check
+    (["verify-multiplier", "--x-grid", "lin:nan:1:5"], EXIT_USAGE),
+    (["verify-multiplier", "--x-grid", "lin:0:inf:5"], EXIT_USAGE),
     (["factorization", "--grid-n", "8", "--t-list", "0.1,0.5"], EXIT_USAGE),
     (["factorization", "--grid-n", "8", "--t-list", "0"], EXIT_USAGE)])
 def test_x_and_t_outside_their_domains(tmp_path, argv, code):
@@ -185,6 +197,13 @@ def test_report_conflict_is_integrity_failure(tmp_path, capsys):
                  str(out_b / "factorization.csv")])
     assert code == EXIT_BOUND_FAIL
     assert "integrity" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", ["missing.csv", ""])
+def test_report_of_an_unreadable_path_is_usage_error(tmp_path, capsys, name):
+    # a missing file, and a directory
+    assert main(["report", str(tmp_path / name)]) == EXIT_USAGE
+    assert "cannot read" in capsys.readouterr().err
 
 
 def test_rotation_small(tmp_path):

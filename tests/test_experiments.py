@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rieszmax.errors import DomainError, IntegrityError
+from rieszmax.errors import DomainError, IntegrityError, ResourceError
 from rieszmax import multiplier, operators
 from rieszmax.experiments import (ExperimentReport, _kernel_transforms,
                                   _run_trials, _sweep_maxima, _trial_field,
@@ -493,6 +493,30 @@ class TestNumericalInequality:
         rhs = [vals[f"rhs_L={level}"] for level in range(9)]
         assert all(b >= a - 1e-12 for a, b in zip(rhs, rhs[1:]))
 
+    def test_negative_levels_raise(self):
+        calls = []
+        with pytest.raises(DomainError):
+            numerical_inequality_check(lambda t: calls.append(t) or t, 0, -1)
+        assert calls == []
+
+    def test_samples_over_the_budget_raise_before_g_is_evaluated(
+            self, monkeypatch):
+        # 64 bytes for each of the 2^13 + 1 samples: the float grid, the
+        # list of g's values and the complex array
+        need = 64 * (2 ** 13 + 1)
+        calls = []
+        monkeypatch.setattr(operators, "_physical_memory", lambda: need - 1)
+        with pytest.raises(ResourceError):
+            numerical_inequality_check(lambda t: calls.append(t) or t, 0, 13)
+        assert calls == []
+        monkeypatch.setattr(operators, "_physical_memory", lambda: need)
+        numerical_inequality_check(lambda t: calls.append(t) or t, 0, 13)
+        assert len(calls) == 2 ** 13 + 1
+        # a level count whose sample count is never built
+        monkeypatch.setattr(operators, "_physical_memory", lambda: 2 ** 40)
+        with pytest.raises(ResourceError):
+            numerical_inequality_check(lambda t: t, 0, 10 ** 9)
+
 
 class TestRotationCheck:
     def test_errors_decrease_and_sphere_moments(self):
@@ -513,12 +537,13 @@ class TestBoundSuites:
 
     def test_multiplier_margins_are_the_checks_at_each_x(self):
         # one m evaluation per dimension gives each check's margin, bit for
-        # bit; x = sqrt(d) writes both the small and the large row
+        # bit; x = sqrt(d) writes both the small and the large row, and a
+        # NaN x none
         from rieszmax.multiplier import (check_derivative, check_large_arg,
                                          check_small_arg)
         dims = [4, 5, 8]
         x_grid = np.concatenate([[0.0], np.geomspace(1e-3, 1e3, 41),
-                                 [math.sqrt(d) for d in dims]])
+                                 [math.nan], [math.sqrt(d) for d in dims]])
         want = ExperimentReport("multiplier_bounds", 0, {})
         for d in dims:
             sq = math.sqrt(d)

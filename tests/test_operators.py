@@ -1337,20 +1337,28 @@ class TestStreamedRoute:
                     assert np.array_equal(two, one), kind
                 assert got[2][1] == got[1][1], kind
 
-    def test_pass_streams(self, monkeypatch):
-        # two streams only where each takes fewer rows than the pass: the
-        # decomposition's reductions all take the identity's one row, and
-        # one reduction has nothing to share out; one core, or a BLAS
-        # without a thread cap, takes one stream
+    @pytest.mark.parametrize("d, n", [(6, 10), (8, 6), (10, 4)])
+    def test_pass_streams(self, d, n, monkeypatch):
+        # the reductions over several axes on one stream and those over one
+        # on the other, where each takes fewer rows than the pass: the
+        # decomposition's 15 reductions all take the identity's one row,
+        # r1, r2 and r4 alone take one axis each, and one reduction has
+        # nothing to share out; one core, or a BLAS without a thread cap,
+        # takes one stream
+        from rieszmax.experiments import _capped_band
         from test_experiments import _sweep_reductions
-        spec = GridSpec(6, 10)
-        spectrum = operators._band_spectrum(spec, 3.0, 42)
+        spec = GridSpec(d, n)
+        spectrum = operators._band_spectrum(spec, _capped_band(3.0, spec), 42)
         ts = default_truncation_grid().values()
         sweep = _sweep_reductions(spectrum, default_truncation_grid())
-        m = operators.profile_matrix(6, spectrum.radii, ts, "factor_m")
+        m = operators.profile_matrix(d, spectrum.radii, ts, "factor_m")
         ones = [([None], m[:, :k], None) for k in (5, 50, 150)]
+        decomposition = [([None], m[:, :k + 1], None) for k in range(15)]
         assert operators._pass_streams(spectrum, sweep) == [[0], [1, 2, 3]]
         assert operators._pass_streams(spectrum, ones) == [[0, 1, 2]]
+        assert operators._pass_streams(spectrum, decomposition) \
+            == [list(range(15))]
+        assert operators._pass_streams(spectrum, sweep[1:]) == [[0, 1, 2]]
         assert operators._pass_streams(spectrum, sweep[:1]) == [[0]]
         with monkeypatch.context() as patch:
             patch.setattr(operators, "_cores", lambda: 1)
@@ -1362,6 +1370,14 @@ class TestStreamedRoute:
         with operators._stream_thread():
             assert operators._pass_streams(spectrum, sweep) == [[0, 1, 2, 3]]
         assert operators._pass_streams(spectrum, sweep) == [[0], [1, 2, 3]]
+
+    @pytest.mark.parametrize("d, n, fused", [
+        (4, 16, False), (8, 4, False), (6, 10, True), (8, 6, True),
+        (10, 4, True), (1, 1 << 17, False)])
+    def test_streams_at_the_cli_presets(self, d, n, fused):
+        # the sweep takes one fused pass on lattices of more than
+        # _BLOCK_VALUES samples, and never at d = 1
+        assert operators._streams(GridSpec(d, n)) is fused
 
     def test_half_spectrum_takes_one_fft_thread_in_a_stream(self,
                                                            monkeypatch):
