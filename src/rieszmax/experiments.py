@@ -155,16 +155,16 @@ def _run_trials(report: ExperimentReport, spec: GridSpec, band: float,
 
 def _trial_bytes(spec: GridSpec, band: float, seed: int, passes: list,
                  *others: int, field: bool = True) -> int:
-    """One trial's largest memory estimate: the largest of the estimates
-    its routes check first (op._route_bytes), one per pass (norms, [(axes,
-    columns), ...]), of its field's draw when field, and of others, at
-    trial 0's half spectrum (every trial has the band's bins and classes).
-    Only the profiles' shapes count, so none is evaluated."""
+    """One trial's largest memory estimate: the largest of its passes'
+    plans' estimates (op._plan), one per pass (norms, [(axes, columns),
+    ...]), of its field's draw when field, and of others, at trial 0's
+    half spectrum (every trial has the band's bins and classes).  A plan
+    reads the profiles' shapes only, so none is evaluated."""
     spectrum = _trial_spectrum(spec, band, seed, 0)
     n_r = spectrum.radii.size
-    routes = [op._route_bytes(
+    routes = [op._plan(
         spectrum, [(axes, np.broadcast_to(0.0, (n_r, columns)), None)
-                   for axes, columns in reductions], norms)
+                   for axes, columns in reductions], norms).bytes
         for norms, reductions in passes]
     # the half spectrum holds one of each conjugate pair of the band's bins,
     # the k_d = 0 and N/2 planes both

@@ -10,29 +10,33 @@ Each maximal and square operator has a symbol angular(xi) * profile(t |xi|)
 and is one reduction, by a max or a weighted sum over the columns c of a
 profile matrix P, of s_c = sum over angular symbols of |sum_i P[i, c] u_i|^2,
 where u_i is the field's class of equal integer |k|^2 under the symbol.
-A list of reductions takes one of two routes, picked once for the list
-before any transform (_route).  The streamed route finishes each class's
-inverse FFT as many axis-0 slabs as a tail budget holds, and at least
-those a chunk needs, or for several symbols one axis-1 sub-slab, at a
-time (_tail_buffer), and every reduction reduces each chunk of
-samples in cache as it would alone; one symbol's sums are bit for bit
-RadialBundle.sums of the field's radial_bundle, the reference
-decomposition, which no reduction builds.  It runs one pass over one row
-list (the identity's parts, then each axis's), or, on two cores where the
-reductions over several axes and those over one axis each take fewer rows
-than the pass, two streams at once, one per core, each over its own set's
-rows and at one BLAS thread, with the same chunks and so the same bits
-(_pass_streams).  A driver's seeded trials may run two at once the same
-way (_pairs, _run_streams), and then each pass of a trial takes one stream.
-At d = 1, past max(64, 2 n_columns) classes or past physical memory, each
-reduction takes one inverse FFT per column and symbol instead, whose
-estimate must fit or ResourceError is raised.  Several symbols with no
-more pairs of classes than columns reduce by the per-point Gram matrix of
-the classes, accumulated over a chunk of a few blocks and taken through
-the columns by one product per chunk (per block when the pairs are few).
-Routes return sums, never fields: a norm is summed chunk by chunk
-(_norms), and a norm under a symbol, or of a square function, is read
-from HalfSpectrum.energies, since the classes have disjoint supports.
+A list of reductions is one pass, and _plan makes every decision of it
+once, before any transform, into a frozen plan that holds sizes only: the
+route, the streams and their rows, the chunk and the piece, each stream's
+head group, tail slabs and buffer, each reduction's form, and the byte
+estimate as named terms, which _route checks and the drivers read to pair
+their trials.  The streamed route finishes each class's inverse FFT as
+many axis-0 slabs as a tail budget holds, and at least those a chunk
+needs, or for several symbols one axis-1 sub-slab, at a time, and every
+reduction reduces each chunk of samples in cache as it would alone; one
+symbol's sums are bit for bit RadialBundle.sums of the field's
+radial_bundle, the reference decomposition, which no reduction builds.
+It runs one pass over one row list (the identity's parts, then each
+axis's), or, on two cores where the reductions over several axes and
+those over one axis each take fewer rows than the pass, two streams at
+once, one per core, each over its own set's rows and at one BLAS thread,
+with the same chunks and so the same bits.  A driver's seeded trials may
+run two at once the same way (_pairs, _run_streams), and then each pass
+of a trial takes one stream.  At d = 1, past max(64, 2 n_columns)
+classes or past physical memory, each reduction takes one inverse FFT
+per column and symbol instead, whose estimate must fit or ResourceError
+is raised.  Several symbols with no more pairs of classes than columns
+reduce by the per-point Gram matrix of the classes, accumulated over a
+chunk of a few blocks and taken through the columns by one product per
+chunk (per block when the pairs are few).  Routes return sums, never
+fields: a norm is summed chunk by chunk (_norms), and a norm under a
+symbol, or of a square function, is read from HalfSpectrum.energies,
+since the classes have disjoint supports.
 Every inverse FFT runs irfftn's passes over the lines its bins occupy
 only, bit for bit.
 """
@@ -90,15 +94,17 @@ MAXIMAL_FAMILIES = ("truncated_riesz", "factor_m", "poisson", "conjugate_poisson
 @dataclass(frozen=True)
 class TruncationGrid:
     """Dyadic truncation values 2^n, n_min <= n <= n_max, refined inside
-    each octave by binary subdivision down to depth levels."""
+    each octave by binary subdivision down to depth levels.  2^n is a
+    positive finite double for -1074 <= n <= 1023 only."""
 
     n_min: int
     n_max: int
     depth: int = 0
 
     def __post_init__(self):
-        if self.n_min > self.n_max:
-            raise DomainError(f"n_min {self.n_min} > n_max {self.n_max}")
+        if not -1074 <= self.n_min <= self.n_max <= 1023:
+            raise DomainError(f"need -1074 <= n_min <= n_max <= 1023, got "
+                              f"n_min {self.n_min} and n_max {self.n_max}")
         if self.depth < 0:
             raise DomainError(f"depth must be >= 0, got {self.depth}")
 
@@ -383,7 +389,7 @@ _BLOCK_VALUES = 1 << 16
 
 # The streamed route's tails of whole axis-0 slabs take as many slabs per
 # call as fill about this many float64 values over every row and class of
-# a stream (4 MiB), and at least one (_tail_buffer, _class_chunks): fewer,
+# a stream (4 MiB), and at least one (_chunk_plan, _class_chunks): fewer,
 # larger FFT calls for a few MB of buffer, where with no budget a small
 # lattice's pass would hold every slab of every class at once.
 _TAIL_VALUES = 8 * _BLOCK_VALUES
@@ -400,16 +406,6 @@ def _streams(spec: GridSpec) -> bool:
     (experiments._sweep_trial), not one call each: at d > 1, on lattices of
     more than _BLOCK_VALUES samples."""
     return spec.dimension > 1 and spec.n_samples > _BLOCK_VALUES
-
-
-def _piece(spec: GridSpec, axes: list) -> int:
-    """Samples per tail of the streamed route: an axis-0 slab, or, for
-    several axes at d >= 3, an axis-1 sub-slab of it when the slab exceeds
-    _BLOCK_VALUES.  One axis keeps whole slabs: its buffer is a few slabs,
-    and a tenth of the tail calls is the faster of the two."""
-    n, slab = spec.points_per_axis, spec.n_samples // spec.points_per_axis
-    return (slab // n if len(axes) > 1 and spec.dimension >= 3
-            and slab > _BLOCK_VALUES else slab)
 
 
 def _physical_memory() -> int:
@@ -764,11 +760,9 @@ def _route(spectrum: HalfSpectrum, reductions: list,
            norms: bool = False) -> list:
     """The sums of _reduce, before the square root, for each reduction
     (axes, profiles, weights), or with norms the total of each one's sums
-    clipped at 0.  The route is chosen here, once for the list and before
-    any transform (see the module docstring): one _stream_route pass, or
-    one _column_route per reduction at d = 1 (where a head's row is a
-    frequency, not a slab of samples), past max(64, 2 n_columns) classes
-    for the widest reduction, or past physical memory.
+    clipped at 0.  The pass is planned once, before any transform (_plan),
+    and its plan's estimate checked; then it runs as one _stream_route, or
+    as one _column_route per reduction.
 
     Nonnegative weights over more columns than classes are compressed first:
     sum_c weights[c] s_c = sum over axes of |R u|^2, where R (n_r x n_r) is
@@ -782,12 +776,12 @@ def _route(spectrum: HalfSpectrum, reductions: list,
                                     mode="r").T
             weights = np.ones(profiles.shape[1])
         compressed.append((axes, profiles, weights))
-    if (_may_stream(spectrum, compressed)
-            and _slab_route_bytes(spectrum, compressed, norms)
-            <= _physical_memory()):
-        return _stream_route(spectrum, compressed, norms)
-    _require_memory(max(_column_route_bytes(spectrum, axes)
-                        for axes, _, _ in compressed), "the column route")
+    parts = {}
+    plan = _plan(spectrum, compressed, norms, parts)
+    _require_memory(plan.bytes, f"the {plan.route} route")
+    if plan.route == "streamed":
+        return _stream_route(spectrum, compressed, plan, parts)
+    parts.clear()                       # each column filters its own axes
     out = []
     for reduction in compressed:
         sums = _column_route(spectrum, *reduction)
@@ -796,114 +790,199 @@ def _route(spectrum: HalfSpectrum, reductions: list,
     return out
 
 
-def _may_stream(spectrum: HalfSpectrum, reductions: list) -> bool:
-    """Whether _route streams reductions whose pass fits in memory: at
-    d > 1, with at most max(64, 2 n_columns) classes for the widest."""
+@dataclass(frozen=True)
+class _ChunkPlan:
+    """How _class_chunks streams the classes of rows rows: in chunks of
+    chunk samples, finished piece samples at a time (an axis-0 slab, or an
+    axis-1 sub-slab of one), with heads kept for group axis-0 indices at a
+    time, tails of slabs pieces per call where pieces are slabs, a buffer
+    of width samples per row and class, and bytes held at once."""
+
+    rows: int
+    chunk: int
+    piece: int
+    group: int
+    slabs: int
+    width: int
+    bytes: int
+
+
+@dataclass(frozen=True)
+class _Stream:
+    """One stream of a streamed pass: the indices of its reductions, each
+    of its axes (the identity first, then ascending) with the slice of its
+    rows that holds the axis's parts (HalfSpectrum.filtered), and its
+    _ChunkPlan."""
+
+    reductions: tuple
+    rows: tuple
+    chunks: _ChunkPlan
+
+
+@dataclass(frozen=True)
+class _Plan:
+    """One pass's decisions and sizes, made by _plan before any transform:
+    its route ("streamed" or "column"), and the byte estimate as named
+    terms.  A streamed pass has its chunk, its streams (each with its
+    piece) and, for each reduction, the Gram form's samples per product
+    (span), or None where it takes block sums; with norms, its sums are
+    totalled chunk by chunk."""
+
+    route: str
+    terms: tuple
+    norms: bool = False
+    chunk: int = 0
+    spans: tuple = ()
+    streams: tuple = ()
+
+    @property
+    def bytes(self) -> int:
+        return sum(size for _, size in self.terms)
+
+
+def _plan(spectrum: HalfSpectrum, reductions: list, norms: bool = False,
+          parts: dict | None = None) -> _Plan:
+    """The plan of one pass over (compressed) reductions (axes, profiles,
+    weights): a streamed pass (_stream_plan) at d > 1, with at most
+    max(64, 2 n_columns) classes for the widest reduction, where its
+    estimate fits in physical memory; else one inverse transform per
+    column (a head's row at d = 1 is a frequency, not a slab of samples),
+    whose estimate is one transform's work array and samples, the column's
+    sum and the float64 output, and the widest reduction's filtered
+    coefficients plus a copy and the transform's places of the active
+    bins.  It reads the profiles' shapes only.  parts, when given, keeps
+    the filtered parts a streamed pass reads, by axis, for the pass."""
+    spec, n_r = spectrum.spec, spectrum.radii.size
+    widest = max(len(axes) for axes, _, _ in reductions)
+    column = _Plan("column", (
+        ("transform", _class_buffer_bytes(spec)),
+        ("column sums", 16 * spec.n_samples),
+        ("coefficients", (24 + 32 * widest) * spectrum.active.size)), norms)
     n_cols = max(profiles.shape[1] for _, profiles, _ in reductions)
-    return (spectrum.spec.dimension > 1
-            and spectrum.radii.size <= max(64, 2 * n_cols))
+    if spec.dimension == 1 or n_r > max(64, 2 * n_cols):
+        return column
+    plan = _stream_plan(spectrum, reductions, norms,
+                        {} if parts is None else parts)
+    return plan if plan.bytes <= _physical_memory() else column
 
 
-def _route_bytes(spectrum: HalfSpectrum, reductions: list,
-                 norms: bool = False) -> int:
-    """The estimate _route checks first for (compressed) reductions: the
-    streamed pass's where it may stream, else the column route's.  It
-    reads the profiles' shapes only."""
-    if _may_stream(spectrum, reductions):
-        return _slab_route_bytes(spectrum, reductions, norms)
-    return max(_column_route_bytes(spectrum, axes)
-               for axes, _, _ in reductions)
+def _stream_plan(spectrum: HalfSpectrum, reductions: list, norms: bool,
+                 parts: dict, chunk: int | None = None) -> _Plan:
+    """The streamed pass's plan, at chunk when it is given; the filtered
+    parts of each of its axes are put into parts.
+
+    The chunk is the shortest of the reductions' chunks, each in whole
+    blocks of _sample_blocks(n_samples, n_cols): about _BLOCK_VALUES / n_r
+    samples, or, for the Gram form (several axes, and no more pairs of
+    classes than columns), as many as keep its accumulator of
+    n_r (n_r + 1) / 2 pairs within _BLOCK_VALUES values (4 blocks of 315
+    samples for 9 classes and 208 columns).  A Gram product spans the
+    whole chunk when it holds at most n_r blocks, else one block: with few
+    pairs a block's product is bound by memory and fastest in cache; with
+    many, by arithmetic, which BLAS shares among cores only once a product
+    spans a few blocks.  A piece is an axis-0 slab or, for several axes at
+    d >= 3, an axis-1 sub-slab of it when the slab exceeds _BLOCK_VALUES:
+    one axis keeps whole slabs, since its buffer is a few slabs and a tenth
+    of the tail calls is the faster of the two.
+
+    The reductions over several axes (the vector maximal's) take one
+    stream and those over one axis the other, where both are non-empty,
+    _two_streams allows it (not inside one of two paired trials, whose
+    passes take one stream each) and each stream takes fewer rows than the
+    whole pass; else there is one stream.  The streams run at once, so the
+    estimate adds their terms: each stream's _class_chunks, the largest of
+    one of its reductions' temporaries over a chunk (the Gram form's
+    accumulator, pairs x chunk, and product, n_cols x its span, or a
+    block's column sums and reduced sums) and its rows' filtered values;
+    each Gram reduction's pair weights (n_cols x pairs), and the largest
+    one's build (two gathered temporaries of that size, its profiles
+    transposed and the pairs' indices); and each reduction's float64 sums,
+    n_samples of them or, when norms are summed, one chunk's."""
+    spec, n_r = spectrum.spec, spectrum.radii.size
+    n, n_samples = spec.points_per_axis, spec.n_samples
+    pairs = n_r * (n_r + 1) // 2
+    cols = [profiles.shape[1] for _, profiles, _ in reductions]
+    steps = [max(1, _BLOCK_VALUES // max(n_cols, 1)) for n_cols in cols]
+    grams = [len(axes) > 1 and pairs <= n_cols
+             for (axes, _, _), n_cols in zip(reductions, cols)]
+    chunk = chunk or min(min(n_samples, step * max(
+        1, _BLOCK_VALUES // max(pairs if gram else n_r, 1) // step))
+                         for step, gram in zip(steps, grams))
+    spans = tuple((chunk if chunk <= n_r * step else step) if gram else None
+                  for step, gram in zip(steps, grams))
+
+    def axes_of(chosen: list) -> list:
+        return sorted({axis for k in chosen for axis in reductions[k][0]},
+                      key=lambda axis: axis or 0)
+
+    def count(chosen: list) -> int:
+        return sum(len(parts[axis]) for axis in axes_of(chosen))
+
+    whole = list(range(len(reductions)))
+    parts.update((axis, spectrum.filtered(axis)) for axis in axes_of(whole))
+    slab = n_samples // n
+    piece = (slab // n if len(axes_of(whole)) > 1 and spec.dimension >= 3
+             and slab > _BLOCK_VALUES else slab)
+    split = [[k for k in whole if len(reductions[k][0]) > 1],
+             [k for k in whole if len(reductions[k][0]) == 1]]
+    streams = (split if all(split) and _two_streams()
+               and max(map(count, split)) < count(whole) else [whole])
+    planned = []
+    for chosen in streams:
+        at, rows = {}, 0
+        for axis in axes_of(chosen):
+            at[axis] = slice(rows, rows := rows + len(parts[axis]))
+        planned.append(_Stream(tuple(chosen), tuple(at.items()),
+                               _chunk_plan(spectrum, rows, chunk, piece)))
+    gram_cols = [n_cols for n_cols, gram in zip(cols, grams) if gram]
+    terms = (
+        ("sums", 8 * len(reductions) * (chunk if norms else n_samples)),
+        ("class chunks", sum(stream.chunks.bytes for stream in planned)),
+        ("reduction temporaries", sum(8 * max(
+            pairs * chunk + cols[k] * spans[k] if grams[k]
+            else 3 * cols[k] * steps[k] for k in stream.reductions)
+            for stream in planned)),
+        ("filtered rows", sum(16 * stream.chunks.rows * spectrum.active.size
+                              for stream in planned)),
+        ("pair weights", sum(8 * n_cols * pairs for n_cols in gram_cols)),
+        ("pair weights' build", max((8 * n_cols * (2 * pairs + n_r)
+                                     + 24 * pairs for n_cols in gram_cols),
+                                    default=0)))
+    return _Plan("streamed", terms, norms, chunk, spans, tuple(planned))
 
 
-def _column_route_bytes(spectrum: HalfSpectrum, axes: list) -> int:
-    """One transform's work array and samples, the column's sum and the
-    float64 output, every axis's filtered coefficients plus a copy, and the
-    transform's places of the active bins."""
-    spec = spectrum.spec
-    return (_class_buffer_bytes(spec) + 16 * spec.n_samples
-            + (24 + 32 * len(axes)) * spectrum.active.size)
+def _chunk_plan(spectrum: HalfSpectrum, rows: int, chunk: int,
+                piece: int) -> _ChunkPlan:
+    """How _class_chunks streams rows rows at chunk and piece.
 
-
-def _slab_chunk(n_samples: int, n_r: int, n_cols: int, gram: bool) -> int:
-    """The streamed route's chunk in whole blocks of _sample_blocks(n_samples,
-    n_cols): about _BLOCK_VALUES / n_r samples, or, for the Gram form, as
-    many as keep its accumulator of n_r (n_r + 1) / 2 pairs within
-    _BLOCK_VALUES values (4 blocks of 315 samples for 9 classes and 208
-    columns)."""
-    step = max(1, _BLOCK_VALUES // max(n_cols, 1))
-    per_sample = n_r * (n_r + 1) // 2 if gram else n_r
-    return min(n_samples,
-               step * max(1, _BLOCK_VALUES // max(per_sample, 1) // step))
-
-
-def _gram_span(chunk: int, n_r: int, n_cols: int) -> int:
-    """Samples per product of the Gram form's chunk with the pair weights:
-    the whole chunk when it holds at most n_r blocks of _BLOCK_VALUES /
-    n_cols samples, else one block.  With few pairs a block's product is
-    bound by memory and fastest in cache; with many, by arithmetic, which
-    BLAS shares among cores only once a product spans a few blocks (a
-    9-class chunk of 4 blocks takes one product, a 3-class chunk of 34
-    blocks one per block)."""
-    step = max(1, _BLOCK_VALUES // max(n_cols, 1))
-    return chunk if chunk <= n_r * step else step
-
-
-def _takes_gram(axes: list, n_r: int, n_cols: int) -> bool:
-    """Whether the streamed route reduces by the Gram form: several axes,
-    and no more pairs of classes than columns."""
-    return len(axes) > 1 and n_r * (n_r + 1) // 2 <= n_cols
-
-
-def _head_group(spectrum: HalfSpectrum, n_rows: int, chunk: int,
-                piece: int) -> int:
-    """Axis-0 indices per group of the streamed route's heads: as many as
-    keep one group's heads of n_rows rows and every class within the head
-    budget, and at least one.  The head budget is the bytes of a piece plus
-    a chunk of float64 samples per row and class, not those of the tail
-    buffer (_tail_buffer), which may be larger: sized by the chunk and
-    piece alone, the heads hold as much, and the axis-0 pass reruns as
-    often, whatever the tails take per call."""
-    spec = spectrum.spec
-    n, transforms = spec.points_per_axis, spectrum.class_transforms
-    budget = 8 * n_rows * len(transforms) * min(piece + chunk, spec.n_samples)
-    per_index = n_rows * sum(t.head_bytes for _, t in transforms) // n
-    return max(1, min(n, budget // max(per_index, 1)))
-
-
-def _tail_buffer(spectrum: HalfSpectrum, n_rows: int, chunk: int,
-                 piece: int) -> tuple[int, int]:
-    """(slabs, width): the pieces a tail call of _class_chunks over n_rows
-    rows takes where its chunk needs no more, and its buffer's samples per
-    row and class.  Where pieces are whole axis-0 slabs, a tail takes as
-    many as keep every row and class within _TAIL_VALUES, and at least
-    one; where they are axis-1 sub-slabs, one.  The buffer holds that many
-    pieces plus a chunk, or the lattice."""
-    spec = spectrum.spec
-    slabs = 1
-    if piece == spec.n_samples // spec.points_per_axis:
-        slabs = max(1, _TAIL_VALUES
-                    // max(n_rows * spectrum.radii.size * piece, 1))
-    return slabs, min(slabs * piece + chunk, spec.n_samples)
-
-
-def _pass_axes(reductions: list) -> list:
-    """The axes some reduction (axes, profiles, weights) takes, once each:
-    the identity (None) first, then in ascending order."""
-    return sorted({axis for red in reductions for axis in red[0]},
-                  key=lambda axis: 0 if axis is None else axis)
-
-
-def _stream_rows(spectrum: HalfSpectrum, reductions: list):
-    """The rows of a streamed pass over reductions (axes, profiles,
-    weights): the parts (HalfSpectrum.filtered) of each of the pass's axes
-    (_pass_axes), in that order; with those axes, and each reduction's
-    groups, a slice of the rows per axis of its own."""
-    axes, rows, at = _pass_axes(reductions), [], {}
-    for axis in axes:
-        parts = spectrum.filtered(axis)
-        at[axis] = slice(len(rows), len(rows) + len(parts))
-        rows += parts
-    return axes, rows, [[at[axis] for axis in red[0]] for red in reductions]
+    Heads are kept for as many axis-0 indices as keep one group's heads of
+    every row and class within a piece plus a chunk of float64 samples per
+    row and class, and at least one: sized by the chunk and piece alone,
+    the heads hold as much, and the axis-0 pass reruns as often, whatever
+    the tails take per call.  Where pieces are whole axis-0 slabs, a tail
+    takes as many as keep every row and class within _TAIL_VALUES, and at
+    least one; where they are axis-1 sub-slabs, one.  The buffer holds that
+    many pieces plus a chunk, or the lattice.  Its bytes are one group's
+    heads of every class and row, with one row's full head in flight while
+    they are built, the axis-1 passes of one axis-0 index when pieces are
+    sub-slabs, the buffer, and one stacked tail in flight (a pass's input
+    and output), of a piece, or of whole slabs as long as the buffer."""
+    n, n_samples = spectrum.spec.points_per_axis, spectrum.spec.n_samples
+    transforms = [t for _, t in spectrum.class_transforms]
+    budget = 8 * rows * len(transforms) * min(piece + chunk, n_samples)
+    per_index = rows * sum(t.head_bytes for t in transforms) // n
+    group = max(1, min(n, budget // max(per_index, 1)))
+    split = piece < n_samples // n
+    slabs = 1 if split else max(
+        1, _TAIL_VALUES // max(rows * len(transforms) * piece, 1))
+    width = min(slabs * piece + chunk, n_samples)
+    held = (rows * sum(t.head_bytes // n * group + split * t.pass_bytes
+                       for t in transforms)
+            + max((t.head_bytes for t in transforms), default=0)
+            + 8 * rows * len(transforms) * width
+            + 2 * rows * _class_buffer_bytes(spectrum.spec)
+            * (piece if split else width) // n_samples)
+    return _ChunkPlan(rows, chunk, piece, group, slabs, width, held)
 
 
 def _cores() -> int:
@@ -973,32 +1052,13 @@ def _pairs(n: int, need) -> list:
     return [jobs[1::2], jobs[::2]]
 
 
-def _pass_streams(spectrum: HalfSpectrum, reductions: list) -> list:
-    """The reductions of each stream of a streamed pass, as lists of
-    indices into reductions: the reductions over several axes (the vector
-    maximal's) on one stream and those over one axis on the other, where
-    both are non-empty, _two_streams allows it (not inside one of two
-    paired trials, whose passes take one stream each) and each stream
-    takes fewer rows than the whole pass; else one stream."""
-    whole = list(range(len(reductions)))
-    streams = [[k for k in whole if len(reductions[k][0]) > 1],
-               [k for k in whole if len(reductions[k][0]) == 1]]
-    if not all(streams) or not _two_streams():
-        return [whole]
-    parts = {axis: len(spectrum.filtered(axis))
-             for axis in _pass_axes(reductions)}
-    rows = [sum(parts[axis]
-                for axis in _pass_axes([reductions[k] for k in stream]))
-            for stream in streams]
-    return streams if max(rows) < sum(parts.values()) else [whole]
-
-
 def _run_streams(stream, streams: list) -> None:
-    """stream(indices) for each of streams: one on the caller's thread, or
-    two at once, the first on a single-thread executor and the second on
-    the caller's thread, each a stream (_stream_thread), with numpy's BLAS
+    """stream(item) for each item of streams (a plan's _Stream, or a list
+    of a driver's trials): one on the caller's thread, or two at once, the
+    first on a single-thread executor and the second on the caller's
+    thread, each a stream (_stream_thread), with numpy's BLAS
     at one thread from before the worker starts until it has ended.  It
-    runs a pass's two streams (_pass_streams) and a driver's paired trials
+    runs a plan's two streams (_Plan.streams) and a driver's paired trials
     (_pairs).  The executor waits for the worker whether or not the
     caller's stream raises; the caller's error is raised, else the
     worker's, so no thread is left and the BLAS count is restored."""
@@ -1006,74 +1066,14 @@ def _run_streams(stream, streams: list) -> None:
         stream(streams[0])
         return
 
-    def capped(indices: list) -> None:
+    def capped(item) -> None:
         with _stream_thread():
-            stream(indices)
+            stream(item)
 
     with _stream_thread(), ThreadPoolExecutor(max_workers=1) as pool:
         worker = pool.submit(capped, streams[0])
         stream(streams[1])
         worker.result()
-
-
-def _pass_chunk(spectrum: HalfSpectrum, reductions: list) -> int:
-    """The streamed pass's chunk: the shortest of its reductions' chunks."""
-    n_samples, n_r = spectrum.spec.n_samples, spectrum.radii.size
-    return min(_slab_chunk(n_samples, n_r, p.shape[1],
-                           _takes_gram(axes, n_r, p.shape[1]))
-               for axes, p, _ in reductions)
-
-
-def _slab_route_bytes(spectrum: HalfSpectrum, reductions: list,
-                      norms: bool = False) -> int:
-    """The streamed pass's bytes: those of each of its streams
-    (_pass_streams), which run at once: its _class_chunks, the largest of
-    one of its reductions' temporaries over a chunk (the Gram form's
-    accumulator, pairs x chunk, and product, n_cols x its span, or a
-    block's column sums and reduced sums) and its rows' filtered values;
-    and each reduction's float64 sums: n_samples of them, or, when norms
-    are summed, one chunk's."""
-    spec, n_r = spectrum.spec, spectrum.radii.size
-    chunk = _pass_chunk(spectrum, reductions)
-    piece = _piece(spec, _pass_axes(reductions))
-    total = 8 * len(reductions) * (chunk if norms else spec.n_samples)
-    for stream in _pass_streams(spectrum, reductions):
-        chosen = [reductions[k] for k in stream]
-        temps = 0
-        for axes, profiles, _ in chosen:
-            n_cols = profiles.shape[1]
-            temps = max(temps, (
-                n_r * (n_r + 1) // 2 * chunk
-                + n_cols * _gram_span(chunk, n_r, n_cols)
-                if _takes_gram(axes, n_r, n_cols)
-                else 3 * n_cols * max(1, _BLOCK_VALUES // max(n_cols, 1))))
-        n_rows = len(_stream_rows(spectrum, chosen)[1])
-        total += (_class_chunks_bytes(spectrum, n_rows, chunk, piece)
-                  + 8 * temps + 16 * n_rows * spectrum.active.size)
-    return total
-
-
-def _class_chunks_bytes(spectrum: HalfSpectrum, n_rows: int, chunk: int,
-                        piece: int) -> int:
-    """The bytes _class_chunks holds for n_rows rows: one group's heads of
-    every class and row (_head_group), with one row's full head in flight
-    while they are built, the axis-1 passes of one axis-0 index when pieces
-    are sub-slabs, the buffer (_tail_buffer: the pieces of one tail call,
-    up to _TAIL_VALUES of whole slabs, of every row and class, and a carry
-    of up to a chunk), and one stacked tail in flight (a pass's input and
-    output), of a piece, or of whole slabs as long as the buffer."""
-    spec = spectrum.spec
-    n, n_samples = spec.points_per_axis, spec.n_samples
-    transforms = [t for _, t in spectrum.class_transforms]
-    _, width = _tail_buffer(spectrum, n_rows, chunk, piece)
-    buffer = 8 * n_rows * len(transforms) * width
-    group = _head_group(spectrum, n_rows, chunk, piece)
-    split = piece < n_samples // n
-    return (n_rows * sum(t.head_bytes // n * group + split * t.pass_bytes
-                         for t in transforms)
-            + max((t.head_bytes for t in transforms), default=0) + buffer
-            + 2 * n_rows * _class_buffer_bytes(spec)
-            * (piece if split else width) // n_samples)
 
 
 def _column_sums(by_t: np.ndarray, groups) -> np.ndarray:
@@ -1104,39 +1104,37 @@ def _group_heads(transform, rows: list, chosen: np.ndarray, first: int,
     return heads
 
 
-def _class_chunks(spectrum: HalfSpectrum, rows: list, chunk: int,
-                  piece: int):
+def _class_chunks(spectrum: HalfSpectrum, rows: list, plan: _ChunkPlan):
     """Yield (lo, u) over consecutive chunks of the samples, u[q, i] the
-    samples lo:lo + chunk of class i of the inverse transform of rows[q]
-    (values at the active bins, see HalfSpectrum.filtered).
+    samples lo:lo + plan.chunk of class i of the inverse transform of
+    rows[q] (values at the active bins, see HalfSpectrum.filtered), sized
+    by plan (_chunk_plan).
 
-    Heads are kept for one group of axis-0 indices at a time (_head_group):
-    when the stream reaches a group, each class's heads of all rows are
-    rebuilt, one row at a time, and only the group's indices kept, so the
-    axis-0 pass runs once per row and group.  A group's heads overwrite the
-    arrays of the group before: freed arrays of their size go back to the
-    system, and the next group would fault their pages in again.  Their
-    tails then finish every row of a class in one call, into a buffer of
-    the tail budget plus a chunk per row and class (_tail_buffer): where
-    pieces are axis-0 slabs, all the slabs a chunk needs of the group, and
-    more of the group up to the budget, in one call, which later chunks
-    read until it is used up; and where they are axis-1 sub-slabs
-    (_piece), one piece per call after the axis-0 index's shared axis-1
-    pass.  The tail budget is there for two streams at once (_run_streams):
-    a tail call is about ten small NumPy and FFT calls, each of which lets
-    the GIL go, and streams that tailed one slab per chunk spent their time
-    handing it over.  Each line is transformed as it would be alone, so the
-    samples do not depend on how many slabs a call takes.  And whatever of
-    the last piece a chunk leaves over is carried to the buffer's front one
-    line at a time: numpy moves a line forward within itself in place,
-    where it would copy a strided block through a temporary it cannot prove
-    disjoint."""
+    Heads are kept for one group of axis-0 indices at a time: when the
+    stream reaches a group, each class's heads of all rows are rebuilt, one
+    row at a time, and only the group's indices kept, so the axis-0 pass
+    runs once per row and group.  A group's heads overwrite the arrays of
+    the group before: freed arrays of their size go back to the system, and
+    the next group would fault their pages in again.  Their tails then
+    finish every row of a class in one call, into a buffer of the tail
+    budget plus a chunk per row and class: where pieces are axis-0 slabs,
+    all the slabs a chunk needs of the group, and more of the group up to
+    the budget, in one call, which later chunks read until it is used up;
+    and where they are axis-1 sub-slabs, one piece per call after the
+    axis-0 index's shared axis-1 pass.  The tail budget is there for two
+    streams at once (_run_streams): a tail call is about ten small NumPy
+    and FFT calls, each of which lets the GIL go, and streams that tailed
+    one slab per chunk spent their time handing it over.  Each line is
+    transformed as it would be alone, so the samples do not depend on how
+    many slabs a call takes.  And whatever of the last piece a chunk leaves
+    over is carried to the buffer's front one line at a time: numpy moves a
+    line forward within itself in place, where it would copy a strided
+    block through a temporary it cannot prove disjoint."""
     spec, transforms = spectrum.spec, spectrum.class_transforms
     n, n_samples = spec.points_per_axis, spec.n_samples
+    chunk, piece, group = plan.chunk, plan.piece, plan.group
     per_slab = n_samples // n // piece
-    slabs, held = _tail_buffer(spectrum, len(rows), chunk, piece)
-    buf = np.empty((len(rows), len(transforms), held))
-    group = _head_group(spectrum, len(rows), chunk, piece)
+    buf = np.empty((len(rows), len(transforms), plan.width))
     heads = passed = None
     first = 0                           # heads hold first:first + group
     start = end = 0                     # buf[..., :end - start] is start:end
@@ -1157,7 +1155,7 @@ def _class_chunks(spectrum: HalfSpectrum, rows: list, chunk: int,
                          for (c, t), h in zip(transforms, kept)]
             # whole slabs: every one the chunk needs of the heads' group,
             # and as many more of the group as the tail budget takes
-            count = (1 if per_slab > 1 else min(max(last, p + slabs),
+            count = (1 if per_slab > 1 else min(max(last, p + plan.slabs),
                                                 first + group, n) - p)
             at, width = p * piece - start, count * piece
             if per_slab > 1 and m == 0:
@@ -1177,61 +1175,57 @@ def _class_chunks(spectrum: HalfSpectrum, rows: list, chunk: int,
 
 
 def _stream_route(spectrum: HalfSpectrum, reductions: list,
-                  norms: bool = False) -> list:
+                  plan: _Plan, parts: dict) -> list:
     """The sums of _route for each reduction (axes, profiles, weights),
-    from one streamed pass: the classes of every part of the identity and
-    the axes the reductions take come in chunks of whole blocks of
-    _sample_blocks(n_samples, n_cols) (_class_chunks, _pass_chunk), and each
-    reduction reduces each chunk as it is done (_chunk_reducer).  The pass
-    runs as one stream, or as two at once where that saves rows
-    (_pass_streams, _run_streams): each stream is a _class_chunks pass over
-    its own reductions' rows (_stream_rows) only, at the whole pass's chunk
-    and piece, so every chunk's sums are those of the one stream, bit for
-    bit.  With norms, a reduction gives the total of its sums clipped at 0
-    in place of the sums, the square of its root's L2 norm over the cell
-    volume: each chunk's sums are totalled, and the chunks' totals are
-    added once, at the end."""
-    spec = spectrum.spec
-    chunk = _pass_chunk(spectrum, reductions)
-    piece = _piece(spec, _pass_axes(reductions))
-    outs = [np.empty(chunk if norms else spec.n_samples) for _ in reductions]
-    totals = np.zeros((len(reductions), -(-spec.n_samples // chunk)))
+    from one streamed pass as plan has it, over parts, the filtered parts
+    of each of its axes (_stream_plan): the classes of each stream's rows
+    come in chunks (_class_chunks), and each reduction reduces each chunk
+    as it is done (_chunk_reducer).  The pass runs as one stream, or as two
+    at once (_run_streams), each over its own reductions' rows only, at the
+    whole pass's chunk and piece, so every chunk's sums are those of the
+    one stream, bit for bit.  With plan.norms, a reduction gives the total
+    of its sums clipped at 0 in place of the sums, the square of its root's
+    L2 norm over the cell volume: each chunk's sums are totalled, and the
+    chunks' totals are added once, at the end."""
+    n_samples, chunk, norms = spectrum.spec.n_samples, plan.chunk, plan.norms
+    outs = [np.empty(chunk if norms else n_samples) for _ in reductions]
+    totals = np.zeros((len(reductions), -(-n_samples // chunk)))
 
-    def stream(chosen: list) -> None:
-        _, rows, groups = _stream_rows(spectrum,
-                                       [reductions[k] for k in chosen])
-        reducers = [_chunk_reducer(rows_of, *reductions[k][1:], chunk)
-                    for k, rows_of in zip(chosen, groups)]
-        for lo, u in _class_chunks(spectrum, rows, chunk, piece):
+    def stream(planned: _Stream) -> None:
+        rows = [part for axis, _ in planned.rows for part in parts[axis]]
+        at = dict(planned.rows)
+        reducers = [_chunk_reducer([at[axis] for axis in reductions[k][0]],
+                                   *reductions[k][1:], plan.spans[k])
+                    for k in planned.reductions]
+        for lo, u in _class_chunks(spectrum, rows, planned.chunks):
             hi = lo + u.shape[-1]
-            for k, reduce in zip(chosen, reducers):
+            for k, reduce in zip(planned.reductions, reducers):
                 sums = outs[k][:hi - lo] if norms else outs[k][lo:hi]
                 reduce(u, sums)
                 if norms:
                     totals[k, lo // chunk] = np.sum(
                         np.maximum(sums, 0.0, out=sums))
 
-    _run_streams(stream, _pass_streams(spectrum, reductions))
+    _run_streams(stream, plan.streams)
     return [float(t) for t in totals.sum(axis=1)] if norms else outs
 
 
 def _chunk_reducer(groups: list, profiles: np.ndarray,
-                   weights: np.ndarray | None, chunk: int):
+                   weights: np.ndarray | None, span: int | None):
     """A function (u, sums) that writes into sums the reduction of one
     chunk u of _class_chunks (rows, classes, samples) whose axes have the
     rows of groups, a slice per axis: max_c s_c, or sum_c weights[c] s_c.
-    One axis takes RadialBundle.sums's block sums, bit for bit; several
-    axes with few classes take s_c = P_c^T G P_c, with G the per-point Gram
-    matrix of the classes (_gram_sums) over the chunk (_slab_chunk), taken
-    through the pair weights in one product per chunk, or per block when
-    the pairs are few (_gram_span), over the rows of its axes, which must
-    be consecutive in the pass (vector_maximal's and the sweep's axes 1..d
-    are); other reductions of several axes take the block sums over every
-    axis.  Its temporaries are gone when it returns, before the next carry
-    or accumulator."""
+    Where span is None it takes RadialBundle.sums's block sums over every
+    axis, bit for bit for one axis; else (several axes with few classes,
+    _stream_plan) s_c = P_c^T G P_c, with G the per-point Gram matrix of
+    the classes (_gram_sums) over the chunk, taken through the pair
+    weights in one product per span of samples, over the rows of its axes,
+    which must be consecutive in the pass (vector_maximal's and the
+    sweep's axes 1..d are).  Its temporaries are gone when it returns,
+    before the next carry or accumulator."""
     n_r, n_cols = profiles.shape
     by_t = np.ascontiguousarray(profiles.T)
-    if not _takes_gram(groups, n_r, n_cols):
+    if span is None:
         def reduce(u, sums):
             for cols in _sample_blocks(sums.size, n_cols):
                 s = _column_sums(by_t, [u[g, :, cols] for g in groups])
@@ -1243,7 +1237,6 @@ def _chunk_reducer(groups: list, profiles: np.ndarray,
     # (a, b) and (b, a): weight 2
     pair_weights = by_t[:, rows_i] * by_t[:, cols_i]
     pair_weights[:, rows_i != cols_i] *= 2.0
-    span = _gram_span(chunk, n_r, n_cols)
 
     def reduce(u, sums):
         acc = _gram_sums(u[rows])

@@ -82,7 +82,14 @@ def test_bad_x_grid_is_usage_error(tmp_path):
     (["verify-multiplier", "--x-grid", "lin:nan:1:5"], EXIT_USAGE),
     (["verify-multiplier", "--x-grid", "lin:0:inf:5"], EXIT_USAGE),
     (["factorization", "--grid-n", "8", "--t-list", "0.1,0.5"], EXIT_USAGE),
-    (["factorization", "--grid-n", "8", "--t-list", "0"], EXIT_USAGE)])
+    (["factorization", "--grid-n", "8", "--t-list", "0"], EXIT_USAGE),
+    # 2^n of a truncation grid is a positive finite double only for
+    # -1074 <= n <= 1023
+    (["decomposition", "--trials", "1", "--t-grid=1020:1030:0"], EXIT_USAGE),
+    (["norm-sweep", "--dims", "4", "--trials", "1", "--t-grid",
+      "1020:1030:0"], EXIT_USAGE),
+    (["norm-sweep", "--dims", "4", "--trials", "1",
+      "--t-grid=-1100:-1070:0"], EXIT_USAGE)])
 def test_x_and_t_outside_their_domains(tmp_path, argv, code):
     assert main([*argv, "--output", str(tmp_path)]) == code
 
@@ -166,8 +173,9 @@ def test_column_route_exit_codes(tmp_path, monkeypatch):
     # passes; below the column route's own estimate the command exits 3
     from rieszmax.experiments import _trial_field
     from rieszmax.fields import GridSpec
+    from test_operators import _column_bytes
     field = _trial_field(GridSpec(4, 8), 3.0, 42, 0)
-    need = operators._column_route_bytes(operators.half_spectrum(field), [None])
+    need = _column_bytes(operators.half_spectrum(field), [None], monkeypatch)
     argv = ["poisson", "--grid-n", "8", "--trials", "1",
             "--output", str(tmp_path)]
     monkeypatch.setattr(operators, "_physical_memory", lambda: need)

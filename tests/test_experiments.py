@@ -1,5 +1,6 @@
 """Experiment drivers: reproducibility, report plumbing, driver invariants."""
 
+import functools
 import json
 import math
 import os
@@ -250,8 +251,8 @@ def test_sweep_trial_peak_is_one_bundle_plus_the_slab_route():
     bundle = operators.radial_bundle(spectrum, axis=1).components.nbytes
     profiles = operators.profile_matrix(d, spectrum.radii, grid.values(),
                                         "truncated_riesz")
-    slabs = operators._slab_route_bytes(
-        spectrum, [(list(range(1, d + 1)), profiles, None)])
+    slabs = operators._plan(
+        spectrum, [(list(range(1, d + 1)), profiles, None)]).bytes
     half = 16 * spec.n_samples // n * (n // 2 + 1)
     class_bytes = half + 8 * spec.n_samples
     del spectrum
@@ -272,6 +273,60 @@ def _sweep_reductions(spectrum, grid):
              None) for family, axes in _sweep_maxima(d)]
 
 
+@pytest.mark.parametrize("d, n, axes", [(4, 16, 7), (6, 10, 7), (8, 4, 11)])
+def test_a_sweep_trial_plans_each_pass_once(d, n, axes, monkeypatch):
+    # one plan per pass, made before any transform, and one filtering per
+    # distinct axis of each pass, shared by the plan, its streams and its
+    # reductions: (4, 16) and (8, 4) take four passes over 1, 1, 1 and d
+    # axes, (6, 10) one fused pass over the identity and its 6 axes.  ||f||
+    # and ||R_1 f|| filter the identity and axis 1 once more each.
+    from rieszmax.experiments import _capped_band, _sweep_trial
+    spec = GridSpec(d, n)
+    draw = functools.partial(_trial_spectrum, spec, _capped_band(3.0, spec),
+                             42, 0)
+    plans = _count_calls(monkeypatch, operators, "_plan")
+    filtered = _count_calls(monkeypatch, operators.HalfSpectrum, "filtered")
+    energies = _count_calls(monkeypatch, operators.HalfSpectrum, "energies")
+    _sweep_trial(draw, default_truncation_grid())
+    assert len(plans) == (1 if operators._streams(spec) else 4)
+    assert len(energies) == 2
+    assert len(filtered) == axes + len(energies)
+
+
+@pytest.mark.parametrize("driver", ["norm-sweep", "decomposition", "poisson"])
+def test_driver_passes_peak_within_their_plans(driver, monkeypatch):
+    # every pass one trial of a driver builds at the CLI's defaults: the
+    # sweep's four passes at (4, 16) and its fused passes at (6, 10),
+    # (8, 6) and (10, 4), the decomposition's 15 sups and the Poisson
+    # maximal function at (4, 16); each pass's traced peak, two streams
+    # at once where it splits, is within its plan's estimate
+    from rieszmax.cli import _DEFAULT_N_OF_D
+    from test_operators import _HEADERS, _traced_peak
+    grid = default_truncation_grid()
+    run = {"norm-sweep": lambda: norm_ratio_sweep(
+               list(_DEFAULT_N_OF_D), _DEFAULT_N_OF_D, grid, 3.0, 1, 42),
+           "decomposition": lambda: decomposition_diagnostics(
+               4, 16, grid, 3.0, 1, 42),
+           "poisson": lambda: poisson_suite(4, 16, 3.0, 1, 42)}[driver]
+    passes = []
+    route = operators._route
+
+    def spy(spectrum, reductions, norms=False):
+        passes.append((spectrum, reductions, norms))
+        return route(spectrum, reductions, norms)
+
+    monkeypatch.setattr(operators, "_route", spy)
+    run()
+    monkeypatch.setattr(operators, "_route", route)
+    assert len(passes) == {"norm-sweep": 7, "decomposition": 1,
+                           "poisson": 1}[driver]
+    for spectrum, reductions, norms in passes:
+        plan = operators._plan(spectrum, reductions, norms)
+        assert plan.route == "streamed"
+        peak = _traced_peak(lambda: route(spectrum, reductions, norms))
+        assert peak <= plan.bytes + _HEADERS, spectrum.spec
+
+
 def test_streamed_sweep_peak_holds_no_field_and_one_group_of_heads():
     # at d = 6, N = 10 the whole trial, its draw included, stays below the
     # estimate of its streamed pass, which has no term for a field or any
@@ -285,18 +340,16 @@ def test_streamed_sweep_peak_holds_no_field_and_one_group_of_heads():
     grid = default_truncation_grid()
     spectrum = _trial_spectrum(spec, band, seed, 0)
     reductions = _sweep_reductions(spectrum, grid)
-    axes, rows, _ = operators._stream_rows(spectrum, reductions)
-    assert axes == [None, *range(1, d + 1)] and len(rows) == d + 1
-    streams = operators._pass_streams(spectrum, reductions)
-    assert streams == [[0], [1, 2, 3]]
-    for stream, n_rows in zip(streams, [d, 2]):
-        _, rows, _ = operators._stream_rows(
-            spectrum, [reductions[k] for k in stream])
-        assert len(rows) == n_rows
-        assert operators._head_group(
-            spectrum, len(rows), operators._pass_chunk(spectrum, reductions),
-            operators._piece(spec, axes)) == 2
-    need = operators._slab_route_bytes(spectrum, reductions, norms=True)
+    assert sum(len(spectrum.filtered(axis))
+               for axis in [None, *range(1, d + 1)]) == d + 1
+    plan = operators._plan(spectrum, reductions, norms=True)
+    assert [list(stream.reductions) for stream in plan.streams] \
+        == [[0], [1, 2, 3]]
+    for stream, axes in zip(plan.streams, [range(1, d + 1), [None, 1]]):
+        assert [axis for axis, _ in stream.rows] == list(axes)
+        assert stream.chunks.rows == len(axes)
+        assert stream.chunks.group == 2
+    need = plan.bytes
     del spectrum
     norm_ratio_sweep([d], {d: n}, grid, band, 1, seed)    # warm caches
     tracemalloc.start()
@@ -737,10 +790,9 @@ class TestPairedTrials:
                 got = {}
                 for cores in (2, 1):
                     monkeypatch.setattr(operators, "_cores", lambda: cores)
-                    assert len(operators._pass_streams(
-                        spectrum, reductions)) == cores, (d, n)
-                    got[cores] = operators._route_bytes(spectrum, reductions,
-                                                        True)
+                    plan = operators._plan(spectrum, reductions, True)
+                    assert len(plan.streams) == cores, (d, n)
+                    got[cores] = plan.bytes
                 assert got[1] <= got[2], (d, n)
 
     @pytest.mark.parametrize("where, trial", [("caller", 0), ("worker", 1)])

@@ -1,6 +1,7 @@
 """Spectral/spatial operators: symbols, kernels, maximal and square operators,
 Poisson projections, method of rotations."""
 
+import functools
 import itertools
 import math
 import os
@@ -128,6 +129,18 @@ class TestTruncationGrid:
             TruncationGrid(2, 1)
         with pytest.raises(DomainError):
             TruncationGrid(0, 1, depth=-1)
+
+    @pytest.mark.parametrize("n_min, n_max", [(1020, 1030), (1023, 1024),
+                                              (-1100, -1070), (-1075, 0)])
+    def test_exponents_outside_the_doubles_rejected(self, n_min, n_max):
+        # 2^n is a positive finite double for -1074 <= n <= 1023 only
+        with pytest.raises(DomainError):
+            TruncationGrid(n_min, n_max)
+
+    def test_exponents_at_the_doubles_ends(self):
+        values = TruncationGrid(-1074, 1023).values()
+        assert values[0] == 2.0 ** -1074 > 0.0
+        assert values[-1] == 2.0 ** 1023 < math.inf
 
 
 class TestRadialProfile:
@@ -673,12 +686,12 @@ class TestMaximalNorms:
         spectrum = (half_spectrum(SpatialField(
             spec, _split_fields(spec, 43)["nyquist"])) if case == "nyquist"
                     else operators._band_spectrum(spec, 3.0, 42))
-        n_r, n_cols = spectrum.radii.size, grid.values().size
-        assert operators._takes_gram(list(range(1, 7)), n_r, n_cols) \
-            == (case != "columns")
+        reductions = _sweep_reductions(spectrum, grid)
+        plan = operators._plan(spectrum, reductions, norms=True)
+        assert (plan.spans[0] is not None) == (case != "columns")
         rows = sum(len(spectrum.filtered(axis)) for axis in [None, 1, 6])
         assert rows == (5 if case == "nyquist" else 3)
-        got = operators._norms(spectrum, _sweep_reductions(spectrum, grid))
+        got = operators._norms(spectrum, reductions)
         want = [l2_norm(vector_maximal(spectrum, grid))]
         want += [l2_norm(maximal_over(spectrum, family, grid, j=1))
                  for family in ("factor_m", "truncated_riesz",
@@ -727,7 +740,7 @@ class TestBundleMemory:
         want = vector_maximal(f, grid).samples
         need = (radial_bundle(f, axis=1).components.nbytes
                 + operators._class_buffer_bytes(spec))
-        column = operators._column_route_bytes(half_spectrum(f), [1, 2, 3, 4])
+        column = _column_bytes(half_spectrum(f), [1, 2, 3, 4], monkeypatch)
         assert column < need
         monkeypatch.setattr(operators, "_physical_memory", lambda: need)
         got = vector_maximal(f, grid).samples
@@ -827,6 +840,52 @@ class _StreamError(Exception):
 # Headroom over an estimate for what is not a lattice array: the array
 # headers and scipy's bookkeeping of a call, about a kilobyte.
 _HEADERS = 4096
+
+
+def _traced_peak(run):
+    """The traced peak of run(), after a run that warms caches, plans and
+    m."""
+    run()
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def _column_bytes(spectrum, axes, monkeypatch):
+    """The estimate of the column route for one reduction over axes: that
+    of the plan _plan makes where no streamed pass fits in memory."""
+    with monkeypatch.context() as patch:
+        patch.setattr(operators, "_physical_memory", lambda: 0)
+        plan = operators._plan(
+            spectrum, [(axes, np.zeros((spectrum.radii.size, 1)), None)])
+    assert plan.route == "column"
+    return plan.bytes
+
+
+def _streamed(spectrum, reductions, norms=False):
+    """The sums of reductions (or with norms their totals) from their
+    streamed plan, whichever route _route would take."""
+    parts = {}
+    plan = operators._stream_plan(spectrum, reductions, norms, parts)
+    return operators._stream_route(spectrum, reductions, plan, parts)
+
+
+def _streams_of(spectrum, reductions):
+    """The reductions of each stream of the plan of a norms pass."""
+    return [list(stream.reductions) for stream in
+            operators._plan(spectrum, reductions, norms=True).streams]
+
+
+def _plan_of(spectrum, axes, profiles=None):
+    """The streamed plan of one reduction over axes, of one column when no
+    profiles are given."""
+    if profiles is None:
+        profiles = np.zeros((spectrum.radii.size, 1))
+    return operators._stream_plan(spectrum, [(axes, profiles, None)], False,
+                                  {})
 
 
 class TestPrunedTransform:
@@ -1052,8 +1111,7 @@ class TestColumnRoute:
                                         ([None], decay, np.arange(1.0, 5.0))]:
             by_column = operators._column_route(spectrum, axes, profiles,
                                                 weights)
-            routes = [operators._stream_route(
-                spectrum, [(axes, profiles, weights)])[0]]
+            routes = [_streamed(spectrum, [(axes, profiles, weights)])[0]]
             if len(axes) == 1:
                 routes.append(_bundle_sums(spectrum, axes, profiles, weights))
             for sums in routes:
@@ -1061,7 +1119,7 @@ class TestColumnRoute:
                     <= 1e-12 * np.max(by_column)
 
     def test_over_its_estimate_is_resource_error(self, field, monkeypatch):
-        need = operators._column_route_bytes(half_spectrum(field), [None])
+        need = _column_bytes(half_spectrum(field), [None], monkeypatch)
         monkeypatch.setattr(operators, "_physical_memory", lambda: need)
         maximal_over(field, "poisson", self.GRID)
         monkeypatch.setattr(operators, "_physical_memory", lambda: need - 1)
@@ -1101,8 +1159,7 @@ def _bundle_reduction(spectrum, axes, profiles, weights=None):
         rows_i, cols_i = np.triu_indices(n_r)
         pair_weights = by_t[:, rows_i] * by_t[:, cols_i]
         pair_weights[:, rows_i != cols_i] *= 2.0
-        chunk = operators._slab_chunk(n_samples, n_r, n_cols, True)
-        span = operators._gram_span(chunk, n_r, n_cols)
+        (span,) = _plan_of(spectrum, axes, profiles).spans
         spans = [slice(lo, lo + span) for lo in range(0, n_samples, span)]
     out = np.empty(n_samples)
     for cols in (spans if gram
@@ -1171,8 +1228,8 @@ class TestSlabRoute:
         axes = [1, 2, 3, 4]
         profiles = operators.profile_matrix(4, spectrum.radii, grid.values(),
                                             "truncated_riesz")
-        slab = operators._slab_route_bytes(spectrum, [(axes, profiles, None)])
-        column = operators._column_route_bytes(spectrum, axes)
+        slab = operators._plan(spectrum, [(axes, profiles, None)]).bytes
+        column = _column_bytes(spectrum, axes, monkeypatch)
         built = _count_calls(monkeypatch, operators, "radial_bundle")
         monkeypatch.setattr(operators, "_physical_memory", lambda: slab)
         assert np.array_equal(vector_maximal(spectrum, grid).samples, want)
@@ -1213,8 +1270,9 @@ class TestStreamedRoute:
         n, slab = spec.points_per_axis, spec.n_samples // spec.points_per_axis
         monkeypatch.setattr(operators, "_BLOCK_VALUES", slab // 2)
         assert operators._streams(spec)
-        assert operators._piece(spec, [1]) == slab
-        assert operators._piece(spec, [1, 2]) == (
+        spectrum = operators._band_spectrum(spec, 2.0, 0)
+        assert _plan_of(spectrum, [1]).streams[0].chunks.piece == slab
+        assert _plan_of(spectrum, [1, 2]).streams[0].chunks.piece == (
             slab if spec.dimension == 2 else slab // n)
 
     @pytest.mark.parametrize("d, n", GRIDS)
@@ -1236,8 +1294,7 @@ class TestStreamedRoute:
                                                     family)
                 for w in (weights, None):
                     want = _bundle_sums(spectrum, [axis], profiles, w)
-                    got = operators._stream_route(
-                        spectrum, [([axis], profiles, w)])[0]
+                    got = _streamed(spectrum, [([axis], profiles, w)])[0]
                     assert np.array_equal(got, want), (kind, axis, w)
             # the last maxima, through the public route
             built = _count_calls(monkeypatch, operators, "radial_bundle")
@@ -1293,19 +1350,19 @@ class TestStreamedRoute:
             for grid in (default_truncation_grid(),
                          TruncationGrid(-3, 1, depth=1)):
                 reductions = _sweep_reductions(spectrum, grid)
-                branches.add(operators._takes_gram(
-                    reductions[0][0], spectrum.radii.size, grid.values().size))
+                branches.add(_plan_of(spectrum, *reductions[0][:2]).spans[0]
+                             is not None)
                 passes.clear()
-                sums = operators._stream_route(spectrum, reductions)
+                sums = _streamed(spectrum, reductions)
                 assert sorted(map(len, passes)) == sorted(
                     [parts[None] + parts[1], sum(parts.values()) - parts[None]])
-                _, whole, _ = operators._stream_rows(spectrum, reductions)
+                whole = [part for axis in parts
+                         for part in spectrum.filtered(axis)]
                 streamed = [row for rows in passes for row in rows]
                 assert all(any(np.array_equal(row, got) for got in streamed)
                            for row in whole)
                 for (axes, profiles, _), got in zip(reductions, sums):
-                    want = operators._stream_route(
-                        spectrum, [(axes, profiles, None)])[0]
+                    want = _streamed(spectrum, [(axes, profiles, None)])[0]
                     assert np.array_equal(got, want), (kind, axes)
                 want = vector_maximal(spectrum, grid).samples.reshape(-1)
                 assert np.array_equal(np.sqrt(np.maximum(sums[0], 0.0)),
@@ -1328,10 +1385,9 @@ class TestStreamedRoute:
                 got = {}
                 for cores in (2, 1):
                     monkeypatch.setattr(operators, "_cores", lambda: cores)
-                    assert len(operators._pass_streams(
-                        spectrum, reductions)) == cores
+                    assert len(_streams_of(spectrum, reductions)) == cores
                     got[cores] = (
-                        operators._stream_route(spectrum, reductions),
+                        _streamed(spectrum, reductions),
                         operators._norms(spectrum, reductions))
                 for two, one in zip(got[2][0], got[1][0]):
                     assert np.array_equal(two, one), kind
@@ -1354,22 +1410,22 @@ class TestStreamedRoute:
         m = operators.profile_matrix(d, spectrum.radii, ts, "factor_m")
         ones = [([None], m[:, :k], None) for k in (5, 50, 150)]
         decomposition = [([None], m[:, :k + 1], None) for k in range(15)]
-        assert operators._pass_streams(spectrum, sweep) == [[0], [1, 2, 3]]
-        assert operators._pass_streams(spectrum, ones) == [[0, 1, 2]]
-        assert operators._pass_streams(spectrum, decomposition) \
+        assert _streams_of(spectrum, sweep) == [[0], [1, 2, 3]]
+        assert _streams_of(spectrum, ones) == [[0, 1, 2]]
+        assert _streams_of(spectrum, decomposition) \
             == [list(range(15))]
-        assert operators._pass_streams(spectrum, sweep[1:]) == [[0, 1, 2]]
-        assert operators._pass_streams(spectrum, sweep[:1]) == [[0]]
+        assert _streams_of(spectrum, sweep[1:]) == [[0, 1, 2]]
+        assert _streams_of(spectrum, sweep[:1]) == [[0]]
         with monkeypatch.context() as patch:
             patch.setattr(operators, "_cores", lambda: 1)
-            assert operators._pass_streams(spectrum, sweep) == [[0, 1, 2, 3]]
+            assert _streams_of(spectrum, sweep) == [[0, 1, 2, 3]]
         with monkeypatch.context() as patch:
             patch.setattr(operators, "_blas_threads", lambda: None)
-            assert operators._pass_streams(spectrum, sweep) == [[0, 1, 2, 3]]
+            assert _streams_of(spectrum, sweep) == [[0, 1, 2, 3]]
         # a pass inside one of two paired trials: threads never nest
         with operators._stream_thread():
-            assert operators._pass_streams(spectrum, sweep) == [[0, 1, 2, 3]]
-        assert operators._pass_streams(spectrum, sweep) == [[0], [1, 2, 3]]
+            assert _streams_of(spectrum, sweep) == [[0, 1, 2, 3]]
+        assert _streams_of(spectrum, sweep) == [[0], [1, 2, 3]]
 
     @pytest.mark.parametrize("d, n, fused", [
         (4, 16, False), (8, 4, False), (6, 10, True), (8, 6, True),
@@ -1423,8 +1479,8 @@ class TestStreamedRoute:
         with monkeypatch.context() as patch:
             patch.setattr(operators, "_cores", lambda: 1)
             want = operators._norms(spectrum, reductions)
-        chunk = operators._pass_chunk(spectrum, reductions)
-        streams = operators._pass_streams(spectrum, reductions)
+        plan = operators._plan(spectrum, reductions, norms=True)
+        chunk, streams = plan.chunk, _streams_of(spectrum, reductions)
         assert len(streams) == 2
         caller = where == "caller"
         fails, done = [], []
@@ -1471,7 +1527,7 @@ class TestStreamedRoute:
             "from test_experiments import _sweep_reductions\n"
             "spectrum = _trial_spectrum(GridSpec(6, 10), 3.0, 42, 0)\n"
             "sweep = _sweep_reductions(spectrum, default_truncation_grid())\n"
-            "assert len(operators._pass_streams(spectrum, sweep)) == 2\n"
+            "assert len(operators._plan(spectrum, sweep, True).streams) == 2\n"
             "print(repr(operators._norms(spectrum, sweep)))\n"
             "operators._cores = lambda: 1\n"
             "print(repr(operators._norms(spectrum, sweep)))\n")
@@ -1503,11 +1559,10 @@ class TestStreamedRoute:
         grid = TruncationGrid(-10, 7, depth=2)
         profiles = operators.profile_matrix(4, spectrum.radii, grid.values(),
                                             "poisson")
-        chunk = operators._pass_chunk(spectrum, [([None], profiles, None)])
+        plan = _plan_of(spectrum, [None], profiles)
+        chunk, slabs = plan.chunk, plan.streams[0].chunks.slabs
         n_r, n_chunks = spectrum.radii.size, -(-spec.n_samples // chunk)
         assert spec.n_samples // 16 < chunk < 2 * spec.n_samples // 16
-        slabs, _ = operators._tail_buffer(spectrum, 1, chunk,
-                                          operators._piece(spec, [None]))
         assert slabs == 14
         tails = _count_calls(monkeypatch, operators.sfft, "irfftn")
         got = maximal_over(spectrum, "poisson", grid).samples.reshape(-1)
@@ -1537,7 +1592,7 @@ class TestStreamedRoute:
             assert abs(norm - want) <= 1e-12 * want
 
     @staticmethod
-    def _peaks_are_within_their_estimates_and_below_a_bundle():
+    def _peaks_are_within_their_estimates_and_below_a_bundle(doubled=False):
         # (6, 10), the sweep's middle grid, streams unpatched: its slabs of
         # 10^5 samples exceed _BLOCK_VALUES, so the vector maximal's split
         # into sub-slabs; the sweep's four maxima share one pass over 7
@@ -1549,34 +1604,37 @@ class TestStreamedRoute:
         grid = default_truncation_grid()
         ts = grid.values()
         assert operators._streams(spec)
-        assert operators._piece(spec, [1, 2]) == 10 ** 4
         bundle = operators._bundle_bytes(spec, spectrum.radii.size, 1)
         riesz = operators.profile_matrix(6, spectrum.radii, ts,
                                          "truncated_riesz")
         sweep = _sweep_reductions(spectrum, grid)
-        assert len(operators._pass_streams(spectrum, sweep)) == 2
+        assert len(_streams_of(spectrum, sweep)) == 2
         for run, reductions, norms in [
                 (lambda: maximal_over(spectrum, "factor_m", grid),
                  [([None], riesz, None)], False),
                 (lambda: operators._norms(spectrum, sweep), sweep, True),
                 (lambda: vector_maximal(spectrum, grid),
                  [(list(range(1, 7)), riesz, None)], False)]:
-            run()                            # warm up caches, plans and m
-            tracemalloc.start()
-            try:
-                run()
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            need = operators._slab_route_bytes(spectrum, reductions, norms)
-            assert peak <= need + _HEADERS
-            assert need < bundle
+            parts = {}
+            plan = operators._plan(spectrum, reductions, norms, parts)
+            # a slab for one axis, an axis-1 sub-slab for several
+            assert plan.streams[0].chunks.piece == (
+                10 ** 5 if len(parts) == 1 else 10 ** 4)
+            if doubled:
+                # the pass at twice its chunk, from the planner's own step
+                plan = operators._stream_plan(
+                    spectrum, reductions, norms, parts,
+                    min(spec.n_samples, 2 * plan.chunk))
+                run = functools.partial(operators._stream_route, spectrum,
+                                        reductions, plan, parts)
+            assert _traced_peak(run) <= plan.bytes + _HEADERS
+            assert plan.bytes < bundle
 
     @staticmethod
-    def _chunks_peak(spectrum, rows, chunk, piece):
+    def _chunks_peak(spectrum, rows, plan):
         """The traced peak of one _class_chunks pass above what was held
         before it, after a pass that warms caches and plans."""
-        chunks = lambda: operators._class_chunks(spectrum, rows, chunk, piece)
+        chunks = lambda: operators._class_chunks(spectrum, rows, plan)
         for _ in chunks():
             pass
         tracemalloc.start()
@@ -1601,10 +1659,8 @@ class TestStreamedRoute:
                 for part in spectrum.filtered(axis)]
         slab = spec.n_samples // n
         piece = slab // n if split else slab
-        peak = self._chunks_peak(spectrum, rows, piece + 1, piece)
-        need = operators._class_chunks_bytes(spectrum, len(rows), piece + 1,
-                                             piece)
-        assert peak <= need + _HEADERS
+        plan = operators._chunk_plan(spectrum, len(rows), piece + 1, piece)
+        assert self._chunks_peak(spectrum, rows, plan) <= plan.bytes + _HEADERS
 
     @pytest.mark.parametrize("d, n, axes", [(4, 16, "identity"),
                                             (4, 16, "all"), (8, 4, "all")])
@@ -1619,32 +1675,27 @@ class TestStreamedRoute:
                                                      seed=42))
         axes = [None] if axes == "identity" else list(range(1, d + 1))
         rows = [part for axis in axes for part in spectrum.filtered(axis)]
-        piece = operators._piece(spec, axes)
         profiles = operators.profile_matrix(
             d, spectrum.radii, default_truncation_grid().values(),
             "truncated_riesz")
-        route = operators._pass_chunk(spectrum, [(axes, profiles, None)])
+        (stream,) = _plan_of(spectrum, axes, profiles).streams
+        route = stream.chunks
+        piece = route.piece
         assert piece == spec.n_samples // n
-        assert operators._tail_buffer(spectrum, len(rows), route, piece)[0] \
-            == {(4, 1): 14, (4, 4): 3, (8, 8): 1}[d, len(rows)]
-        for chunk in (piece + 1, route):
-            peak = self._chunks_peak(spectrum, rows, chunk, piece)
-            need = operators._class_chunks_bytes(spectrum, len(rows), chunk,
-                                                 piece)
-            assert peak <= need + _HEADERS, chunk
+        assert route.slabs == {(4, 1): 14, (4, 4): 3, (8, 8): 1}[d, len(rows)]
+        for plan in (operators._chunk_plan(spectrum, len(rows), piece + 1,
+                                           piece), route):
+            peak = self._chunks_peak(spectrum, rows, plan)
+            assert peak <= plan.bytes + _HEADERS, plan.chunk
 
     def test_peak_is_within_its_estimate_and_below_a_bundle(self):
         self._peaks_are_within_their_estimates_and_below_a_bundle()
 
-    def test_peak_at_a_doubled_chunk_is_within_its_estimate(self,
-                                                            monkeypatch):
+    def test_peak_at_a_doubled_chunk_is_within_its_estimate(self):
         # a chunk's Gram accumulator and last block sums must be released
         # before the next chunk's carry and accumulator are allocated; held
         # over, they put the vector maximal's peak above the estimate
-        chunk = operators._slab_chunk
-        monkeypatch.setattr(operators, "_slab_chunk",
-                            lambda n, *a: min(n, 2 * chunk(n, *a)))
-        self._peaks_are_within_their_estimates_and_below_a_bundle()
+        self._peaks_are_within_their_estimates_and_below_a_bundle(doubled=True)
 
 
 class TestTailBudget:
@@ -1656,10 +1707,11 @@ class TestTailBudget:
 
     @staticmethod
     def _chunks_at(budget, monkeypatch, spectrum, rows, chunk, piece):
-        # the pass reads the budget as it starts, at its first chunk
+        """The chunk plan at a tail budget, which the planner reads as it
+        builds the plan, and its _class_chunks pass."""
         monkeypatch.setattr(operators, "_TAIL_VALUES", budget)
-        chunks = operators._class_chunks(spectrum, rows, chunk, piece)
-        return itertools.chain([next(chunks)], chunks)
+        plan = operators._chunk_plan(spectrum, len(rows), chunk, piece)
+        return plan, operators._class_chunks(spectrum, rows, plan)
 
     @staticmethod
     def _cases(spec, seed):
@@ -1678,11 +1730,10 @@ class TestTailBudget:
             for axes in ([None], list(range(1, d + 1))):
                 rows = [part for axis in axes
                         for part in spectrum.filtered(axis)]
-                piece = operators._piece(spec, axes)
-                route = operators._pass_chunk(spectrum,
-                                              [(axes, profiles, None)])
+                plan = _plan_of(spectrum, axes, profiles)
+                piece = plan.streams[0].chunks.piece
                 yield (kind, spectrum, axes, profiles, rows, piece,
-                       (1, piece + 1, route))
+                       (1, piece + 1, plan.chunk))
 
     @pytest.mark.parametrize("d, n", GRIDS)
     def test_budget_moves_no_bit(self, d, n, monkeypatch):
@@ -1695,14 +1746,12 @@ class TestTailBudget:
             assert piece == spec.n_samples // n
             lattice = len(rows) * max(n_r, 1) * spec.n_samples
             for chunk in chunks:
-                one = self._chunks_at(0, monkeypatch, spectrum, rows, chunk,
-                                      piece)
-                assert operators._tail_buffer(spectrum, len(rows), chunk,
-                                              piece)[0] == 1
-                every = self._chunks_at(lattice, monkeypatch, spectrum, rows,
-                                        chunk, piece)
-                assert operators._tail_buffer(spectrum, len(rows), chunk,
-                                              piece)[0] >= n
+                plan, one = self._chunks_at(0, monkeypatch, spectrum, rows,
+                                            chunk, piece)
+                assert plan.slabs == 1
+                plan, every = self._chunks_at(lattice, monkeypatch, spectrum,
+                                              rows, chunk, piece)
+                assert plan.slabs >= n
                 count = 0
                 for (lo, u), (lo_every, u_every) in zip(one, every,
                                                         strict=True):
@@ -1713,8 +1762,7 @@ class TestTailBudget:
             for budget in (0, lattice):
                 monkeypatch.setattr(operators, "_TAIL_VALUES", budget)
                 if axes == [None]:
-                    got = operators._stream_route(
-                        spectrum, [(axes, profiles, None)])[0]
+                    got = _streamed(spectrum, [(axes, profiles, None)])[0]
                     want = _bundle_sums(spectrum, axes, profiles, None)
                 else:
                     got = vector_maximal(spectrum,
@@ -1738,15 +1786,19 @@ class TestTailBudget:
             if kind != "real" or axes != [None]:
                 continue
             n_r = spectrum.radii.size
-            assert operators._head_group(spectrum, 1, 1, piece) \
+            assert operators._chunk_plan(spectrum, 1, 1, piece).group \
                 == {3: 13, 4: 4}[d]
             built = _count_calls(monkeypatch, operators, "_group_heads")
             for chunk in chunks:
-                group = operators._head_group(spectrum, 1, chunk, piece)
+                group = None
                 for budget in (0, n_r * spec.n_samples):
                     built.clear()
-                    for _ in self._chunks_at(budget, monkeypatch, spectrum,
-                                             rows, chunk, piece):
+                    plan, passed = self._chunks_at(budget, monkeypatch,
+                                                   spectrum, rows, chunk,
+                                                   piece)
+                    assert group in (None, plan.group)
+                    group = plan.group
+                    for _ in passed:
                         pass
                     assert len(built) == n_r * -(-n // group), (chunk, budget)
         assert n_r
@@ -1771,12 +1823,14 @@ class TestGramForm:
             assert len(rows) == {"real": d, "complex": 2 * d,
                                  "nyquist": d + 2}[kind]
             n_r = spectrum.radii.size
-            assert operators._takes_gram(axes, n_r, n_cols)
+            plan = _plan_of(spectrum, axes, np.zeros((n_r, n_cols)))
+            assert plan.spans[0] is not None
             pairs = np.concatenate([[0], np.cumsum(np.arange(n_r, 0, -1))])
-            route = operators._slab_chunk(spec.n_samples, n_r, n_cols, True)
-            for chunk, count in [(route, None), (7, 3), (1, 3)]:
-                chunks = operators._class_chunks(
-                    spectrum, rows, chunk, operators._piece(spec, axes))
+            piece = plan.streams[0].chunks.piece
+            for chunk, count in [(plan.chunk, None), (7, 3), (1, 3)]:
+                sized = operators._chunk_plan(spectrum, len(rows), chunk,
+                                              piece)
+                chunks = operators._class_chunks(spectrum, rows, sized)
                 for _, u in itertools.islice(chunks, count):
                     want = np.zeros((pairs[-1], u.shape[-1]))
                     for part in u:
@@ -1798,15 +1852,53 @@ class TestGramForm:
         grid = default_truncation_grid()
         n_r, n_cols = spectrum.radii.size, grid.values().size
         step = operators._BLOCK_VALUES // n_cols
-        chunk = operators._slab_chunk(spec.n_samples, n_r, n_cols, True)
+        plan = _plan_of(spectrum, list(range(1, d + 1)),
+                        np.zeros((n_r, n_cols)))
+        chunk = plan.chunk
         assert (n_r, step, chunk) == ((9 if per_chunk else 3), 315,
                                       blocks * step)
+        assert plan.spans == ((chunk if per_chunk else step),)
         chunks = _count_calls(monkeypatch, operators, "_gram_sums")
         products = _count_calls(monkeypatch, operators, "_pair_sums")
         vector_maximal(spectrum, grid)
         assert len(chunks) == math.ceil(spec.n_samples / chunk)
         assert len(products) == (len(chunks) if per_chunk
                                  else math.ceil(spec.n_samples / step))
+
+    def test_pair_weights_are_in_the_estimate(self, monkeypatch):
+        # the vector maximal at (4, 16) and band 7.9 over a depth-8 grid has
+        # 62 classes (1,953 pairs) for 3,328 columns: its pair weights hold
+        # 49.6 MiB, and building them peaks at about three times that,
+        # against 17.8 MiB for the rest of the pass.  With memory between
+        # the two, the pass takes the column route and builds no weights
+        from test_experiments import _count_calls
+        spectrum = operators._band_spectrum(GridSpec(4, 16), 7.9, 42)
+        n_cols = TruncationGrid(-6, 6, depth=8).values().size
+        assert (spectrum.radii.size, n_cols) == (62, 3328)
+        axes, profiles = [1, 2, 3, 4], np.zeros((62, n_cols))
+        plan = operators._plan(spectrum, [(axes, profiles, None)])
+        terms = dict(plan.terms)
+        weights = terms["pair weights"] + terms["pair weights' build"]
+        assert plan.spans[0] is not None
+        assert 8 * 1953 * n_cols == terms["pair weights"] > 2 * (
+            plan.bytes - weights)
+        tracemalloc.start()
+        try:
+            operators._chunk_reducer([slice(q, q + 1) for q in range(4)],
+                                     profiles, None, plan.spans[0])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert 3 * terms["pair weights"] < peak <= weights + _HEADERS
+        columns = []
+        monkeypatch.setattr(operators, "_column_route",
+                            lambda s, axes, *_: columns.append(axes)
+                            or np.zeros(s.spec.n_samples))
+        built = _count_calls(monkeypatch, operators, "_chunk_reducer")
+        monkeypatch.setattr(operators, "_physical_memory",
+                            lambda: plan.bytes - terms["pair weights' build"])
+        operators._reduce(spectrum, axes, profiles)
+        assert columns == [axes] and built == []
 
     def test_same_at_one_and_two_blas_threads(self):
         # the golden configs never take the Gram form (14 columns against
@@ -1822,9 +1914,11 @@ class TestGramForm:
             "    spec = GridSpec(d, n)\n"
             "    f = _trial_field(spec, _capped_band(3.0, spec), 42, 0)\n"
             "    spectrum = operators.half_spectrum(f)\n"
-            "    assert operators._takes_gram(list(range(1, d + 1)),\n"
-            "                                 spectrum.radii.size,\n"
-            "                                 grid.values().size)\n"
+            "    profiles = operators.profile_matrix(\n"
+            "        d, spectrum.radii, grid.values(), 'truncated_riesz')\n"
+            "    plan = operators._plan(\n"
+            "        spectrum, [(list(range(1, d + 1)), profiles, None)])\n"
+            "    assert plan.spans[0] is not None\n"
             "    got = operators.vector_maximal(spectrum, grid).samples\n"
             "    print(d, n, hashlib.sha256(got.tobytes()).hexdigest())\n")
         src = str(Path(__file__).resolve().parent.parent / "src")
