@@ -22,18 +22,17 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
+from scipy import fft as sfft
 
 from . import multiplier
 from . import operators as op
 from .errors import DomainError, IntegrityError
-from .fields import (GridSpec, SpatialField, _band_field_bytes,
-                     _inverse_in_place, forward_transform, l2_norm,
+from .fields import (GridSpec, SpatialField, _band_field_bytes, l2_norm,
                      random_band_limited)
 from .multiplier import check_derivative
 from .operators import (MultiplierSymbol, TruncationGrid, apply_symbol,
-                        kernel_convolve, maximal_over,
-                        poisson_projection_sum, rotation_reconstruct,
-                        sphere_moment, vector_maximal)
+                        maximal_over, poisson_projection_sum,
+                        rotation_reconstruct, sphere_moment, vector_maximal)
 from .specfun import bessel_envelope, bessel_j
 
 __all__ = [
@@ -126,8 +125,9 @@ def _run_trials(report: ExperimentReport, spec: GridSpec, band: float,
     trial, then sort the rows once.  draw() returns the trial's field, so
     the trial holds the only reference to it and can release it once it is
     transformed: an argument a lambda or partial passes on stays bound in
-    the wrapper's frame until the call returns.  The sweep's draw
-    (_trial_spectrum) returns the field's half spectrum, with no field.
+    the wrapper's frame until the call returns.  The sweep's and the
+    factorization's draw (_trial_spectrum) returns the field's half
+    spectrum, with no field.
 
     The trials run two at a time, the even ones on the caller's thread and
     the odd ones on a worker, one per core, where op._pairs allows it:
@@ -180,13 +180,20 @@ def factorization_residual(d: int, n: int, t_list, band: float, trials: int,
     """Relative L2 residual between the spatial (periodized kernel) and
     spectral (factorized symbol) truncated Riesz transform, axis 1.
 
-    The kernel and the symbol do not depend on the field, so each t's
-    kernel transform and symbol values are made once and shared by every
-    trial, the kernels from one walk over the image cells
-    (_kernel_transforms), and each trial transforms its field once for
-    both routes.  The trials run one at a time, since each holds five
-    complex arrays of the lattice's size, and two at once raised the CLI
-    defaults' peak RSS by about 8 MB.
+    The spatial route convolves f with the kernel K_t sampled in space,
+    which multiplies f's DFT by the cell volume cv times K_t's DFT, and the
+    spectral route multiplies it by the symbol sigma_t, so by Parseval the
+    residual is ||(cv K_t^ - sigma_t) f^|| / ||f^||.  Each trial draws its
+    half spectrum at the band's bins (_trial_spectrum), with no field and
+    no FFT, and takes the residual there: sigma_t f^ is the Riesz part
+    (HalfSpectrum.filtered) times m(t rho) of the bin's class, and the
+    norms are sums of class energies.  The capped band puts no bin on a
+    Nyquist plane, where the odd kernel's transform vanishes and the
+    symbol does not.  The kernels do not depend on the field: every t's is
+    sampled by one walk over the image cells and transformed once
+    (_kernel_transforms), and m is evaluated once, at the class radii of
+    every t.  The trials run one at a time, since each takes milliseconds,
+    too short to pay for a thread.
     """
     spec = GridSpec(d, n)
     band = _capped_band(band, spec)
@@ -194,44 +201,51 @@ def factorization_residual(d: int, n: int, t_list, band: float, trials: int,
         "factorization", seed,
         {"d": d, "N": n, "t_list": list(map(float, t_list)), "band": band,
          "trials": trials, "image_radius": image_radius})
-    # each t's kernel transform and symbol, and a trial's field transform,
-    # its coefficients, one product and the two routes' samples; the
-    # kernels' walk, one float lattice per t and about four more, and
-    # their transforms fit within the first two
-    need = 16 * (2 * len(t_list) + 5) * spec.n_samples
-    op._require_memory(need, "the factorization's transforms")
-    symbols = [MultiplierSymbol.truncated_riesz(1, float(t)).values(spec)
-               for t in t_list]
-    k_hats = _kernel_transforms(spec, t_list, image_radius)
+    ts = [float(t) for t in t_list]
+    # the walk, one float lattice per t and at most four more, and each t's
+    # imaginary half lattice, held through the trials, which hold values at
+    # the band's bins only
+    half = math.prod(op._half_shape(spec))
+    op._require_memory(8 * ((len(ts) + 4) * spec.n_samples + len(ts) * half),
+                       "the factorization's kernels")
+    k_hats = _kernel_transforms(spec, ts, image_radius)
+    profiles = _profile_memo()
 
     def trial_values(draw) -> dict:
-        f = draw()
-        norm_f = l2_norm(f)
-        f_hat = np.fft.fftn(f.samples)
-        coefficients = forward_transform(f, f_hat).coefficients
+        spectrum = draw()
+        [riesz] = spectrum.filtered(1)
+        # cv K_t^ f^, where K_t^ = i k_hat
+        kernel = 1j * spec.cell_volume * spectrum.real
+        m = profiles(d, spectrum.radii, np.array(ts), "factor_m")
+        norm_f = math.sqrt(np.sum(spectrum.energies(None)))
         values = {}
-        for t, k_hat, symbol in zip(t_list, k_hats, symbols):
-            spatial = kernel_convolve(f, k_hat, f_hat).samples
-            # apply_symbol's arithmetic, in its operand order
-            spectral = _inverse_in_place(coefficients * symbol, spec)
-            diff = SpatialField(spec, np.subtract(spatial, spectral,
-                                                  out=spectral))
-            values[f"residual_t={float(t):g}"] = l2_norm(diff) / norm_f
+        for t, k_hat, m_t in zip(ts, k_hats, m.T):
+            diff = (kernel * k_hat.ravel()[spectrum.active]
+                    - riesz * m_t[spectrum.class_of_bin])
+            residual = np.sum(spectrum.parseval(np.square(np.abs(diff))))
+            values[f"residual_t={t:g}"] = math.sqrt(residual) / norm_f
         return values
 
-    _run_trials(report, spec, band, trials, trial_values)
+    _run_trials(report, spec, band, trials, trial_values, _trial_spectrum)
     return report
 
 
-def _kernel_transforms(spec: GridSpec, t_list, image_radius: int) -> list:
-    """kernel_transform(spec, 1, t, image_radius) for each t, bit for bit,
-    from one walk over the image cells for every t (op._kernel_samples),
-    each sample released once transformed.  A t outside (0, L/2) raises
-    DomainError before the walk."""
-    ts = [float(t) for t in t_list]
-    op._check_kernel(spec, ts, image_radius)
+def _kernel_transforms(spec: GridSpec, ts: list, image_radius: int) -> list:
+    """The imaginary part of the half-lattice DFT (rfftn) of each t's axis-1
+    kernel sample, from one walk over the image cells for every t
+    (op._kernel_samples), each sample released once transformed.  The
+    kernel is real and exactly odd, so its DFT is purely imaginary.  A t
+    outside (0, L/2) or image_radius < 0 raises DomainError before the
+    walk."""
+    for t in ts:
+        if not 0 < t < spec.period / 2:
+            raise DomainError(
+                f"truncation t must satisfy 0 < t < L/2 = {spec.period / 2}, "
+                f"got {t}")
+    if image_radius < 0:
+        raise DomainError("image_radius must be >= 0")
     samples = op._kernel_samples(spec, 1, ts, image_radius)
-    return [np.fft.fftn(samples.pop(0)) for _ in ts]
+    return [sfft.rfftn(samples.pop(0)).imag.copy() for _ in ts]
 
 
 def norm_ratio_sweep(dims, n_of_d: dict, grid: TruncationGrid, band: float,

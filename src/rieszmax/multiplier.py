@@ -123,11 +123,11 @@ class MultiplierEval:
 
 
 def m_values(d: int, xs) -> np.ndarray:
-    """Vectorized m(x) over an array of nonnegative arguments."""
+    """Vectorized m(x) over an array of finite nonnegative arguments."""
     _require_dimension(d)
     xs = np.asarray(xs, dtype=float)
-    if not np.all(xs >= 0):
-        raise DomainError("m is defined on x >= 0")
+    if not np.all((xs >= 0) & (xs < np.inf)):
+        raise DomainError("m is defined on finite x >= 0")
     a = 2.0 * math.pi * xs
     if float(np.max(a, initial=0.0)) / _PANEL > _MAX_PANELS:
         raise ResourceError(

@@ -70,8 +70,6 @@ __all__ = [
     "riesz_radial_profile",
     "profile_matrix",
     "apply_symbol",
-    "kernel_transform",
-    "kernel_convolve",
     "maximal_over",
     "vector_maximal",
     "square_function",
@@ -308,7 +306,8 @@ def _kernel_samples(spec: GridSpec, axis: int, truncations,
     least t, and each t adds them where r > t, image by image; a skipped
     sum would have added +0.0 to a sum that is never -0.0, so each sample
     is the one-truncation walk's, bit for bit.  It holds one float lattice
-    per t, plus r, r^(d+1), the quotients and their masks."""
+    per t, plus r, the next image's r while it is summed, r^(d+1), the
+    quotients and their masks: at most four more."""
     d, length = spec.dimension, spec.period
     # offsets in (-L/2, L/2], FFT order
     base = np.fft.fftfreq(spec.points_per_axis) * length
@@ -321,10 +320,12 @@ def _kernel_samples(spec: GridSpec, axis: int, truncations,
         # per-axis offsets of this image cell, broadcast against each other
         coords = np.meshgrid(*(base + s for s in image), indexing="ij",
                              sparse=True)
-        r = np.sqrt(sum(c ** 2 for c in coords))
+        r = sum(c ** 2 for c in coords)
+        np.sqrt(r, out=r)
         np.divide(coords[axis - 1], r ** (d + 1), out=vals, where=r > least)
         for t, total in zip(truncations, totals):
             np.add(total, vals, out=total, where=r > t)
+    del r, vals
     # The periodized kernel is exactly odd; the finite image sum breaks
     # that on the -L/2 edge planes (their +L/2 counterparts fall outside
     # the image range).  Antisymmetrizing restores oddness exactly.
@@ -335,43 +336,6 @@ def _kernel_samples(spec: GridSpec, axis: int, truncations,
             reflected = np.roll(np.flip(reflected, axis=a), 1, axis=a)
         totals[k] = c_d * 0.5 * (total - reflected)
     return totals
-
-
-def _check_kernel(spec: GridSpec, truncations, image_radius: int) -> None:
-    """DomainError unless every t of truncations lies in (0, L/2) and
-    image_radius >= 0, the kernel transform's domain."""
-    for t in truncations:
-        if not 0 < t < spec.period / 2:
-            raise DomainError(
-                f"truncation t must satisfy 0 < t < L/2 = {spec.period / 2}, "
-                f"got {t}")
-    if image_radius < 0:
-        raise DomainError("image_radius must be >= 0")
-
-
-def kernel_transform(spec: GridSpec, j: int, t: float,
-                     image_radius: int = 1) -> np.ndarray:
-    """Unnormalized DFT of the sampled periodized axis-j kernel truncated
-    at t, one truncation's walk (_kernel_samples).  It does not depend on
-    the field, so one transform serves every field on the grid (see
-    kernel_convolve)."""
-    _check_kernel(spec, [t], image_radius)
-    _require_memory(16 * 4 * spec.n_samples, "the kernel transform")
-    return np.fft.fftn(_kernel_samples(spec, j, [t], image_radius)[0])
-
-
-def kernel_convolve(f: SpatialField, k_hat: np.ndarray,
-                    f_hat: np.ndarray | None = None) -> SpatialField:
-    """Discrete periodic convolution of f with the kernel whose
-    kernel_transform is k_hat, executed through the transform pair.
-    f_hat, np.fft.fftn of f's samples, may be given to share it."""
-    spec = f.spec
-    _require_memory(16 * 4 * spec.n_samples, "the kernel convolution")
-    # f_hat is named, not a temporary: numpy would multiply into a
-    # temporary in place with the operands swapped, which moves the last bit
-    if f_hat is None:
-        f_hat = np.fft.fftn(f.samples)
-    return SpatialField(spec, np.fft.ifftn(k_hat * f_hat) * spec.cell_volume)
 
 
 # ---------------------------------------------------------------------------
@@ -524,10 +488,16 @@ class HalfSpectrum:
     def energies(self, axis: int | None) -> np.ndarray:
         """||u_i||_2^2 of each radius class u_i of f under the axis-th Riesz
         symbol (the identity when axis is None), by Parseval from filtered
-        (axis).  A bin off the planes k_d = 0, -N/2 (the multiples of N/2) of
-        the half spectrum stands for k and -k, so it counts twice."""
+        (axis)."""
+        return self.parseval(sum(np.square(np.abs(part))
+                                 for part in self.filtered(axis)))
+
+    def parseval(self, power: np.ndarray) -> np.ndarray:
+        """||u_i||_2^2 of each radius class u_i of the field whose
+        unnormalized DFT has power |X|^2 at the active bins (overwritten).
+        A bin off the planes k_d = 0, -N/2 (the multiples of N/2) of the half
+        spectrum stands for k and -k, so it counts twice."""
         spec = self.spec
-        power = sum(np.square(np.abs(part)) for part in self.filtered(axis))
         power[self._k(spec.dimension - 1) % (spec.points_per_axis // 2) != 0] *= 2
         return (np.bincount(self.class_of_bin, power, self.radii.size)
                 * spec.period ** spec.dimension / spec.n_samples ** 2)

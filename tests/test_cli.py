@@ -89,7 +89,14 @@ def test_bad_x_grid_is_usage_error(tmp_path):
     (["norm-sweep", "--dims", "4", "--trials", "1", "--t-grid",
       "1020:1030:0"], EXIT_USAGE),
     (["norm-sweep", "--dims", "4", "--trials", "1",
-      "--t-grid=-1100:-1070:0"], EXIT_USAGE)])
+      "--t-grid=-1100:-1070:0"], EXIT_USAGE),
+    # t = 2^1024 and t r overflow to inf, outside m's domain; a finite x
+    # past the quadrature's reach is a resource error
+    (["decomposition", "--trials", "1", "--t-grid=1023:1023:0"], EXIT_USAGE),
+    (["norm-sweep", "--dims", "4", "--trials", "1", "--t-grid=1000:1023:0"],
+     EXIT_USAGE),
+    (["norm-sweep", "--dims", "4", "--trials", "1", "--t-grid=1000:1010:0"],
+     EXIT_RESOURCE)])
 def test_x_and_t_outside_their_domains(tmp_path, argv, code):
     assert main([*argv, "--output", str(tmp_path)]) == code
 
@@ -161,8 +168,8 @@ def test_memory_budget_exit_code(tmp_path, monkeypatch):
 
 
 def test_factorization_budget_exit_code(tmp_path, monkeypatch):
-    # the kernel transform's four lattice arrays are refused before they
-    # are allocated
+    # the kernels' walk and transforms are refused before they are
+    # allocated
     monkeypatch.setattr(operators, "_physical_memory", lambda: 1 << 16)
     assert main(["factorization", "--dim", "4", "--grid-n", "8", "--trials",
                  "1", "--output", str(tmp_path)]) == EXIT_RESOURCE

@@ -106,12 +106,13 @@ class TestFactorization:
         assert walks == []
 
     def test_kernel_transforms_stay_within_their_share(self):
-        # the walk holds one float lattice per t and its temporaries, then
-        # each t's transform replaces its sample; with the symbols already
-        # held, that is within the rest of the factorization's estimate
+        # the walk holds one float lattice per t and at most four more, then
+        # each t's imaginary half lattice replaces its sample; that is within
+        # the factorization's estimate less the half lattices the trials hold
         spec, t_list = GridSpec(4, 16), [0.05, 0.15, 0.3]
-        need = 16 * (2 * len(t_list) + 5) * spec.n_samples
-        share = need - 16 * len(t_list) * spec.n_samples
+        half = 16 ** 3 * (16 // 2 + 1)
+        need = 8 * ((len(t_list) + 4) * spec.n_samples + len(t_list) * half)
+        share = need - 8 * len(t_list) * half
         _kernel_transforms(spec, t_list, 1)    # warm caches
         tracemalloc.start()
         try:
@@ -120,6 +121,74 @@ class TestFactorization:
         finally:
             tracemalloc.stop()
         assert peak <= share
+
+    @pytest.mark.parametrize("trials", [1, 4])
+    def test_one_transform_per_t_within_the_estimate(self, trials,
+                                                     monkeypatch):
+        # at the CLI defaults each t's kernel takes one rfftn and a trial
+        # none, and the call peaks within its memory estimate
+        import scipy.fft
+        config = (4, 16, [0.05, 0.15, 0.3], 3.0, trials)
+        factorization_residual(*config, seed=42)    # warm caches
+        calls, estimates = [], {}
+
+        def spied(real, name):
+            def call(*args, **kwargs):
+                calls.append(name)
+                return real(*args, **kwargs)
+            return call
+
+        def require(nbytes, what):
+            estimates[what] = nbytes
+            return real_require(nbytes, what)
+
+        real_require = operators._require_memory
+        monkeypatch.setattr(operators, "_require_memory", require)
+        for module in (np.fft, scipy.fft):
+            for name in ("fftn", "ifftn", "rfftn", "irfftn", "fft", "ifft",
+                         "rfft", "irfft", "fft2", "ifft2", "rfft2", "irfft2"):
+                monkeypatch.setattr(module, name,
+                                    spied(getattr(module, name), name))
+        tracemalloc.start()
+        try:
+            factorization_residual(*config, seed=42)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert calls == ["rfftn"] * 3
+        assert peak <= estimates["the factorization's kernels"]
+
+    @pytest.mark.parametrize("d, n, band, image_radius, trials", [
+        (2, 4, 100.0, 1, 2), (2, 6, 2.0, 16, 1), (2, 64, 100.0, 16, 1),
+        (3, 6, 100.0, 0, 2), (3, 16, 3.0, 1, 1), (3, 64, 10.0, 0, 1),
+        (4, 4, 100.0, 0, 2), (4, 16, 3.0, 1, 2), (4, 16, 100.0, 1, 1)])
+    def test_rows_match_the_convolution_through_full_transforms(
+            self, d, n, band, image_radius, trials):
+        # the oracle takes both routes in space, as the operators do: the
+        # field convolved with the sampled kernel through complex FFTs of
+        # the whole lattice, and apply_symbol; bands over 0.98 x Nyquist
+        # are capped there, off the plane k_1 = -N/2, where the odd
+        # kernel's transform vanishes and the symbol does not
+        from rieszmax.experiments import _capped_band
+        from rieszmax.fields import SpatialField, l2_norm
+        from rieszmax.operators import Kernel, MultiplierSymbol, apply_symbol
+        spec, t_list, seed = GridSpec(d, n), [0.05, 0.15, 0.3], 7
+        rows = factorization_residual(d, n, t_list, band, trials, seed,
+                                      image_radius).rows
+        assert len(rows) == trials * len(t_list)
+        capped = _capped_band(band, spec)
+        for row in rows:
+            t = float(row["quantity"].removeprefix("residual_t="))
+            spectrum = _trial_spectrum(spec, capped, seed, row["trial"])
+            assert not np.any(spectrum._k(0) == -(n // 2))
+            f = _trial_field(spec, capped, seed, row["trial"])
+            k_hat = np.fft.fftn(Kernel(d, 1, t, image_radius).sample(spec))
+            spatial = np.fft.ifftn(k_hat * np.fft.fftn(f.samples)) \
+                * spec.cell_volume
+            spectral = apply_symbol(f, MultiplierSymbol.truncated_riesz(1, t))
+            want = l2_norm(SpatialField(spec, spatial - spectral.samples)) \
+                / l2_norm(f)
+            assert abs(row["value"] - want) <= 1e-13 * want, row
 
     def test_d2_residual_shrinks_with_n(self):
         # large image_radius keeps the periodization error of the spatial
@@ -720,8 +789,8 @@ class TestPairedTrials:
     def test_factorization_pairs_its_kernels_not_its_trials(self,
                                                             monkeypatch):
         # the factorization pairs nothing: its kernels come from one walk,
-        # and its trials, each holding five lattice-size arrays, run one at
-        # a time, so two cores give the bits of one
+        # and its trials, each a few milliseconds at the band's bins, run
+        # one at a time, so two cores give the bits of one
         pairs = _paired(monkeypatch)
         spec, t_list = GridSpec(4, 8), [0.1, 0.2, 0.3]
         k_hats, rows = {}, {}

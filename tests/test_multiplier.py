@@ -42,6 +42,12 @@ class TestMEval:
         with pytest.raises(DomainError):
             m_values(4, [-0.1])
 
+    @pytest.mark.parametrize("x", [np.inf, np.nan])
+    def test_argument_that_is_not_finite_rejected(self, x):
+        # m has no value at inf, which no quadrature reaches, nor at nan
+        with pytest.raises(DomainError):
+            m_values(4, [1.0, x])
+
     def test_metadata(self):
         out = m_eval(4, 0.25)
         assert out.dimension == 4 and out.argument == 0.25

@@ -20,13 +20,12 @@ from scipy.special import sici
 from rieszmax import operators
 from rieszmax.errors import (DomainError, ResourceError,
                              UnsupportedDimensionError)
-from rieszmax.experiments import default_truncation_grid
+from rieszmax.experiments import _kernel_transforms, default_truncation_grid
 from rieszmax.fields import (GridSpec, SpatialField, forward_transform,
                              inverse_transform, l2_norm, random_band_limited)
 from rieszmax.multiplier import m_eval, m_values
 from rieszmax.operators import (MAXIMAL_FAMILIES, Kernel, MultiplierSymbol,
                                 TruncationGrid, apply_symbol, half_spectrum,
-                                kernel_convolve, kernel_transform,
                                 maximal_over, poisson_projection_sum,
                                 radial_bundle, riesz_radial_profile,
                                 rotation_reconstruct, sphere_moment,
@@ -341,34 +340,42 @@ class TestSpatialKernel:
                 d, axis, t, image_radius).sample(spec).tobytes(), t
 
     def test_constant_field_annihilated(self):
+        # a constant field's image is its mean times cv K^(0), and K^(0) is
+        # the sum of the odd kernel's samples
         spec = GridSpec(2, 16)
-        f = SpatialField(spec, np.ones(spec.shape, dtype=complex))
-        out = kernel_convolve(f, kernel_transform(spec, 1, 0.2))
-        assert np.max(np.abs(out.samples)) < 1e-12
+        k_hat = sfft.rfftn(Kernel(2, 1, 0.2).sample(spec))
+        assert abs(k_hat[0, 0]) * spec.cell_volume < 1e-12
 
     def test_reflection_antisymmetry(self):
+        # the kernel is real and odd, so it anticommutes with x -> -x: its
+        # transform is purely imaginary, which the factorization keeps as
+        # one real half lattice
         spec = GridSpec(2, 16)
-        f = random_band_limited(spec, 3.0, seed=9)
-        k_hat = kernel_transform(spec, 1, 0.2)
-        out = kernel_convolve(f, k_hat)
-        reflected = f.samples
-        out_ref = kernel_convolve(
-            SpatialField(spec, np.roll(np.flip(reflected, axis=(0, 1)), 1,
-                                       axis=(0, 1))), k_hat)
-        expected = -np.roll(np.flip(out.samples, axis=(0, 1)), 1, axis=(0, 1))
-        assert np.max(np.abs(out_ref.samples - expected)) < 1e-10
+        k_hat = sfft.rfftn(Kernel(2, 1, 0.2).sample(spec))
+        assert np.max(np.abs(k_hat.real)) <= 1e-13 * np.max(np.abs(k_hat.imag))
+        [kept] = _kernel_transforms(spec, [0.2], 1)
+        assert np.array_equal(kept, k_hat.imag)
 
     def test_truncation_exceeding_half_period_rejected(self):
         with pytest.raises(DomainError):
-            kernel_transform(GridSpec(2, 16), 1, 0.5)
+            _kernel_transforms(GridSpec(2, 16), [0.5], 1)
 
     def test_agreement_with_spectral_route(self):
+        # ||(cv K^ - sigma) f^|| / ||f^|| by Parseval over the half lattice,
+        # where a bin off the planes k_d = 0, N/2 stands for k and -k
         spec = GridSpec(4, 16)
-        f = random_band_limited(spec, 3.0, seed=0)
-        spatial = kernel_convolve(f, kernel_transform(spec, 1, 0.15))
-        spectral = apply_symbol(f, MultiplierSymbol.truncated_riesz(1, 0.15))
-        rel = l2_norm(SpatialField(spec, spatial.samples - spectral.samples)) \
-            / l2_norm(f)
+        half = spec.points_per_axis // 2 + 1
+        f_hat = np.fft.rfftn(random_band_limited(spec, 3.0, seed=0).samples)
+        k_hat = np.fft.rfftn(Kernel(4, 1, 0.15).sample(spec))
+        sigma = MultiplierSymbol.truncated_riesz(1, 0.15).values(spec)
+        weight = np.full(half, 2.0)
+        weight[[0, -1]] = 1.0
+
+        def norm(x):
+            return math.sqrt(np.sum(weight * np.square(np.abs(x))))
+
+        rel = norm((spec.cell_volume * k_hat - sigma[..., :half]) * f_hat) \
+            / norm(f_hat)
         assert rel <= 0.1
 
 
@@ -987,20 +994,16 @@ class TestLatticeBudgets:
 
     SPEC = GridSpec(3, 16)
     CASES = {
-        "apply_symbol": (SPEC, _lattice_arrays(6), lambda f, k: apply_symbol(
+        "apply_symbol": (SPEC, _lattice_arrays(6), lambda f: apply_symbol(
             f, MultiplierSymbol.truncated_riesz(1, 0.1))),
-        "kernel_transform": (SPEC, _lattice_arrays(4), lambda f, k:
-                             kernel_transform(f.spec, 1, 0.1)),
-        "kernel_convolve": (SPEC, _lattice_arrays(4), lambda f, k:
-                            kernel_convolve(f, k)),
-        "poisson_projection_sum": (SPEC, _lattice_arrays(2), lambda f, k:
+        "poisson_projection_sum": (SPEC, _lattice_arrays(2), lambda f:
                                    poisson_projection_sum(f, -3, 3)),
-        "rotation_reconstruct_3d": (SPEC, _lattice_arrays(6), lambda f, k:
+        "rotation_reconstruct_3d": (SPEC, _lattice_arrays(6), lambda f:
                                     rotation_reconstruct(f, 1, 0.1, 16)),
         "rotation_reconstruct_2d": (GridSpec(2, 64), _rotation_2d_bytes,
-                                    lambda f, k:
+                                    lambda f:
                                     rotation_reconstruct(f, 1, 0.1, 16)),
-        "random_band_limited": (SPEC, _band_field, lambda f, k:
+        "random_band_limited": (SPEC, _band_field, lambda f:
                                 random_band_limited(f.spec, 3.0, seed=6)),
     }
 
@@ -1008,16 +1011,15 @@ class TestLatticeBudgets:
     def test_estimate(self, case, monkeypatch):
         spec, estimate, run = self.CASES[case]
         f = random_band_limited(spec, 3.0, seed=6)
-        k_hat = kernel_transform(spec, 1, 0.1)
         need = estimate(spec)
         monkeypatch.setattr(operators, "_physical_memory", lambda: need - 1)
         with pytest.raises(ResourceError):
-            run(f, k_hat)
+            run(f)
         monkeypatch.setattr(operators, "_physical_memory", lambda: need)
-        run(f, k_hat)                       # warm up, then trace
+        run(f)                              # warm up, then trace
         tracemalloc.start()
         try:
-            run(f, k_hat)
+            run(f)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
